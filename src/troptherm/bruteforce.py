@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-import networkx as nx
-
 from .dynamics import TransitionSystem
 
 _NINF = -math.inf
@@ -20,6 +18,8 @@ _NINF = -math.inf
 
 def enum_max_cycle_mean(sys: TransitionSystem) -> float:
     """Maximum over all simple cycles of (total weight / length); -inf when acyclic."""
+    import networkx as nx  # imported here so the fast path never loads it
+
     g = nx.DiGraph()
     g.add_nodes_from(range(sys.n))
     for s, t, w in sys.arcs:

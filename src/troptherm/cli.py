@@ -20,7 +20,6 @@ import math
 import sys as _sys
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .bruteforce import enum_aubry, enum_mane, enum_max_cycle_mean
@@ -46,6 +45,7 @@ from .zerotemp import (
     ldp_residual,
     limit_diagnostics,
     rate_function,
+    seeded_spectral_data,
     sweep_record,
 )
 
@@ -157,20 +157,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # exp(-beta/2)); such rows keep beta and go out all-nan instead
         # of pretending the eigendata converged.
         nan = math.nan
+        # Each beta after a converged one starts from its rescaled
+        # eigenvectors, scaled up to the new beta.
         ref = min(report.mane.aubry)
         rows = []
-        start_u = start_m = None
+        prev = None
         for beta in args.grid:
+            start_u = start_m = None
+            if prev is not None:
+                start_u, start_m = prev.scaled_log_u * beta, prev.scaled_log_m * beta
             try:
-                rec = sweep_record(sys_, beta, ref, start_log_u=start_u, start_log_m=start_m)
+                rec = sweep_record(
+                    sys_, beta, ref, start_log_u=start_u, start_log_m=start_m, q=report.Q
+                )
             except RuntimeError:
-                start_u = start_m = None
+                prev = None
                 rows.append((beta, nan, nan, nan, nan, nan, [nan] * PROBE_COUNT))
                 continue
             except ValueError as exc:
                 return _fail(EXIT_INPUT, str(exc))
-            start_u = rec.scaled_log_u * beta
-            start_m = rec.scaled_log_m * beta
+            prev = rec
             rows.append(
                 (beta, rec.pressure_over_beta, nan, nan, nan, nan, [nan] * PROBE_COUNT)
             )
@@ -194,7 +200,8 @@ def cmd_ldp(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        rate = rate_function(sys_, tol=args.tol)
+        report = ergodic_report(sys_, tol=args.tol)
+        rate = rate_function(sys_, report=report, tol=args.tol)
     except MultiClassError as exc:
         return _fail(EXIT_MULTICLASS, str(exc))
     except ValueError as exc:
@@ -223,7 +230,10 @@ def cmd_ldp(args: argparse.Namespace) -> int:
     try:
         residuals = []
         for beta in args.grid:
-            values = [ldp_residual(sys_, f, beta, rate=rate) for f in observables]
+            spectral = seeded_spectral_data(sys_, beta, rate, q=report.Q)
+            values = [
+                ldp_residual(sys_, f, beta, rate=rate, spectral=spectral) for f in observables
+            ]
             residuals.append({"beta": beta, "values": values})
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
@@ -252,6 +262,8 @@ def _gen_system(seed: int, n: Optional[int], deterministic: bool) -> TransitionS
                 break
         weights = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
         return from_map([int(x) for x in table], weights)
+    import networkx as nx  # imported here so the other subcommands never load it
+
     g = nx.DiGraph()
     g.add_nodes_from(range(n))
     arcs = {}

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .tropical_core import (
     NEG_INF,
@@ -184,19 +182,65 @@ def _critical_arcs(
     return arcs
 
 
-def _critical_classes_from_arcs(arcs: List[Tuple[int, int]]) -> List[Tuple[int, ...]]:
-    if not arcs:
-        return []
-    g = nx.DiGraph()
-    g.add_edges_from(arcs)
+def strongly_connected(
+    nodes: Iterable[int], arcs: Iterable[Tuple[int, int]]
+) -> List[Tuple[int, ...]]:
+    """Strongly connected components, each sorted, ordered by least member.
+
+    Iterative Tarjan, so deep graphs cannot hit the recursion limit.
+    Nodes named only by arcs are included.
+    """
+    succ: Dict[int, List[int]] = {v: [] for v in nodes}
+    for s, t in arcs:
+        succ.setdefault(s, []).append(t)
+        succ.setdefault(t, [])
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack = set()
     comps = []
-    for comp in nx.strongly_connected_components(g):
-        nodes = tuple(sorted(comp))
-        # keep only components that actually carry a cycle
-        if len(nodes) > 1 or g.has_edge(nodes[0], nodes[0]):
-            comps.append(nodes)
-    comps.sort(key=lambda c: c[0])
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                # every successor of v is done: close v
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+    # components are disjoint, so tuple order is order by least member
+    comps.sort()
     return comps
+
+
+def _critical_classes_from_arcs(arcs: List[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+    loops = {i for i, j in arcs if i == j}
+    # keep only components that actually carry a cycle
+    return [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
 
 
 def _witness_cycle(

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .dynamics import TransitionSystem
-from .maxplus_linalg import _karp_mean
+from .maxplus_linalg import _karp_mean, strongly_connected
 
 BETA_MAX_DEFAULT = 2000.0
 POWER_CAP_DEFAULT = 100000
@@ -81,12 +80,7 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def strongly_connected_components(sys: TransitionSystem) -> List[Tuple[int, ...]]:
-    g = nx.DiGraph()
-    g.add_nodes_from(range(sys.n))
-    g.add_edges_from((s, t) for s, t, _ in sys.arcs)
-    comps = [tuple(sorted(c)) for c in nx.strongly_connected_components(g)]
-    comps.sort(key=lambda c: c[0])
-    return comps
+    return strongly_connected(range(sys.n), ((s, t) for s, t, _ in sys.arcs))
 
 
 def ruelle_apply(sys: TransitionSystem, u: Sequence[float], beta: float) -> np.ndarray:
@@ -126,8 +120,14 @@ def spectral_data(
     cap: int = POWER_CAP_DEFAULT,
     start_log_u: Optional[Sequence[float]] = None,
     start_log_m: Optional[Sequence[float]] = None,
+    q: Optional[float] = None,
 ) -> SpectralData:
     """Simultaneous left/right power iteration for the Ruelle operator.
+
+    q is the maximal potential energy of sys (its maximum cycle mean);
+    callers holding an ergodic report pass report.Q, otherwise Karp
+    computes it. The start vectors default to 0; see
+    zerotemp.beta_sweep for a start near the answer.
 
     Convergence is declared when one step moves both sup-normalized log
     eigenvectors by less than 1e-12, or when both iterates already solve
@@ -149,7 +149,8 @@ def spectral_data(
         raise ReducibleSystemError(comps)
 
     n = sys.n
-    q = _karp_mean(sys.to_matrix().to_floats())
+    if q is None:
+        q = _karp_mean(sys.to_matrix().to_floats())
     src = np.fromiter((a[0] for a in sys.arcs), dtype=int, count=len(sys.arcs))
     tgt = np.fromiter((a[1] for a in sys.arcs), dtype=int, count=len(sys.arcs))
     lw = np.array([beta * (w - q) for _, _, w in sys.arcs])

@@ -104,9 +104,10 @@ def sweep_record(
     ref: int,
     start_log_u: Optional[np.ndarray] = None,
     start_log_m: Optional[np.ndarray] = None,
+    q: Optional[float] = None,
 ) -> SweepRecord:
     """One rescaled spectral record, pinned to the given reference state."""
-    data = spectral_data(sys, beta, start_log_u=start_log_u, start_log_m=start_log_m)
+    data = spectral_data(sys, beta, start_log_u=start_log_u, start_log_m=start_log_m, q=q)
     slu = data.log_u / beta
     slu = slu - slu[ref]
     slm = data.log_m / beta
@@ -130,21 +131,28 @@ def beta_sweep(
 ) -> List[SweepRecord]:
     """Spectral data across an increasing beta grid, rescaled by 1/beta.
 
-    Consecutive grid points warm-start the power iteration from the
-    previous rescaled eigenvectors.
+    Every grid point starts the power iteration from its tropical limit:
+    (1/beta) log u_beta tends to the calibrated sub-action v and
+    (1/beta) log m_beta to the eigen-density b, so beta * v and beta * b
+    start near the answer at every beta. A cold start instead climbs
+    beta * range(v) by about log 2 per damped step. v and b are the
+    first basis pair of the report, finite on every irreducible system,
+    and the report's Q spares a Karp run per beta.
     """
     grid = _check_grid(grid)
     if report is None:
         report = ergodic_report(sys)
     ref = min(report.mane.aubry)
-    records: List[SweepRecord] = []
-    start_u: Optional[np.ndarray] = None
-    start_m: Optional[np.ndarray] = None
-    for beta in grid:
-        rec = sweep_record(sys, beta, ref, start_log_u=start_u, start_log_m=start_m)
-        records.append(rec)
-        start_u, start_m = rec.scaled_log_u * beta, rec.scaled_log_m * beta
-    return records
+    v = _floats(report.eigenfunction_basis[0])
+    b = _floats(report.eigen_density_basis[0].values)
+    return [
+        sweep_record(sys, beta, ref, start_log_u=beta * v, start_log_m=beta * b, q=report.Q)
+        for beta in grid
+    ]
+
+
+def _floats(vec: TropVector) -> np.ndarray:
+    return np.array([x.to_float() for x in vec])
 
 
 def rate_function(
@@ -172,6 +180,20 @@ def rate_function(
     return RateFunction(values=values, eigenfunction=v_al, density=Density(b_al))
 
 
+def seeded_spectral_data(
+    sys: TransitionSystem, beta: float, rate: RateFunction, q: Optional[float] = None
+) -> SpectralData:
+    """spectral_data at beta started from beta times the rate function's
+    limit pair (v, b), as in beta_sweep; q as in spectral_data."""
+    return spectral_data(
+        sys,
+        beta,
+        start_log_u=beta * _floats(rate.eigenfunction),
+        start_log_m=beta * _floats(rate.density.values),
+        q=q,
+    )
+
+
 def ldp_residual(
     sys: TransitionSystem,
     f: Sequence[float],
@@ -183,6 +205,8 @@ def ldp_residual(
 
     The moment is taken against the log-space equilibrium state; linear
     masses underflow at the betas where the comparison is interesting.
+    Without spectral data the solve is seeded from the rate function;
+    pass it in to share one solve between observables at the same beta.
     """
     f = np.asarray(f, dtype=float)
     if len(f) != sys.n:
@@ -192,7 +216,7 @@ def ldp_residual(
     if rate is None:
         rate = rate_function(sys)
     if spectral is None:
-        spectral = spectral_data(sys, beta)
+        spectral = seeded_spectral_data(sys, beta, rate)
     moment = log_moment(spectral.log_mu, f, beta, measure_is_log=True)
     sup_term = float(np.max(f - rate.values))
     return abs(moment - sup_term)

@@ -25,7 +25,7 @@ from troptherm.ergodic_opt import (
     subaction_limsup,
 )
 from troptherm.maxplus_linalg import eigenproblem
-from troptherm.thermo import log_ruelle_apply
+from troptherm.thermo import log_ruelle_apply, spectral_data
 from troptherm.tropical_core import (
     NEG_INF,
     POS_INF,
@@ -262,6 +262,25 @@ def test_acceptance_7_zero_temperature_convergence():
                 assert low <= rec.pressure_over_beta <= high
         elapsed = time.perf_counter() - t0
         assert elapsed < 20.0, f"took {elapsed:.2f}s"
+
+
+def test_tropical_seed_iteration_counts():
+    # a cold start needs up to 28,893 steps at beta 1000 on these systems
+    for sys_, report in _uniquely_calibrated_systems(10):
+        for rec in beta_sweep(sys_, report=report):
+            assert rec.spectral.iterations <= 100, (rec.beta, rec.spectral.iterations)
+
+
+def test_tropical_seed_matches_cold_start():
+    def sup_normalized(x):
+        return x - x.max()
+
+    for sys_, report in _uniquely_calibrated_systems(10):
+        for rec in beta_sweep(sys_, grid=(10.0, 100.0), report=report):
+            seeded, cold = rec.spectral, spectral_data(sys_, rec.beta)
+            assert abs(seeded.pressure - cold.pressure) <= 1e-12 * max(1.0, abs(cold.pressure))
+            for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):
+                assert np.max(np.abs(sup_normalized(a) - sup_normalized(b))) <= 1e-10
 
 
 def test_acceptance_8_ldp():

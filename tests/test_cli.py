@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import troptherm
 import troptherm.cli as cli
+import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import report_from_json
 
@@ -163,6 +168,36 @@ def test_ldp_fixa(tmp_path, fixa, capsys):
     series = [row["values"][0] for row in data["residuals"]]
     assert series[-1] <= 0.05
     assert series[-1] <= series[0]
+
+
+def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
+    calls = []
+    solve = zerotemp.spectral_data
+
+    def counted(sys, beta, **kwargs):
+        calls.append(beta)
+        return solve(sys, beta, **kwargs)
+
+    monkeypatch.setattr(zerotemp, "spectral_data", counted)
+    path = _dump(tmp_path, "fixa.json", fixa)
+    assert cli.main(["ldp", "--input", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["observables"]) == cli.PROBE_COUNT
+    assert calls == list(zerotemp.DEFAULT_GRID)
+
+
+def test_cli_import_skips_networkx():
+    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = "import sys, troptherm.cli; assert 'networkx' not in sys.modules, 'networkx imported'"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):

@@ -16,6 +16,7 @@ from troptherm.maxplus_linalg import (
     kleene_plus,
     mat_vec,
     max_cycle_mean,
+    strongly_connected,
 )
 from troptherm.tropical_core import NEG_INF, TropValue, TropVector, as_trop, sup_distance, t_add, t_mul
 
@@ -240,3 +241,23 @@ def test_eigen_identity_seeded():
 def test_critical_classes_two_loops():
     assert critical_classes(mat([[0.0, -2.0], [-1.0, 0.0]])) == [(0,), (1,)]
     assert critical_classes(mat(FIXA)) == [(0,)]
+
+
+def test_strongly_connected_matches_networkx_seeded():
+    import networkx as nx
+
+    rng = random.Random(89)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        density = rng.choice((0.02, 0.08, 0.2, 0.5))
+        # self-loops included; low densities leave isolated nodes
+        arcs = [(s, t) for s in range(n) for t in range(n) if rng.random() < density]
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(arcs)
+        want = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(g))
+        assert strongly_connected(range(n), arcs) == want
+    # a 5000-node path and cycle stay clear of the recursion limit
+    path = [(i, i + 1) for i in range(4999)]
+    assert strongly_connected(range(5000), path) == [(i,) for i in range(5000)]
+    assert strongly_connected((), path + [(4999, 0)]) == [tuple(range(5000))]
