@@ -30,13 +30,7 @@ from .dynamics import (
     system_from_json,
     system_to_json,
 )
-from .ergodic_opt import (
-    ergodic_report,
-    mane_potential,
-    max_potential_energy,
-    normalize,
-    report_to_json,
-)
+from .ergodic_opt import ergodic_report, report_to_json
 from .maxplus_linalg import DEFAULT_TOL
 from .zerotemp import (
     DEFAULT_GRID,
@@ -104,16 +98,10 @@ def _fail(code: int, message: str) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.format != "json":
         return _fail(EXIT_INPUT, "analyze emits JSON only")
-    try:
-        sys_ = _load_system(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    sys_ = _load_system(args.input)
     if args.strict and not sys_.surjective_like:
         return _fail(EXIT_ASSUMPTION, "system is not surjective-like: some state has no incoming arc")
-    try:
-        report = ergodic_report(sys_, tol=args.tol)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    report = ergodic_report(sys_, tol=args.tol)
     _write_json(args.output, report_to_json(report))
     return EXIT_OK
 
@@ -121,11 +109,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format != "csv":
         return _fail(EXIT_INPUT, "sweep emits CSV only")
-    try:
-        sys_ = _load_system(args.input)
-        report = ergodic_report(sys_, tol=args.tol)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    sys_ = _load_system(args.input)
+    report = ergodic_report(sys_, tol=args.tol)
     if not report.uniquely_calibrated and not args.force:
         return _fail(
             EXIT_MULTICLASS,
@@ -135,10 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     probes = _probes(sys_.n, args.seed)
     if report.uniquely_calibrated:
-        try:
-            records = beta_sweep(sys_, args.grid, report=report)
-        except ValueError as exc:
-            return _fail(EXIT_INPUT, str(exc))
+        records = beta_sweep(sys_, args.grid, report=report)
         diag = limit_diagnostics(sys_, records, report=report)
         rate = rate_function(sys_, report=report, tol=args.tol)
         rows = []
@@ -174,8 +156,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 prev = None
                 rows.append((beta, nan, nan, nan, nan, nan, [nan] * PROBE_COUNT))
                 continue
-            except ValueError as exc:
-                return _fail(EXIT_INPUT, str(exc))
             prev = rec
             rows.append(
                 (beta, rec.pressure_over_beta, nan, nan, nan, nan, [nan] * PROBE_COUNT)
@@ -195,17 +175,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_ldp(args: argparse.Namespace) -> int:
     if args.format != "json":
         return _fail(EXIT_INPUT, "ldp emits JSON only")
-    try:
-        sys_ = _load_system(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        report = ergodic_report(sys_, tol=args.tol)
-        rate = rate_function(sys_, report=report, tol=args.tol)
-    except MultiClassError as exc:
-        return _fail(EXIT_MULTICLASS, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    sys_ = _load_system(args.input)
+    report = ergodic_report(sys_, tol=args.tol)
+    rate = rate_function(sys_, report=report, tol=args.tol)
 
     if args.observables:
         observables = []
@@ -227,16 +199,11 @@ def cmd_ldp(args: argparse.Namespace) -> int:
     else:
         observables = _probes(sys_.n, args.seed)
 
-    try:
-        residuals = []
-        for beta in args.grid:
-            spectral = seeded_spectral_data(sys_, beta, rate, q=report.Q)
-            values = [
-                ldp_residual(sys_, f, beta, rate=rate, spectral=spectral) for f in observables
-            ]
-            residuals.append({"beta": beta, "values": values})
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    residuals = []
+    for beta in args.grid:
+        spectral = seeded_spectral_data(sys_, beta, rate, q=report.Q)
+        values = [ldp_residual(sys_, f, beta, rate=rate, spectral=spectral) for f in observables]
+        residuals.append({"beta": beta, "values": values})
 
     payload = {
         "rate_function": rate.to_json(),
@@ -291,33 +258,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.format != "json":
         return _fail(EXIT_INPUT, "oracle emits JSON only")
-    try:
-        sys_ = _load_system(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    sys_ = _load_system(args.input)
     if sys_.n > ORACLE_N_MAX:
         return _fail(EXIT_INPUT, f"oracle is exhaustive, n capped at {ORACLE_N_MAX}")
-    try:
-        q_fast, _ = max_potential_energy(sys_, tol=args.tol)
-        mane = mane_potential(normalize(sys_, tol=args.tol), tol=args.tol)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    report = ergodic_report(sys_, tol=args.tol)
+    q_fast, mane = report.Q, report.mane
 
     q_enum = enum_max_cycle_mean(sys_)
     phi_enum = enum_mane(sys_, q_enum, horizon=2 * sys_.n)
     aubry_enum = enum_aubry(phi_enum, tol=args.tol)
 
     q_dev = abs(q_fast - q_enum)
-    phi_dev = 0.0
-    for i in range(sys_.n):
-        for j in range(sys_.n):
-            fast = mane.phi.entry(i, j).to_float()
-            slow = phi_enum[i][j]
-            if math.isinf(fast) or math.isinf(slow):
-                dev = 0.0 if fast == slow else math.inf
-            else:
-                dev = abs(fast - slow)
-            phi_dev = max(phi_dev, dev)
+    fast, slow = mane.phi.array, np.array(phi_enum)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where both are -inf
+        phi_dev = float(np.where(fast == slow, 0.0, np.abs(fast - slow)).max())
     aubry_dev = 0.0 if tuple(mane.aubry) == tuple(aubry_enum) else math.inf
 
     ok = q_dev <= args.tol and phi_dev <= args.tol and aubry_dev <= args.tol
@@ -396,7 +350,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    # one place maps errors to exit codes: unreadable or invalid input, and
+    # library refusals such as an acyclic system or a critical graph lost to
+    # rounding, all exit 2 with a message
+    try:
+        return args.func(args)
+    except MultiClassError as exc:
+        return _fail(EXIT_MULTICLASS, str(exc))
+    except (OSError, ValueError) as exc:
+        return _fail(EXIT_INPUT, str(exc))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .tropical_core import NEG_INF, TropValue, TropVector, t_add, t_mul
 from .tropical_measures import Density
 from .maxplus_linalg import TropMatrix
@@ -40,7 +42,7 @@ class PathRecord:
 class TransitionSystem:
     """Immutable weighted digraph with the potential charged at arc sources."""
 
-    __slots__ = ("_n", "_arcs", "_labels", "_deterministic", "_surjective_like", "_preds", "_succs", "_weight")
+    __slots__ = ("_n", "_arcs", "_arc_arrays", "_labels", "_deterministic", "_surjective_like", "_preds", "_succs", "_weight")
 
     def __init__(
         self,
@@ -50,7 +52,7 @@ class TransitionSystem:
     ):
         if n < 1:
             raise SystemValidationError("state count must be positive")
-        seen = set()
+        weight = {}
         clean = []
         for arc in arcs:
             if len(arc) != 3:
@@ -63,9 +65,9 @@ class TransitionSystem:
             w = float(w)
             if not math.isfinite(w):
                 raise SystemValidationError(f"arc weight must be finite: {arc!r}")
-            if (s, t) in seen:
+            if (s, t) in weight:
                 raise SystemValidationError(f"duplicate arc ({s}, {t})")
-            seen.add((s, t))
+            weight[(s, t)] = w
             clean.append((s, t, w))
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -74,22 +76,24 @@ class TransitionSystem:
         self._n = n
         self._arcs = tuple(clean)
         self._labels = labels
-        out_deg = [0] * n
-        in_deg = [0] * n
+        self._weight = weight
+        self._arc_arrays = (
+            np.array([s for s, _, _ in clean], dtype=np.intp),
+            np.array([t for _, t, _ in clean], dtype=np.intp),
+            np.array([w for _, _, w in clean], dtype=float),
+        )
+        for col in self._arc_arrays:
+            col.flags.writeable = False
+        src, tgt, _ = self._arc_arrays
+        self._deterministic = bool(np.all(np.bincount(src, minlength=n) == 1))
+        self._surjective_like = bool(np.all(np.bincount(tgt, minlength=n) >= 1))
         preds: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         succs: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        weight = {}
         for s, t, w in clean:
-            out_deg[s] += 1
-            in_deg[t] += 1
             preds[t].append((s, w))
             succs[s].append((t, w))
-            weight[(s, t)] = w
-        self._deterministic = all(d == 1 for d in out_deg)
-        self._surjective_like = all(d >= 1 for d in in_deg)
         self._preds = tuple(tuple(p) for p in preds)
         self._succs = tuple(tuple(p) for p in succs)
-        self._weight = weight
 
     @property
     def n(self) -> int:
@@ -98,6 +102,11 @@ class TransitionSystem:
     @property
     def arcs(self) -> tuple:
         return self._arcs
+
+    @property
+    def arc_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arrays of arc sources, targets and weights, in arc order."""
+        return self._arc_arrays
 
     @property
     def labels(self) -> Optional[tuple]:
@@ -139,10 +148,10 @@ class TransitionSystem:
         )
 
     def to_matrix(self) -> TropMatrix:
-        grid = [[-math.inf] * self._n for _ in range(self._n)]
-        for s, t, w in self._arcs:
-            grid[s][t] = w
-        return TropMatrix(grid)
+        src, tgt, w = self._arc_arrays
+        grid = np.full((self._n, self._n), -math.inf)
+        grid[src, tgt] = w
+        return TropMatrix.from_floats(grid)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransitionSystem):

@@ -15,27 +15,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_from_json, system_to_json
-from .maxplus_linalg import (
-    DEFAULT_TOL,
-    PositiveCycleError,
-    TropMatrix,
-    _closure_floats,
-    _critical_arcs,
-    _critical_classes_from_arcs,
-    _karp_mean,
-    max_cycle_mean,
-)
-from .tropical_core import (
-    NEG_INF,
-    TropValue,
-    TropVector,
-    sup_distance,
-    t_add,
-    t_mul,
-    trop_from_json,
-    vec_add,
-)
+from .maxplus_linalg import DEFAULT_TOL, TropMatrix, _karp_mean, _TropicalPass
+from .tropical_core import TropVector, sup_distance, trop_from_json, vec_add
 from .tropical_measures import Density
 
 _NINF = -math.inf
@@ -62,6 +46,17 @@ class ErgodicReport:
     uniquely_calibrated: bool
 
 
+def _q_and_cycle(p: _TropicalPass) -> Tuple[float, PathRecord]:
+    if p.mean == _NINF:
+        raise ValueError("acyclic system carries no invariant measure")
+    cycle = p.witness
+    return p.mean, PathRecord(tuple(cycle) + (cycle[0],))
+
+
+def _mane(p: _TropicalPass) -> ManeMatrix:
+    return ManeMatrix(phi=TropMatrix.from_floats(p.plus), aubry=p.aubry, critical_classes=p.classes)
+
+
 def max_potential_energy(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> Tuple[float, PathRecord]:
     """The maximum cycle mean of the weights, with one maximizing cycle.
 
@@ -69,11 +64,7 @@ def max_potential_energy(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> Tup
     the maximum time-average of the potential is attained on a cycle and
     the witness cycle's uniform measure is maximizing.
     """
-    res = max_cycle_mean(sys.to_matrix(), tol=tol)
-    if res.mean.is_neg_inf:
-        raise ValueError("acyclic system carries no invariant measure")
-    cycle = res.witness
-    return res.mean.finite, PathRecord(tuple(cycle) + (cycle[0],))
+    return _q_and_cycle(_TropicalPass(sys.n, *sys.arc_arrays, tol))
 
 
 def normalize(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> TransitionSystem:
@@ -88,20 +79,14 @@ def mane_potential(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ManeMatri
     Requires a normalized system: a positive cycle mean makes the path
     supremum diverge, a negative one empties the Aubry set.
     """
-    grid = sys.to_matrix().to_floats()
-    mean = _karp_mean(grid)
-    if mean == _NINF:
+    p = _TropicalPass(sys.n, *sys.arc_arrays, tol, normalized=True)
+    if p.mean == _NINF:
         raise ValueError("acyclic system has no normalized potential")
-    if mean > tol:
-        raise PositiveCycleError(mean, max_cycle_mean(sys.to_matrix(), tol=tol).witness)
-    if mean < -tol:
+    if p.mean < -tol:
         raise ValueError(
-            f"system is not normalized: max cycle mean {mean:.6g} < 0 would empty the Aubry set"
+            f"system is not normalized: max cycle mean {p.mean:.6g} < 0 would empty the Aubry set"
         )
-    plus = _closure_floats(grid)
-    aubry = tuple(i for i in range(sys.n) if abs(plus[i][i]) <= tol)
-    classes = _critical_classes_from_arcs(_critical_arcs(grid, plus, tol))
-    return ManeMatrix(phi=TropMatrix.from_floats(plus), aubry=aubry, critical_classes=classes)
+    return _mane(p)
 
 
 def subaction_limsup(
@@ -125,8 +110,7 @@ def subaction_limsup(
         raise ValueError(f"length mismatch: system {n}, vector {len(u0)}")
     if not u0.is_finite:
         raise ValueError("start vector must be finite-valued")
-    grid = sys.to_matrix().to_floats()
-    mean = _karp_mean(grid)
+    mean = _karp_mean(n, *sys.arc_arrays)
     if mean == _NINF or abs(mean) > tol:
         raise ValueError("system is not normalized (max cycle mean must be 0)")
     w = window if window is not None else n
@@ -173,7 +157,7 @@ def eigenfunction_spectral(
     """One Bousch fixed point phi(x, ·) per critical class representative x."""
     if mane is None:
         mane = mane_potential(sys, tol=tol)
-    return [TropVector(mane.phi.rows[cls[0]]) for cls in mane.critical_classes]
+    return [TropVector(mane.phi.array[cls[0]].tolist()) for cls in mane.critical_classes]
 
 
 def eigen_density_spectral(
@@ -186,11 +170,7 @@ def eigen_density_spectral(
     """
     if mane is None:
         mane = mane_potential(sys, tol=tol)
-    out = []
-    for cls in mane.critical_classes:
-        y = cls[0]
-        out.append(Density(TropVector([row[y] for row in mane.phi.rows])))
-    return out
+    return [Density(TropVector(mane.phi.array[:, cls[0]].tolist())) for cls in mane.critical_classes]
 
 
 def representation_check(
@@ -208,41 +188,26 @@ def representation_check(
     """
     if (v is None) == (b is None):
         raise ValueError("pass exactly one of v or b")
-    phi = report.mane.phi
-    aubry = report.mane.aubry
-    n = phi.n
-    if v is not None:
-        if len(v) != n:
-            raise ValueError(f"length mismatch: {len(v)} vs {n}")
-        rep = []
-        for y in range(n):
-            acc = NEG_INF
-            for x in aubry:
-                acc = t_add(acc, t_mul(v[x], phi.entry(x, y)))
-            rep.append(acc)
-        return sup_distance(v, TropVector(rep))
-    if len(b) != n:
-        raise ValueError(f"length mismatch: {len(b)} vs {n}")
-    rep = []
-    for x in range(n):
-        acc = NEG_INF
-        for y in aubry:
-            acc = t_add(acc, t_mul(phi.entry(x, y), b[y]))
-        rep.append(acc)
-    return sup_distance(b.values, TropVector(rep))
+    # rows x of phi weighted by v(x), or columns y weighted by b(y)
+    phi = report.mane.phi.array if v is not None else report.mane.phi.array.T
+    vec = v if v is not None else b.values
+    if len(vec) != phi.shape[0]:
+        raise ValueError(f"length mismatch: {len(vec)} vs {phi.shape[0]}")
+    aubry = list(report.mane.aubry)
+    weights = np.array([vec[x].to_float() for x in aubry])
+    with np.errstate(invalid="ignore"):
+        terms = weights[:, None] + phi[aubry]
+    terms[np.isnan(terms)] = _NINF  # -inf ⊗ +inf = -inf
+    return sup_distance(vec, TropVector(terms.max(axis=0, initial=_NINF).tolist()))
 
 
 def is_uniquely_calibrated(report: ErgodicReport, tol: float = DEFAULT_TOL) -> bool:
     """True when phi(x,y) ⊗ phi(y,x) = 0 for all Aubry pairs, which pins the
     eigenfunction and the fixed density up to one tropical constant each
     (equivalently: a single critical class)."""
-    phi = report.mane.phi
-    for x in report.mane.aubry:
-        for y in report.mane.aubry:
-            prod = t_mul(phi.entry(x, y), phi.entry(y, x))
-            if not prod.is_finite or abs(prod.finite) > tol:
-                return False
-    return True
+    aubry = list(report.mane.aubry)
+    phi = report.mane.phi.array[np.ix_(aubry, aubry)]
+    return bool(np.all(np.abs(phi + phi.T) <= tol))
 
 
 def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL) -> bool:
@@ -250,7 +215,9 @@ def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL)
     potential energy."""
     if not u.is_finite:
         raise ValueError("sub-action candidates must be finite-valued")
-    q, _ = max_potential_energy(sys, tol=tol)
+    q = _karp_mean(sys.n, *sys.arc_arrays)  # the mean alone: no witness, no closure
+    if q == _NINF:
+        raise ValueError("acyclic system carries no invariant measure")
     image = bousch_apply(sys, u)
     for x in range(sys.n):
         if image[x].to_float() > u[x].finite + q + tol:
@@ -261,9 +228,10 @@ def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL)
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:
     """Full analysis bundle: Q, a maximizing cycle, the normalized system,
     the Mañé data, and one eigenfunction/density pair per critical class."""
-    q, witness = max_potential_energy(sys, tol=tol)
+    p = _TropicalPass(sys.n, *sys.arc_arrays, tol)
+    q, witness = _q_and_cycle(p)
     norm = sys.shifted(-q)
-    mane = mane_potential(norm, tol=tol)
+    mane = _mane(p)
     report = ErgodicReport(
         Q=q,
         maximizing_cycle=witness,
@@ -283,7 +251,7 @@ def report_to_json(report: ErgodicReport) -> dict:
         "maximizing_cycle": list(report.maximizing_cycle.states),
         "normalized_system": system_to_json(report.normalized_system),
         "mane": {
-            "phi": [TropVector(row).to_json() for row in report.mane.phi.rows],
+            "phi": [[("-inf" if x == _NINF else x) for x in row] for row in report.mane.phi.to_floats()],
             "aubry": list(report.mane.aubry),
             "critical_classes": [list(c) for c in report.mane.critical_classes],
         },

@@ -1,16 +1,23 @@
 """Max-plus matrices: cycle means, Kleene closures, critical graph, eigenproblem.
 
-Matrix entry (i, j) is the weight of the arc i -> j; NEG_INF marks a
-missing arc. Weights come from real potentials, so +inf never appears
-here and the internal arithmetic can run on plain floats (the only
-infinity in play is -inf, which is safe under + and max).
+Matrix entry (i, j) is the weight of the arc i -> j; -inf marks a missing
+arc. Weights come from real potentials, so +inf never appears here and
+the arithmetic runs on float64 arrays (the only infinity in play is
+-inf, which is safe under + and max). One tropical pass serves every
+question about a matrix: Karp's maximum cycle mean over the arcs, then
+one Kleene closure, from which the critical arcs, a maximizing cycle,
+the Aubry set and the critical classes are all read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .tropical_core import (
     NEG_INF,
@@ -37,49 +44,64 @@ class PositiveCycleError(ValueError):
         )
 
 
-class TropMatrix:
-    """Square max-plus matrix; entry (i, j) weighs the arc i -> j."""
+def _weight_array(grid) -> np.ndarray:
+    a = np.array(grid, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("matrix must be square and nonempty")
+    if np.isnan(a).any():
+        raise ValueError("NaN has no tropical meaning")
+    if np.isposinf(a).any():
+        raise ValueError("+inf entries are not allowed in a weight matrix")
+    a.flags.writeable = False
+    return a
 
-    __slots__ = ("_n", "_rows")
+
+class TropMatrix:
+    """Square max-plus matrix; entry (i, j) weighs the arc i -> j.
+
+    Stored as a read-only float64 array with -inf for missing arcs;
+    TropValue views are built only when asked for.
+    """
+
+    __slots__ = ("_a",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        mat = tuple(tuple(as_trop(x) for x in row) for row in rows)
-        n = len(mat)
-        if n == 0 or any(len(row) != n for row in mat):
-            raise ValueError("matrix must be square and nonempty")
-        for row in mat:
-            for x in row:
-                if x.is_pos_inf:
-                    raise ValueError("+inf entries are not allowed in a weight matrix")
-        self._n = n
-        self._rows = mat
+        self._a = _weight_array([[as_trop(x).to_float() for x in row] for row in rows])
+
+    @classmethod
+    def from_floats(cls, grid: Sequence[Sequence[float]]) -> "TropMatrix":
+        """From a float grid (-inf for missing arcs), copied without building TropValues."""
+        M = cls.__new__(cls)
+        M._a = _weight_array(grid)
+        return M
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._a.shape[0]
 
     @property
-    def rows(self) -> tuple:
-        return self._rows
+    def array(self) -> np.ndarray:
+        """The read-only float64 grid."""
+        return self._a
 
     def entry(self, i: int, j: int) -> TropValue:
-        return self._rows[i][j]
+        return TropValue(self._a[i, j])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return bool(np.array_equal(self._a, other._a))
 
     def __repr__(self) -> str:
-        return f"TropMatrix(n={self._n})"
+        return f"TropMatrix(n={self.n})"
 
     def to_floats(self) -> List[List[float]]:
         """Plain float grid with -inf for missing arcs."""
-        return [[x.to_float() for x in row] for row in self._rows]
+        return self._a.tolist()
 
-    @classmethod
-    def from_floats(cls, grid: Sequence[Sequence[float]]) -> "TropMatrix":
-        return cls(grid)
+    def _arc_arrays(self) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        src, tgt = np.nonzero(self._a > _NINF)
+        return self.n, src, tgt, self._a[src, tgt]
 
 
 @dataclass
@@ -101,85 +123,45 @@ def mat_vec(M: TropMatrix, v: TropVector) -> TropVector:
     return TropVector(out)
 
 
-def _karp_mean(grid: List[List[float]]) -> float:
+def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float:
     """Maximum cycle mean by Karp's recurrence with a free multi-source start.
 
-    D[k][v] = max weight of a walk with exactly k arcs ending at v, any
-    start. Returns -inf when the graph is acyclic.
+    D[k, v] = max weight of a walk with exactly k arcs ending at v, any
+    start; each k is one pass over the arcs, O(n·m) in all. Returns -inf
+    when the graph is acyclic.
     """
-    n = len(grid)
-    D = [[0.0] * n]
+    D = np.full((n + 1, n), _NINF)
+    D[0] = 0.0
     for k in range(1, n + 1):
-        prev = D[-1]
-        cur = [_NINF] * n
-        for u in range(n):
-            pu = prev[u]
-            if pu == _NINF:
-                continue
-            row = grid[u]
-            for v in range(n):
-                w = row[v]
-                if w == _NINF:
-                    continue
-                c = pu + w
-                if c > cur[v]:
-                    cur[v] = c
-        D.append(cur)
-    best = _NINF
-    Dn = D[n]
-    for v in range(n):
-        if Dn[v] == _NINF:
-            continue
-        worst = math.inf
-        for k in range(n):
-            if D[k][v] == _NINF:
-                continue
-            cand = (Dn[v] - D[k][v]) / (n - k)
-            if cand < worst:
-                worst = cand
-        if worst < math.inf and worst > best:
-            best = worst
-    return best
+        np.maximum.at(D[k], tgt, D[k - 1][src] + w)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, masked below
+        gaps = (D[n] - D[:n]) / (n - np.arange(n))[:, None]
+    worst = np.where(D[:n] > _NINF, gaps, math.inf).min(axis=0)
+    ends = worst[D[n] > _NINF]
+    return float(ends.max()) if ends.size else _NINF
 
 
-def _closure_floats(grid: List[List[float]]) -> List[List[float]]:
-    """Floyd-Warshall style all-pairs maximum path weight, paths of length >= 1.
+def _raise_to(dst: np.ndarray, cand: np.ndarray) -> None:
+    # only a strictly larger candidate replaces, so a -0.0 survives a tie
+    # with 0.0 (np.maximum would take the later zero)
+    np.copyto(dst, cand, where=cand > dst)
 
-    Only valid when every cycle mean is <= 0; callers check first.
+
+def _closure(a: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall all-pairs maximum path weight, paths of length >= 1,
+    computed in place.
+
+    Only valid when every cycle mean is <= 0 (up to rounding). For each
+    k the rows are relaxed against row k in index order: rows before k
+    see row k as it was, rows after k see it after its own update. Row k
+    changes only when a[k, k] > 0, which Karp's rounding allows, so this
+    ordering is what keeps the result bit for bit the scalar recurrence.
     """
-    n = len(grid)
-    a = [row[:] for row in grid]
-    for k in range(n):
-        ak = a[k]
-        for i in range(n):
-            aik = a[i][k]
-            if aik == _NINF:
-                continue
-            row = a[i]
-            for j in range(n):
-                c = aik + ak[j]
-                if c > row[j]:
-                    row[j] = c
+    for k in range(a.shape[0]):
+        _raise_to(a[:k], a[:k, k, None] + a[k])
+        _raise_to(a[k], a[k, k] + a[k])
+        _raise_to(a[k + 1 :], a[k + 1 :, k, None] + a[k])
     return a
-
-
-def _critical_arcs(
-    grid: List[List[float]], plus: List[List[float]], tol: float
-) -> List[Tuple[int, int]]:
-    """Arcs lying on some cycle of total weight 0 (matrix assumed normalized)."""
-    n = len(grid)
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            w = grid[i][j]
-            if w == _NINF:
-                continue
-            back = plus[j][i]
-            if back == _NINF:
-                continue
-            if abs(w + back) <= tol:
-                arcs.append((i, j))
-    return arcs
 
 
 def strongly_connected(
@@ -237,65 +219,97 @@ def strongly_connected(
     return comps
 
 
-def _critical_classes_from_arcs(arcs: List[Tuple[int, int]]) -> List[Tuple[int, ...]]:
-    loops = {i for i, j in arcs if i == j}
-    # keep only components that actually carry a cycle
-    return [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
+class _TropicalPass:
+    """One tropical analysis of a max-plus matrix given by its arcs.
 
-
-def _witness_cycle(
-    grid: List[List[float]], mean: float, tol: float
-) -> List[int]:
-    """Deterministic maximizing cycle: lowest-index critical node, then shortest.
-
-    Works on the matrix shifted by the (already computed) maximum cycle
-    mean; every cycle inside the critical arc set has mean exactly the
-    maximum, so a BFS that closes back on the start node returns a valid
-    witness.
+    Karp runs once, on construction. The closure runs at most once, on
+    the matrix shifted by the mean, or unshifted when the caller states
+    that the matrix is already normalized (a positive mean is then
+    reported with a witness). Everything else is read off that closure.
     """
-    n = len(grid)
-    shifted = [[(x - mean if x != _NINF else _NINF) for x in row] for row in grid]
-    plus = _closure_floats(shifted)
-    arcs = _critical_arcs(shifted, plus, tol)
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for i, j in arcs:
-        adj[i].append(j)
-    for nbrs in adj:
-        nbrs.sort()
-    crit_nodes = sorted({i for i, _ in arcs} | {j for _, j in arcs})
-    start = crit_nodes[0]
-    if start in adj[start]:
-        return [start]
-    # BFS for the shortest path start -> ... -> start of length >= 1
-    parent = {}
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w == start:
-                    cycle = [u]
-                    while u != start:
-                        u = parent[u]
-                        cycle.append(u)
-                    cycle.reverse()
-                    return cycle
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    raise AssertionError("critical graph lost its cycle")  # unreachable by construction
+
+    def __init__(self, n, src, tgt, w, tol: float, normalized: bool = False):
+        self.n, self.tol = n, tol
+        self.mean = _karp_mean(n, src, tgt, w)
+        if normalized and self.mean > tol:
+            raise PositiveCycleError(self.mean, _TropicalPass(n, src, tgt, w, tol).witness)
+        # x - 0.0 is x bit for bit; the weights shifted by an acyclic
+        # graph's -inf mean are never read
+        self._arcs = (src, tgt, w - (0.0 if normalized else self.mean))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """The matrix the closure runs on."""
+        src, tgt, w = self._arcs
+        grid = np.full((self.n, self.n), _NINF)
+        grid[src, tgt] = w
+        return grid
+
+    @cached_property
+    def plus(self) -> np.ndarray:
+        """The Kleene closure of grid."""
+        return _closure(self.grid.copy())
+
+    @cached_property
+    def critical_arcs(self) -> List[Tuple[int, int]]:
+        """Arcs lying on some cycle of total weight 0, in row-major order."""
+        i, j = np.nonzero(np.abs(self.grid + self.plus.T) <= self.tol)
+        return list(zip(i.tolist(), j.tolist()))
+
+    @property
+    def aubry(self) -> Tuple[int, ...]:
+        """Nodes on a zero-weight cycle: |plus(i, i)| <= tol."""
+        return tuple(np.flatnonzero(np.abs(np.diagonal(self.plus)) <= self.tol).tolist())
+
+    @property
+    def classes(self) -> List[Tuple[int, ...]]:
+        """Strongly connected classes of the critical arcs that carry a cycle."""
+        arcs = self.critical_arcs
+        loops = {i for i, j in arcs if i == j}
+        return [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
+
+    @property
+    def witness(self) -> List[int]:
+        """Deterministic maximizing cycle: lowest-index critical node, then
+        shortest.
+
+        Every cycle inside the critical arc set has mean exactly the
+        maximum, so a BFS that closes back on the start node returns a
+        valid witness. When rounding at the weights' scale exceeds tol,
+        the critical arcs may close no cycle there; that is an error.
+        """
+        arcs = self.critical_arcs
+        adj: List[List[int]] = [[] for _ in range(self.n)]
+        for i, j in arcs:  # row-major, so each list comes out sorted
+            adj[i].append(j)
+        if arcs:
+            # BFS from the lowest critical node until an arc closes back on it
+            start = min(min(arc) for arc in arcs)
+            parent: Dict[int, int] = {}
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                for w in adj[u]:
+                    if w == start:
+                        cycle = [u]
+                        while cycle[-1] != start:
+                            cycle.append(parent[cycle[-1]])
+                        return cycle[::-1]
+                    if w not in parent:
+                        parent[w] = u
+                        queue.append(w)
+        raise ValueError(
+            f"no cycle is critical within tol {self.tol:g} at Q = {self.mean!r}: "
+            "rounding at this weight scale exceeds the tolerance"
+        )
 
 
 def max_cycle_mean(M: TropMatrix, tol: float = DEFAULT_TOL) -> CycleMeanResult:
     """Karp's maximum cycle mean plus one deterministic witness cycle."""
-    grid = M.to_floats()
-    mean = _karp_mean(grid)
-    if mean == _NINF:
+    p = _TropicalPass(*M._arc_arrays(), tol)
+    if p.mean == _NINF:
         return CycleMeanResult(mean=NEG_INF, witness=[])
-    return CycleMeanResult(mean=TropValue(mean), witness=_witness_cycle(grid, mean, tol))
+    return CycleMeanResult(mean=TropValue(p.mean), witness=p.witness)
 
 
 def kleene_plus(M: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
@@ -304,33 +318,18 @@ def kleene_plus(M: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
     Requires every cycle mean <= 0 (+tol); a positive-mean cycle is
     reported with a witness instead of silently diverging.
     """
-    grid = M.to_floats()
-    mean = _karp_mean(grid)
-    if mean != _NINF and mean > tol:
-        raise PositiveCycleError(mean, _witness_cycle(grid, mean, tol))
-    return TropMatrix.from_floats(_closure_floats(grid))
+    return TropMatrix.from_floats(_TropicalPass(*M._arc_arrays(), tol, normalized=True).plus)
 
 
 def critical_nodes(M: TropMatrix, tol: float = DEFAULT_TOL) -> Tuple[int, ...]:
     """Nodes on a zero-weight cycle of a normalized matrix: |M⁺(i,i)| <= tol."""
-    plus = kleene_plus(M, tol=tol)
-    out = []
-    for i in range(M.n):
-        d = plus.entry(i, i)
-        if d.is_finite and abs(d.finite) <= tol:
-            out.append(i)
-    return tuple(out)
+    return _TropicalPass(*M._arc_arrays(), tol, normalized=True).aubry
 
 
 def critical_classes(M: TropMatrix, tol: float = DEFAULT_TOL) -> List[Tuple[int, ...]]:
     """Strongly connected classes of the zero-mean-cycle arc subgraph."""
-    grid = M.to_floats()
-    mean = _karp_mean(grid)
-    if mean == _NINF:
-        return []
-    shifted = [[(x - mean if x != _NINF else _NINF) for x in row] for row in grid]
-    plus = _closure_floats(shifted)
-    return _critical_classes_from_arcs(_critical_arcs(shifted, plus, tol))
+    p = _TropicalPass(*M._arc_arrays(), tol)
+    return [] if p.mean == _NINF else p.classes
 
 
 def eigenproblem(
@@ -342,12 +341,7 @@ def eigenproblem(
     (M - λ)⁺(x, ·) for one representative x per critical class. Each
     satisfies mat_vec(M, v) = λ ⊗ v.
     """
-    grid = M.to_floats()
-    mean = _karp_mean(grid)
-    if mean == _NINF:
+    p = _TropicalPass(*M._arc_arrays(), tol)
+    if p.mean == _NINF:
         raise ValueError("acyclic matrix has no tropical eigenvalue")
-    shifted = [[(x - mean if x != _NINF else _NINF) for x in row] for row in grid]
-    plus = _closure_floats(shifted)
-    classes = _critical_classes_from_arcs(_critical_arcs(shifted, plus, tol))
-    basis = [TropVector(plus[cls[0]]) for cls in classes]
-    return TropValue(mean), basis
+    return TropValue(p.mean), [TropVector(p.plus[cls[0]].tolist()) for cls in p.classes]

@@ -106,10 +106,8 @@ def log_ruelle_apply(sys: TransitionSystem, log_u: Sequence[float], beta: float)
     if len(log_u) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, vector {len(log_u)}")
     out = np.full(sys.n, -math.inf)
-    src = np.fromiter((a[0] for a in sys.arcs), dtype=int, count=len(sys.arcs))
-    tgt = np.fromiter((a[1] for a in sys.arcs), dtype=int, count=len(sys.arcs))
-    lw = np.fromiter((beta * a[2] for a in sys.arcs), dtype=float, count=len(sys.arcs))
-    np.logaddexp.at(out, tgt, lw + log_u[src])
+    src, tgt, w = sys.arc_arrays
+    np.logaddexp.at(out, tgt, beta * w + log_u[src])
     return out
 
 
@@ -149,11 +147,10 @@ def spectral_data(
         raise ReducibleSystemError(comps)
 
     n = sys.n
+    src, tgt, w = sys.arc_arrays
     if q is None:
-        q = _karp_mean(sys.to_matrix().to_floats())
-    src = np.fromiter((a[0] for a in sys.arcs), dtype=int, count=len(sys.arcs))
-    tgt = np.fromiter((a[1] for a in sys.arcs), dtype=int, count=len(sys.arcs))
-    lw = np.array([beta * (w - q) for _, _, w in sys.arcs])
+        q = _karp_mean(n, src, tgt, w)
+    lw = beta * (w - q)
 
     log_u = np.zeros(n) if start_log_u is None else np.asarray(start_log_u, dtype=float).copy()
     log_m = np.zeros(n) if start_log_m is None else np.asarray(start_log_m, dtype=float).copy()
@@ -228,10 +225,8 @@ def normalized_potential(sys: TransitionSystem, data: SpectralData) -> np.ndarra
     The induced operator at beta' = 1 fixes the constant-1 function, so
     exp(g) summed over the arcs into each target equals 1.
     """
-    g = np.empty(len(sys.arcs))
-    for k, (s, t, w) in enumerate(sys.arcs):
-        g[k] = data.beta * w + data.log_u[s] - data.log_u[t] - data.pressure
-    return g
+    src, tgt, w = sys.arc_arrays
+    return data.beta * w + data.log_u[src] - data.log_u[tgt] - data.pressure
 
 
 def log_moment(

@@ -89,13 +89,7 @@ class TropicalFunctional:
 def functional_eval(l: TropicalFunctional, f: TropVector) -> TropValue:
     """⊕_x (f(x) ⊗ b(x)). The -inf ⊗ +inf = -inf convention makes the top
     functional return +inf except on the constant -inf input."""
-    b = l.density
-    if len(f) != len(b):
-        raise ValueError(f"length mismatch: {len(f)} vs {len(b)}")
-    acc = NEG_INF
-    for fx, bx in zip(f, b.values):
-        acc = t_add(acc, t_mul(fx, bx))
-    return acc
+    return tropical_integral(l.density, f, range(len(l.density)))
 
 
 def measure_of(b: Density, S: Iterable[int]) -> TropValue:

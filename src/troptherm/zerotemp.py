@@ -262,26 +262,20 @@ def limit_diagnostics(
     b_f = np.array([x.to_float() - b_sup for x in b0.values])
     finite_b = np.isfinite(b_f)
 
-    arc_src = np.fromiter((a[0] for a in sys.arcs), dtype=int, count=len(sys.arcs))
-    arc_tgt = np.fromiter((a[1] for a in sys.arcs), dtype=int, count=len(sys.arcs))
-    arc_w = np.fromiter((a[2] for a in sys.arcs), dtype=float, count=len(sys.arcs))
+    arc_src, arc_tgt, arc_w = sys.arc_arrays
     a_hat = arc_w - report.Q + v_f[arc_src] - v_f[arc_tgt]
     bhat = v_f + b_f
+    # states where d_D compares: finite b-hat and at least one outgoing arc
+    checked = np.isfinite(bhat) & (np.bincount(arc_src, minlength=sys.n) > 0)
 
     rows: List[DiagnosticsRow] = []
     for rec in records:
         d_u = float(np.max(np.abs(rec.scaled_log_u - v_f)))
         d_b = float(np.max(np.abs(rec.scaled_log_m[finite_b] - b_f[finite_b])))
         d_g = float(np.max(np.abs(rec.scaled_g - a_hat)))
-        d_d = 0.0
-        for y in range(sys.n):
-            if not np.isfinite(bhat[y]):
-                continue
-            mask = arc_src == y
-            if not np.any(mask):
-                continue
-            best = float(np.max(bhat[arc_tgt[mask]] + rec.scaled_g[mask]))
-            d_d = max(d_d, abs(best - bhat[y]))
+        best = np.full(sys.n, -math.inf)
+        np.maximum.at(best, arc_src, bhat[arc_tgt] + rec.scaled_g)
+        d_d = float(np.max(np.abs(best[checked] - bhat[checked]), initial=0.0))
         rows.append(DiagnosticsRow(beta=rec.beta, d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d))
 
     divergence_ok = True

@@ -12,7 +12,7 @@ import pytest
 import troptherm
 import troptherm.cli as cli
 import troptherm.zerotemp as zerotemp
-from troptherm.dynamics import from_map, system_from_json, system_to_json
+from troptherm.dynamics import TransitionSystem, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import report_from_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -198,6 +198,29 @@ def test_cli_import_skips_networkx():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lost_critical_cycle_exits_2(tmp_path, capsys):
+    # gen seed 10 with every weight moved by 1e9 or scaled by 1e6: rounding
+    # at that scale exceeds the default tol, and no cycle stays critical
+    base = cli._gen_system(10, None, False)
+    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for name, move in (("shifted", lambda w: w + 1e9), ("scaled", lambda w: w * 1e6)):
+        path = _dump(tmp_path, f"{name}.json", TransitionSystem(base.n, [(s, t, move(w)) for s, t, w in base.arcs]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "troptherm.cli", "analyze", "--input", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        assert proc.stderr.startswith("error: no cycle is critical within tol 1e-09")
+        assert "Traceback" not in proc.stderr
+        for command in ("sweep", "ldp", "oracle"):
+            assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
+            assert capsys.readouterr().err.startswith("error: no cycle is critical")
 
 
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+import troptherm.ergodic_opt as ergodic_opt
+import troptherm.maxplus_linalg as maxplus_linalg
 from troptherm.cli import _gen_system
-from troptherm.dynamics import PathRecord, TransitionSystem, adjoint_apply, bousch_apply
+from troptherm.dynamics import PathRecord, TransitionSystem, adjoint_apply, bousch_apply, discretize_doubling
 from troptherm.ergodic_opt import (
     ergodic_report,
     eigen_density_spectral,
@@ -210,3 +212,26 @@ def test_report_json_round_trip(fixa, two_loops):
             d.values for d in report.eigen_density_basis
         ]
         assert again.uniquely_calibrated == report.uniquely_calibrated
+
+
+def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
+    calls = {"karp": 0, "closure": 0, "to_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    karp = counted("karp", maxplus_linalg._karp_mean)
+    monkeypatch.setattr(maxplus_linalg, "_karp_mean", karp)
+    monkeypatch.setattr(ergodic_opt, "_karp_mean", karp)
+    monkeypatch.setattr(maxplus_linalg, "_closure", counted("closure", maxplus_linalg._closure))
+    monkeypatch.setattr(TransitionSystem, "to_matrix", counted("to_matrix", TransitionSystem.to_matrix))
+    doubling = discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))
+    for sys in (fixa, two_loops, doubling):
+        for key in calls:
+            calls[key] = 0
+        ergodic_report(sys)
+        assert calls == {"karp": 1, "closure": 1, "to_matrix": 0}

@@ -3,13 +3,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from troptherm.bruteforce import enum_max_cycle_mean
-from troptherm.dynamics import TransitionSystem
+from troptherm.dynamics import TransitionSystem, discretize_doubling
 from troptherm.maxplus_linalg import (
     PositiveCycleError,
     TropMatrix,
+    _closure,
+    _karp_mean,
     critical_classes,
     critical_nodes,
     eigenproblem,
@@ -261,3 +264,60 @@ def test_strongly_connected_matches_networkx_seeded():
     path = [(i, i + 1) for i in range(4999)]
     assert strongly_connected(range(5000), path) == [(i,) for i in range(5000)]
     assert strongly_connected((), path + [(4999, 0)]) == [tuple(range(5000))]
+
+
+def _karp_loops(grid):
+    """Scalar reference for Karp's recurrence, the walk table built cell by cell."""
+    n = len(grid)
+    D = [[0.0] * n]
+    for _ in range(n):
+        cur = [NI] * n
+        for u in range(n):
+            for v in range(n):
+                if D[-1][u] > NI and grid[u][v] > NI and D[-1][u] + grid[u][v] > cur[v]:
+                    cur[v] = D[-1][u] + grid[u][v]
+        D.append(cur)
+    best = NI
+    for v in range(n):
+        if D[n][v] > NI:
+            worst = min((D[n][v] - D[k][v]) / (n - k) for k in range(n) if D[k][v] > NI)
+            if worst > best:
+                best = worst
+    return best
+
+
+def _closure_loops(grid):
+    """Scalar reference for the Floyd-Warshall closure, updated in place cell by cell."""
+    a = [row[:] for row in grid]
+    for k in range(len(a)):
+        for i in range(len(a)):
+            aik = a[i][k]
+            for j in range(len(a)):
+                if aik > NI and aik + a[k][j] > a[i][j]:
+                    a[i][j] = aik + a[k][j]
+    return a
+
+
+def test_array_pass_matches_scalar_loops_bitwise():
+    # shifting by a fractional cycle mean leaves rounding on the diagonal
+    # (closure entries a few ulp above 0), and -0.0 weights test that ties
+    # between signed zeros resolve as in the scalar loops
+    rng = random.Random(97)
+    grids = [
+        discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)).to_matrix().to_floats()
+        for order in range(1, 6)
+    ]
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        grids.append(
+            [[rng.choice((-0.0, float(rng.randint(-5, 5)))) if rng.random() < 0.5 else NI for _ in range(n)] for _ in range(n)]
+        )
+    for grid in grids:
+        m = mat(grid)
+        mean = _karp_mean(*m._arc_arrays())
+        assert repr(mean) == repr(_karp_loops(grid))
+        if mean == NI:
+            continue
+        shifted = [[w - mean if w > NI else NI for w in row] for row in grid]
+        want = np.array(_closure_loops(shifted))
+        assert _closure(np.array(shifted)).tobytes() == want.tobytes()
