@@ -2,14 +2,17 @@
 
 Deliberately independent of the fast paths: cycle means come from
 exhaustive simple-cycle enumeration, path suprema from naive max-plus
-matrix powers over plain floats. Sized for small systems (the CLI caps
-the oracle at 10 states).
+matrix powers over plain floats, and the Ruelle operator is applied in
+linear space arc by arc. Sized for small systems (the CLI caps the
+oracle at 10 states).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .dynamics import TransitionSystem
 
@@ -86,3 +89,20 @@ def enum_aubry(phi: List[List[float]], tol: float = 1e-9) -> Tuple[int, ...]:
         if d != _NINF and abs(d) <= tol:
             out.append(i)
     return tuple(out)
+
+
+def ruelle_apply(sys: TransitionSystem, u: Sequence[float], beta: float) -> np.ndarray:
+    """out(x) = sum over arcs y -> x of u(y) * exp(beta * weight).
+
+    The Ruelle operator in linear space, arc by arc; it overflows for
+    large beta * weight, which is why thermo works on logarithms instead.
+    """
+    u = np.asarray(u, dtype=float)
+    if len(u) != sys.n:
+        raise ValueError(f"length mismatch: system {sys.n}, vector {len(u)}")
+    if np.any(u <= 0):
+        raise ValueError("input entries must be positive")
+    out = np.zeros(sys.n)
+    for s, t, w in sys.arcs:
+        out[t] += u[s] * math.exp(beta * w)
+    return out

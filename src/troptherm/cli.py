@@ -32,6 +32,7 @@ from .dynamics import (
 )
 from .ergodic_opt import ergodic_report, report_to_json
 from .maxplus_linalg import DEFAULT_TOL
+from .thermo import ConvergenceError
 from .zerotemp import (
     DEFAULT_GRID,
     MultiClassError,
@@ -134,10 +135,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     else:
         # --force on multiple classes: no single limit object to compare
-        # against, diagnostics columns go out as nan. Power iteration can
-        # legitimately stall here (class coupling sits at scale
-        # exp(-beta/2)); such rows keep beta and go out all-nan instead
-        # of pretending the eigendata converged.
+        # against, diagnostics columns go out as nan. A row whose solve
+        # hits the step cap keeps beta and goes out all-nan instead of
+        # pretending the eigendata converged.
         nan = math.nan
         # Each beta after a converged one starts from its rescaled
         # eigenvectors, scaled up to the new beta.
@@ -152,7 +152,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rec = sweep_record(
                     sys_, beta, ref, start_log_u=start_u, start_log_m=start_m, q=report.Q
                 )
-            except RuntimeError:
+            except ConvergenceError:
                 prev = None
                 rows.append((beta, nan, nan, nan, nan, nan, [nan] * PROBE_COUNT))
                 continue
@@ -350,14 +350,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    # one place maps errors to exit codes: unreadable or invalid input, and
+    # one place maps errors to exit codes: unreadable or invalid input,
     # library refusals such as an acyclic system or a critical graph lost to
-    # rounding, all exit 2 with a message
+    # rounding, and an eigenvector solve that hits its step cap all exit 2
+    # with a message
     try:
         return args.func(args)
     except MultiClassError as exc:
         return _fail(EXIT_MULTICLASS, str(exc))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ConvergenceError) as exc:
         return _fail(EXIT_INPUT, str(exc))
 
 

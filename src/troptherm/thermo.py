@@ -2,7 +2,12 @@
 
 All spectral work runs in log space. Weights are shifted by the maximal
 potential energy before exponentiation (the pressure is shifted back by
-beta * Q exactly), and a +1 diagonal damping keeps power iteration
+beta * Q exactly). The eigenvectors come from one loop that works in
+coordinates scaled by the start vectors and by the current iterate (the
+diagonal scaling of Gaubert and Sharify, 2009): it takes Noda's shifted
+inverse step (Numer. Math. 17, 1971), which converges in a few steps
+whatever the spectral gap, whenever float64 resolves it, and a
++1-damped power step otherwise; the damping keeps the iteration
 convergent on periodic transition structures without moving the
 eigenvectors. Linear-space vectors are also reported, but at large beta
 their small entries underflow; the log fields are the faithful ones.
@@ -22,6 +27,10 @@ from .maxplus_linalg import _karp_mean, strongly_connected
 BETA_MAX_DEFAULT = 2000.0
 POWER_CAP_DEFAULT = 100000
 STEP_TOL = 1e-12
+# widest log bracket ptp(R - x) at which float64 still resolves a Noda
+# step: beyond it the smallest row sum of the scaled matrix, e^-36 times
+# the largest, is lost to rounding beside the shift
+NODA_BRACKET = -math.log(np.finfo(float).eps)
 
 
 class ReducibleSystemError(ValueError):
@@ -36,6 +45,10 @@ class ReducibleSystemError(ValueError):
 
 class BetaRangeError(ValueError):
     """Requested inverse temperature is outside the guarded range."""
+
+
+class ConvergenceError(RuntimeError):
+    """The eigenvector iteration hit its step cap."""
 
 
 @dataclass
@@ -83,32 +96,79 @@ def strongly_connected_components(sys: TransitionSystem) -> List[Tuple[int, ...]
     return strongly_connected(range(sys.n), ((s, t) for s, t, _ in sys.arcs))
 
 
-def ruelle_apply(sys: TransitionSystem, u: Sequence[float], beta: float) -> np.ndarray:
-    """out(x) = sum over arcs y -> x of u(y) * exp(beta * weight).
-
-    Raw linear-space operator; overflow-prone for large beta * weight,
-    which is why the spectral path works on logarithms instead.
-    """
-    u = np.asarray(u, dtype=float)
-    if len(u) != sys.n:
-        raise ValueError(f"length mismatch: system {sys.n}, vector {len(u)}")
-    if np.any(u <= 0):
-        raise ValueError("input entries must be positive")
-    out = np.zeros(sys.n)
-    for s, t, w in sys.arcs:
-        out[t] += u[s] * math.exp(beta * w)
-    return out
-
-
 def log_ruelle_apply(sys: TransitionSystem, log_u: Sequence[float], beta: float) -> np.ndarray:
     """log of the Ruelle image of e^{log_u}, computed stably."""
     log_u = np.asarray(log_u, dtype=float)
     if len(log_u) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, vector {len(log_u)}")
-    out = np.full(sys.n, -math.inf)
     src, tgt, w = sys.arc_arrays
-    np.logaddexp.at(out, tgt, beta * w + log_u[src])
+    return _log_image(log_u, tgt, src, beta * w)
+
+
+def _log_image(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """log(B e^x) for the matrix B[rows, cols] = e^lw, computed stably."""
+    out = np.full(len(x), -math.inf)
+    np.logaddexp.at(out, rows, lw + x[cols])
     return out
+
+
+def _noda_solve(
+    x: np.ndarray, gap: np.ndarray, rows: np.ndarray, cols: np.ndarray, lw: np.ndarray
+) -> Optional[np.ndarray]:
+    """Noda's shifted inverse step for B[rows, cols] = e^lw, scaled by e^x.
+
+    The scaled matrix S = diag(e^-x) B diag(e^x) has row sums e^gap, with
+    gap = log(B e^x) - x, so its spectral radius is at most
+    sigma = e^max(gap) (Collatz and Wielandt), and sigma * I - S is a
+    nonsingular M-matrix unless x is already the eigenvector. The
+    solution z of (sigma * I - S) z = 1 is then positive, and x + log z,
+    up to a constant, is the next iterate. None when rounding leaves no
+    such z.
+    """
+    n = len(x)
+    a = np.diag(np.full(n, math.exp(gap.max())))
+    a[rows, cols] -= np.exp(lw + x[cols] - x[rows])
+    try:
+        z = np.linalg.solve(a, np.ones(n))
+    except np.linalg.LinAlgError:
+        return None
+    if z.sum() < 0:  # a shift rounded below the spectral radius flips the sign
+        z = -z
+    return z if np.all(np.isfinite(z)) and np.all(z > 0) else None
+
+
+def _solver_step(
+    x: np.ndarray, rows: np.ndarray, cols: np.ndarray, lw: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """One step of the eigenvector iteration for the matrix B[rows, cols] = e^lw.
+
+    Returns the new log vector and the log bracket ptp(log(B e^x) - x) of
+    the old one, which is 0 exactly at an eigenvector. A Noda step is
+    taken while float64 resolves it, the damped power step otherwise.
+    """
+    image = _log_image(x, rows, cols, lw)
+    gap = image - x
+    bracket = float(np.ptp(gap))
+    # below the float spacing at |x| the bracket is rounding noise, which a
+    # Noda step would amplify by the inverse spectral gap
+    if np.spacing(-x.min()) < bracket < NODA_BRACKET:
+        z = _noda_solve(x, gap, rows, cols, lw)
+        if z is not None:
+            # scaled to max 1, a converged z moves no entry of x by a
+            # rounding of the shift log z.max()
+            return x + np.log(z / z.max()), bracket
+    # +1 * identity damping: same eigenvectors, eigenvalue moved off the
+    # rest of the peripheral spectrum even for periodic graphs
+    return np.logaddexp(image, x), bracket
+
+
+def _start_vector(start: Optional[Sequence[float]], n: int) -> np.ndarray:
+    if start is None:
+        return np.zeros(n)
+    x = np.asarray(start, dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"a start vector must hold {n} finite logs")
+    return x
 
 
 def spectral_data(
@@ -120,21 +180,37 @@ def spectral_data(
     start_log_m: Optional[Sequence[float]] = None,
     q: Optional[float] = None,
 ) -> SpectralData:
-    """Simultaneous left/right power iteration for the Ruelle operator.
+    """Simultaneous left/right eigenvector iteration for the Ruelle operator.
 
     q is the maximal potential energy of sys (its maximum cycle mean);
     callers holding an ergodic report pass report.Q, otherwise Karp
     computes it. The start vectors default to 0; see
     zerotemp.beta_sweep for a start near the answer.
 
-    Convergence is declared when one step moves both sup-normalized log
-    eigenvectors by less than 1e-12, or when both iterates already solve
-    the eigen-identity pointwise to the same tolerance. The second test
-    matters on near-degenerate spectra (several critical classes at
-    large beta), where the vector step stalls below the spectral gap
-    while the iterate is already an eigenvector of a 1e-12 perturbation.
-    A step cap guards against anything else; failure is reported, never
-    truncated past quietly.
+    The loop solves for the offsets of log u and log m from the start
+    vectors, that is for the eigenvectors of the operator scaled by the
+    start (the diagonal scaling of Gaubert and Sharify). Each step first
+    takes the Collatz-Wielandt log bracket ptp(log R(e^y) - y) of each
+    offset y. While the bracket lies between the float spacing at |y|,
+    below which it is rounding noise, and -log(eps), about 36, the step
+    is Noda's: in the coordinates scaled once more by e^y, solve
+    (e^max(gap) I - S) z = 1 and move to y + log z. Any other bracket, or
+    a solve that rounding spoils, gives the +1-damped power step, which
+    climbs a gap of any width by about log 2 per step. The left vector
+    takes the same step on the transposed matrix, under its own scaling.
+    iterations counts the steps of the loop.
+
+    Convergence is declared when one step moves both sup-normalized
+    offsets by less than 1e-12, or when both brackets are already
+    below that tolerance, so both iterates solve the eigen-identity
+    pointwise. The second test matters on near-degenerate spectra
+    (several critical classes at large beta), where the vector step
+    stalls below the spectral gap while the iterate is already an
+    eigenvector of a 1e-12 perturbation. ConvergenceError reports a run
+    that hits the step cap; it never truncates quietly.
+
+    The pressure is the Rayleigh quotient of the undamped operator at
+    the converged right vector, weighted by the left one.
     """
     if beta <= 0:
         raise BetaRangeError("beta must be positive")
@@ -152,47 +228,44 @@ def spectral_data(
         q = _karp_mean(n, src, tgt, w)
     lw = beta * (w - q)
 
-    log_u = np.zeros(n) if start_log_u is None else np.asarray(start_log_u, dtype=float).copy()
-    log_m = np.zeros(n) if start_log_m is None else np.asarray(start_log_m, dtype=float).copy()
-    log_u -= log_u.max()
-    log_m -= log_m.max()
-
-    def step_right(vec: np.ndarray) -> np.ndarray:
-        out = np.full(n, -math.inf)
-        np.logaddexp.at(out, tgt, lw + vec[src])
-        return out
-
-    def step_left(vec: np.ndarray) -> np.ndarray:
-        out = np.full(n, -math.inf)
-        np.logaddexp.at(out, src, lw + vec[tgt])
-        return out
+    log_u = _start_vector(start_log_u, n)
+    log_m = _start_vector(start_log_m, n)
+    # offsets y from the start vectors: near a tropical start they stay of
+    # order 1, so the 1e-12 tests are not lost to the float spacing at
+    # |log u|, about beta * range(v)
+    lw_u = lw + log_u[src] - log_u[tgt]
+    lw_m = lw + log_m[tgt] - log_m[src]
+    y_u = np.zeros(n)
+    y_m = np.zeros(n)
 
     iterations = 0
     for iterations in range(1, cap + 1):
-        ru = step_right(log_u)
-        rm = step_left(log_m)
-        # ptp = 0 would mean the iterate is exactly an eigenvector of the
-        # undamped operator
-        resid_u = float(np.ptp(ru - log_u))
-        resid_m = float(np.ptp(rm - log_m))
-        # +1 * identity damping: same eigenvectors, eigenvalue moved off
-        # the rest of the peripheral spectrum even for periodic graphs
-        new_u = np.logaddexp(ru, log_u)
-        new_m = np.logaddexp(rm, log_m)
+        # right vector: arcs src -> tgt; left vector: the same arcs reversed
+        new_u, resid_u = _solver_step(y_u, tgt, src, lw_u)
+        new_m, resid_m = _solver_step(y_m, src, tgt, lw_m)
         new_u -= new_u.max()
         new_m -= new_m.max()
-        du = float(np.max(np.abs(new_u - log_u)))
-        dm = float(np.max(np.abs(new_m - log_m)))
-        log_u, log_m = new_u, new_m
+        du = float(np.max(np.abs(new_u - y_u)))
+        dm = float(np.max(np.abs(new_m - y_m)))
+        y_u, y_m = new_u, new_m
         if (du < STEP_TOL and dm < STEP_TOL) or (resid_u < STEP_TOL and resid_m < STEP_TOL):
             break
     else:
-        raise RuntimeError(f"power iteration did not converge within {cap} steps")
+        raise ConvergenceError(f"power iteration did not converge within {cap} steps")
+    log_u = log_u + y_u
+    log_m = log_m + y_m
+    log_u -= log_u.max()
+    log_m -= log_m.max()
 
     # Rayleigh-style pressure of the undamped operator, weighted by the
-    # converged left eigenvector
-    ru = step_right(log_u)
-    p_shifted = _logsumexp(log_m + ru) - _logsumexp(log_m + log_u)
+    # converged left eigenvector: log(1 + sum of weights * (e^gap - 1)),
+    # with gap = log(R u) - log u summed in the scaled coordinates, so a
+    # small pressure keeps its relative precision and is not the difference
+    # of two logs of order |log u| + |log m|
+    gap = np.full(n, -math.inf)
+    np.logaddexp.at(gap, tgt, lw_u + y_u[src] - y_u[tgt])
+    weights = np.exp(log_m + log_u - _logsumexp(log_m + log_u))
+    p_shifted = math.log1p(float(np.dot(weights, np.expm1(gap))))
     pressure = p_shifted + beta * q
 
     log_m = log_m - _logsumexp(log_m)  # sum m = 1

@@ -25,7 +25,7 @@ from troptherm.ergodic_opt import (
     subaction_limsup,
 )
 from troptherm.maxplus_linalg import eigenproblem
-from troptherm.thermo import log_ruelle_apply, spectral_data
+from troptherm.thermo import NODA_BRACKET, log_ruelle_apply, spectral_data
 from troptherm.tropical_core import (
     NEG_INF,
     POS_INF,
@@ -281,6 +281,21 @@ def test_tropical_seed_matches_cold_start():
             assert abs(seeded.pressure - cold.pressure) <= 1e-12 * max(1.0, abs(cold.pressure))
             for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):
                 assert np.max(np.abs(sup_normalized(a) - sup_normalized(b))) <= 1e-10
+
+
+def test_cold_start_takes_damped_steps_at_beta_1000():
+    # from a cold start the log bracket ptp(R - x) is beta * (a weight gap)
+    # wide, beyond what a float64 Noda step resolves, so the solver first
+    # takes damped steps; it must still land on the seeded solve
+    sys_, report = _uniquely_calibrated_systems(1)[0]
+    beta = 1000.0
+    assert np.ptp(log_ruelle_apply(sys_, np.zeros(sys_.n), beta)) > NODA_BRACKET
+    (rec,) = beta_sweep(sys_, grid=(beta,), report=report)
+    seeded, cold = rec.spectral, spectral_data(sys_, beta)
+    assert cold.iterations > seeded.iterations
+    assert abs(seeded.pressure - cold.pressure) <= 1e-10 * abs(cold.pressure)
+    for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):
+        assert np.max(np.abs((a - a.max()) - (b - b.max()))) <= 1e-10
 
 
 def test_acceptance_8_ldp():

@@ -14,6 +14,7 @@ import troptherm.cli as cli
 import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import TransitionSystem, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import report_from_json
+from troptherm.thermo import ConvergenceError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -143,19 +144,59 @@ def test_sweep_force_nan_rows(tmp_path, two_loops):
         assert all(math.isnan(float(c)) for c in cells[2:])
 
 
-def test_sweep_force_reports_stall(tmp_path, two_loops):
-    # at beta 10 the class coupling sits at exp(-5); the iteration cap is
-    # hit and the whole row goes out nan rather than a block mixture
+def test_sweep_force_reports_stall(tmp_path, two_loops, monkeypatch):
+    # a row whose solve hits the step cap goes out all-nan rather than as
+    # a block mixture; the next beta starts cold and is reported
+    solve = cli.sweep_record
+
+    def stalled(sys_, beta, ref, **kwargs):
+        if beta == 10.0:
+            raise ConvergenceError("power iteration did not converge within 100000 steps")
+        return solve(sys_, beta, ref, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep_record", stalled)
     path = _dump(tmp_path, "two.json", two_loops)
     out = tmp_path / "stall.csv"
+    assert (
+        cli.main(["sweep", "--input", path, "--force", "--grid", "10,100", "--output", str(out)])
+        == 0
+    )
+    stalled_row, next_row = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert float(stalled_row[0]) == 10.0
+    assert all(math.isnan(float(c)) for c in stalled_row[1:])
+    assert float(next_row[0]) == 100.0
+    assert abs(float(next_row[1])) <= 1e-9
+    assert all(math.isnan(float(c)) for c in next_row[2:])
+
+
+def test_sweep_force_two_loops_closed_form(tmp_path, two_loops):
+    # the shifted Ruelle matrix at beta 10 is [[1, e^-10], [e^-20, 1]], with
+    # leading eigenvalue 1 + e^-15; the class coupling sits at e^-15, which
+    # stalled the damped iteration at the step cap
+    path = _dump(tmp_path, "two.json", two_loops)
+    out = tmp_path / "two.csv"
     assert (
         cli.main(["sweep", "--input", path, "--force", "--grid", "10", "--output", str(out)])
         == 0
     )
-    lines = out.read_text().splitlines()
-    cells = lines[1].split(",")
+    cells = out.read_text().splitlines()[1].split(",")
     assert float(cells[0]) == 10.0
-    assert all(math.isnan(float(c)) for c in cells[1:])
+    exact = math.log1p(math.exp(-15.0)) / 10.0
+    assert abs(float(cells[1]) - exact) <= 1e-12 * exact
+    assert all(math.isnan(float(c)) for c in cells[2:])
+
+
+def test_convergence_error_exits_2(tmp_path, fixa, capsys, monkeypatch):
+    def capped(sys_, beta, **kwargs):
+        raise ConvergenceError("power iteration did not converge within 100000 steps")
+
+    monkeypatch.setattr(zerotemp, "spectral_data", capped)
+    path = _dump(tmp_path, "fixa.json", fixa)
+    for command in ("sweep", "ldp"):
+        assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: power iteration did not converge within 100000 steps\n"
 
 
 def test_ldp_fixa(tmp_path, fixa, capsys):

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from troptherm.bruteforce import ruelle_apply
 from troptherm.cli import _gen_system
-from troptherm.dynamics import TransitionSystem, from_sft
+from troptherm.dynamics import TransitionSystem, discretize_doubling, from_sft
+from troptherm.ergodic_opt import ergodic_report
 from troptherm.thermo import (
     BETA_MAX_DEFAULT,
     BetaRangeError,
@@ -15,10 +17,10 @@ from troptherm.thermo import (
     log_moment,
     log_ruelle_apply,
     normalized_potential,
-    ruelle_apply,
     spectral_data,
     strongly_connected_components,
 )
+from troptherm.zerotemp import beta_sweep
 
 
 def full_shift():
@@ -112,10 +114,7 @@ def test_spectral_eigen_identities():
 
 
 def test_normalized_potential_stochastic():
-    # multi-class systems stall the power iteration at moderate beta, so
-    # keep to uniquely calibrated draws
-    from troptherm.ergodic_opt import ergodic_report
-
+    # keep to uniquely calibrated draws, as the sweeps do
     rng = random.Random(37)
     checked = 0
     while checked < 12:
@@ -147,6 +146,54 @@ def test_restart_agreement():
         assert abs(data.pressure - base.pressure) <= 1e-9
 
 
+def test_noda_steps_on_doubling():
+    # the damped iteration needs 3,750 steps at beta 10 on order 7: it
+    # converges at the mixing rate, however close the tropical seed is
+    for order in (6, 7):
+        sys = discretize_doubling(order, lambda t: math.cos(2 * math.pi * t))
+        records = beta_sweep(sys, report=ergodic_report(sys))
+        iterations = [rec.spectral.iterations for rec in records]
+        assert max(iterations) <= 30, iterations
+        data = records[0].spectral
+        assert data.beta == 10.0
+        dense = _dense_pressure(sys, 10.0)
+        assert abs(data.pressure - dense) <= 1e-12 * abs(dense)
+        scale = math.exp(data.pressure)
+        ru = ruelle_apply(sys, data.u_beta, 10.0)
+        assert np.allclose(ru, scale * data.u_beta, rtol=1e-9, atol=0)
+
+
+def test_step_tests_survive_large_log_vectors():
+    # |log u| reaches beta * 1e6 here, where one float spacing is far
+    # above the 1e-12 step tolerance; the loop runs on offsets from the
+    # tropical start, which stay of order 1
+    base = _gen_system(77, None, False)
+    sys = TransitionSystem(base.n, [(s, t, w * 1e6) for s, t, w in base.arcs])
+    report = ergodic_report(sys)
+    slack = math.log(sys.max_in_degree())
+    tol = 1e-15 * abs(report.Q)
+    for rec in beta_sweep(sys, report=report):
+        assert rec.spectral.iterations <= 30
+        assert report.Q - tol <= rec.pressure_over_beta <= report.Q + slack / rec.beta + tol
+    # a cold start at beta 1000 ends at the float spacing of |log u|, about
+    # 1e4, where a Noda step only amplifies rounding noise: damped steps
+    # finish the solve, which raises ConvergenceError at the step cap
+    cold = _gen_system(39, None, False)
+    q = ergodic_report(cold).Q
+    pob = spectral_data(cold, 1000.0).pressure / 1000.0
+    assert q - 1e-12 <= pob <= q + math.log(cold.max_in_degree()) / 1000.0 + 1e-12
+
+
+def test_periodic_system_converges(fixc):
+    # a 3-cycle: the peripheral spectrum is rho times the cube roots of 1
+    for beta in (0.5, 1.0, 10.0, 100.0, 1000.0):
+        data = spectral_data(fixc, beta)
+        assert abs(data.pressure - 2.0 * beta) <= 1e-12 * 2.0 * beta
+        assert np.allclose(data.mu_beta, 1.0 / 3.0, rtol=1e-12)
+        lu = log_ruelle_apply(fixc, data.log_u, beta)
+        assert np.allclose(lu - data.log_u, data.pressure, rtol=1e-12, atol=1e-12)
+
+
 def test_reducible_and_beta_guards(one_state):
     chain = TransitionSystem(2, [(0, 0, 0.0), (0, 1, 0.0), (1, 1, 0.0)])
     assert strongly_connected_components(chain) == [(0,), (1,)]
@@ -159,6 +206,13 @@ def test_reducible_and_beta_guards(one_state):
         spectral_data(one_state, -1.0)
     with pytest.raises(BetaRangeError):
         spectral_data(one_state, BETA_MAX_DEFAULT * 2)
+    # the loop runs on offsets from the start, which must be finite logs
+    swap = TransitionSystem(2, [(0, 1, 0.0), (1, 0, 0.0)])
+    for bad in ([0.0, -math.inf], [0.0, math.nan], [0.0]):
+        with pytest.raises(ValueError):
+            spectral_data(swap, 1.0, start_log_u=bad)
+        with pytest.raises(ValueError):
+            spectral_data(swap, 1.0, start_log_m=bad)
     # explicit opt-in raises the ceiling
     data = spectral_data(one_state, BETA_MAX_DEFAULT * 2, beta_max=BETA_MAX_DEFAULT * 4)
     assert abs(data.pressure - 1.5 * BETA_MAX_DEFAULT * 2) <= 1e-9
