@@ -195,7 +195,10 @@ def cmd_ldp(args: argparse.Namespace) -> int:
                     EXIT_INPUT,
                     f"observable must be a JSON array of {sys_.n} numbers: {raw!r}",
                 )
-            observables.append(np.array(vec, dtype=float))
+            try:
+                observables.append(np.array(vec, dtype=float))
+            except OverflowError:  # an integer beyond float range
+                return _fail(EXIT_INPUT, f"observable must be finite: {raw!r}")
     else:
         observables = _probes(sys_.n, args.seed)
 

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import NEG_INF, TropValue, TropVector, t_add, t_mul
+from .tropical_core import TropVector, array_mul
 from .tropical_measures import Density
 from .maxplus_linalg import TropMatrix
 
@@ -62,7 +62,10 @@ class TransitionSystem:
                 raise SystemValidationError(f"arc endpoints must be integers: {arc!r}")
             if not (0 <= s < n and 0 <= t < n):
                 raise SystemValidationError(f"arc endpoint out of range: {arc!r}")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:  # an integer beyond float range
+                w = math.inf
             if not math.isfinite(w):
                 raise SystemValidationError(f"arc weight must be finite: {arc!r}")
             if (s, t) in weight:
@@ -233,12 +236,9 @@ def bousch_apply(sys: TransitionSystem, u: TropVector) -> TropVector:
     preimage set is -inf."""
     if len(u) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, vector {len(u)}")
-    out = []
-    for x in range(sys.n):
-        acc = NEG_INF
-        for y, w in sys.predecessors(x):
-            acc = t_add(acc, t_mul(u[y], TropValue(w)))
-        out.append(acc)
+    src, tgt, w = sys.arc_arrays
+    out = np.full(sys.n, -math.inf)
+    np.maximum.at(out, tgt, array_mul(u.array[src], w))
     return TropVector(out)
 
 
@@ -253,12 +253,9 @@ def adjoint_apply(sys: TransitionSystem, b: Density) -> Density:
         raise ValueError(f"length mismatch: system {sys.n}, density {len(b)}")
     if b.is_top:
         return b
-    out = []
-    for y in range(sys.n):
-        acc = NEG_INF
-        for x, w in sys.successors(y):
-            acc = t_add(acc, t_mul(TropValue(w), b.values[x]))
-        out.append(acc)
+    src, tgt, w = sys.arc_arrays
+    out = np.full(sys.n, -math.inf)
+    np.maximum.at(out, src, array_mul(w, b.values.array[tgt]))
     return Density(TropVector(out))
 
 
@@ -306,5 +303,8 @@ def system_from_json(data) -> TransitionSystem:
             raise SystemValidationError(f"arc endpoints must be integers: {arc!r}")
         if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise SystemValidationError(f"arc weight must be a number: {arc!r}")
-        parsed.append((s, t, float(w)))
-    return TransitionSystem(n, parsed, labels=data.get("labels"))
+        parsed.append((s, t, w))
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise SystemValidationError("'labels' must be an array")
+    return TransitionSystem(n, parsed, labels=labels)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_from_json, system_to_json
 from .maxplus_linalg import DEFAULT_TOL, TropMatrix, _karp_mean, _TropicalPass
-from .tropical_core import TropVector, sup_distance, trop_from_json, vec_add
+from .tropical_core import TropVector, array_mul, floats_to_json, sup_distance, vec_add
 from .tropical_measures import Density
 
 _NINF = -math.inf
@@ -157,7 +157,7 @@ def eigenfunction_spectral(
     """One Bousch fixed point phi(x, ·) per critical class representative x."""
     if mane is None:
         mane = mane_potential(sys, tol=tol)
-    return [TropVector(mane.phi.array[cls[0]].tolist()) for cls in mane.critical_classes]
+    return [TropVector(mane.phi.array[cls[0]]) for cls in mane.critical_classes]
 
 
 def eigen_density_spectral(
@@ -170,7 +170,7 @@ def eigen_density_spectral(
     """
     if mane is None:
         mane = mane_potential(sys, tol=tol)
-    return [Density(TropVector(mane.phi.array[:, cls[0]].tolist())) for cls in mane.critical_classes]
+    return [Density(TropVector(mane.phi.array[:, cls[0]])) for cls in mane.critical_classes]
 
 
 def representation_check(
@@ -194,11 +194,8 @@ def representation_check(
     if len(vec) != phi.shape[0]:
         raise ValueError(f"length mismatch: {len(vec)} vs {phi.shape[0]}")
     aubry = list(report.mane.aubry)
-    weights = np.array([vec[x].to_float() for x in aubry])
-    with np.errstate(invalid="ignore"):
-        terms = weights[:, None] + phi[aubry]
-    terms[np.isnan(terms)] = _NINF  # -inf ⊗ +inf = -inf
-    return sup_distance(vec, TropVector(terms.max(axis=0, initial=_NINF).tolist()))
+    terms = array_mul(vec.array[aubry, None], phi[aubry])
+    return sup_distance(vec, TropVector(terms.max(axis=0, initial=_NINF)))
 
 
 def is_uniquely_calibrated(report: ErgodicReport, tol: float = DEFAULT_TOL) -> bool:
@@ -218,11 +215,7 @@ def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL)
     q = _karp_mean(sys.n, *sys.arc_arrays)  # the mean alone: no witness, no closure
     if q == _NINF:
         raise ValueError("acyclic system carries no invariant measure")
-    image = bousch_apply(sys, u)
-    for x in range(sys.n):
-        if image[x].to_float() > u[x].finite + q + tol:
-            return False
-    return True
+    return not np.any(bousch_apply(sys, u).array > u.array + q + tol)
 
 
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:
@@ -251,7 +244,7 @@ def report_to_json(report: ErgodicReport) -> dict:
         "maximizing_cycle": list(report.maximizing_cycle.states),
         "normalized_system": system_to_json(report.normalized_system),
         "mane": {
-            "phi": [[("-inf" if x == _NINF else x) for x in row] for row in report.mane.phi.to_floats()],
+            "phi": floats_to_json(report.mane.phi.array),
             "aubry": list(report.mane.aubry),
             "critical_classes": [list(c) for c in report.mane.critical_classes],
         },
@@ -263,7 +256,7 @@ def report_to_json(report: ErgodicReport) -> dict:
 
 def report_from_json(data: dict) -> ErgodicReport:
     mane = ManeMatrix(
-        phi=TropMatrix([[trop_from_json(x) for x in row] for row in data["mane"]["phi"]]),
+        phi=TropMatrix.from_floats([TropVector.from_json(row).array for row in data["mane"]["phi"]]),
         aubry=tuple(data["mane"]["aubry"]),
         critical_classes=[tuple(c) for c in data["mane"]["critical_classes"]],
     )

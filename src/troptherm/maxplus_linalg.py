@@ -19,14 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import (
-    NEG_INF,
-    TropValue,
-    TropVector,
-    as_trop,
-    t_add,
-    t_mul,
-)
+from .tropical_core import NEG_INF, TropValue, TropVector, array_mul, as_trop
 
 DEFAULT_TOL = 1e-9
 
@@ -114,13 +107,7 @@ def mat_vec(M: TropMatrix, v: TropVector) -> TropVector:
     """out(j) = ⊕_i M(i,j) ⊗ v(i): push values along arcs into their targets."""
     if len(v) != M.n:
         raise ValueError(f"dimension mismatch: matrix {M.n}, vector {len(v)}")
-    out = []
-    for j in range(M.n):
-        acc = NEG_INF
-        for i in range(M.n):
-            acc = t_add(acc, t_mul(M.entry(i, j), v[i]))
-        out.append(acc)
-    return TropVector(out)
+    return TropVector(array_mul(M.array, v.array[:, None]).max(axis=0))
 
 
 def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float:
@@ -344,4 +331,4 @@ def eigenproblem(
     p = _TropicalPass(*M._arc_arrays(), tol)
     if p.mean == _NINF:
         raise ValueError("acyclic matrix has no tropical eigenvalue")
-    return TropValue(p.mean), [TropVector(p.plus[cls[0]].tolist()) for cls in p.classes]
+    return TropValue(p.mean), [TropVector(p.plus[cls[0]]) for cls in p.classes]

@@ -1,16 +1,21 @@
 """Scalar max-plus semiring and its pointwise vector extension.
 
-Elements live in R ∪ {-inf, +inf} with ⊕ = max and ⊗ = +. The two
-infinities are tagged states rather than IEEE floats, so the convention
-(-inf) ⊗ (+inf) = -inf is enforced structurally and can never round-trip
-through a NaN. Comparisons between finite values are exact; no tolerance
-enters at this level.
+Elements live in R ∪ {-inf, +inf} with ⊕ = max and ⊗ = +. A scalar
+TropValue keeps the two infinities as tagged states, so the convention
+(-inf) ⊗ (+inf) = -inf is enforced structurally. A TropVector holds one
+read-only float64 array with IEEE ±inf; its arithmetic applies the same
+convention by turning the NaN of -inf + inf into -inf (array_mul), and
+⊕ keeps the first operand on ties as t_add does. Comparisons between
+finite values are exact; no tolerance enters at this level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Union
+
+import numpy as np
 
 _NEG, _FIN, _POS = -1, 0, 1
 
@@ -113,99 +118,139 @@ def t_mul(a: TropValue, b: TropValue) -> TropValue:
     return TropValue(a._num + b._num)
 
 
-def trop_to_json(a: TropValue):
-    """A number, or the sentinel strings \"-inf\" / \"+inf\"."""
-    if a.is_neg_inf:
-        return "-inf"
-    if a.is_pos_inf:
-        return "+inf"
-    return a.finite
+def floats_to_json(a):
+    """A float, or a list (nested for a matrix), with the infinities as the
+    sentinel strings \"-inf\" / \"+inf\"."""
+    a = np.asarray(a, dtype=float)
+    out = a.astype(object)
+    out[a == -math.inf] = "-inf"
+    out[a == math.inf] = "+inf"
+    return out.tolist()
 
 
-def trop_from_json(x) -> TropValue:
+def _float_from_json(x) -> float:
     if x == "-inf":
-        return NEG_INF
+        return -math.inf
     if x == "+inf":
-        return POS_INF
+        return math.inf
     if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
-        return TropValue(x)
+        return float(x)
     raise ValueError(f"not a tropical JSON value: {x!r}")
 
 
-class TropVector:
-    """State-indexed table of tropical values (a function on a finite state set)."""
+def trop_to_json(a: TropValue):
+    """A number, or the sentinel strings \"-inf\" / \"+inf\"."""
+    return floats_to_json(a.to_float())
 
-    __slots__ = ("_entries",)
+
+def trop_from_json(x) -> TropValue:
+    return TropValue(_float_from_json(x))
+
+
+def array_mul(a, b) -> np.ndarray:
+    """t_mul elementwise on floats: ordinary +, with -inf absorbing +inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.add(a, b)
+    return np.where(np.isnan(s), -math.inf, s)
+
+
+def array_sup(a: np.ndarray) -> float:
+    """⊕ over a 1-d float array, -inf when it is empty; the first of tied
+    entries wins, as in a t_add fold (np.max may return a later zero)."""
+    return float(a[np.argmax(a)]) if a.size else -math.inf
+
+
+class TropVector:
+    """State-indexed table of tropical values (a function on a finite state set).
+
+    Stored as one read-only float64 array with ±inf; TropValue views are
+    built only when entries are asked for. An array argument is copied
+    without building them.
+    """
+
+    __slots__ = ("_a",)
 
     def __init__(self, entries: Iterable[Union[TropValue, Number]]):
-        vals = tuple(as_trop(e) for e in entries)
-        if not vals:
-            raise ValueError("a tropical vector needs at least one entry")
-        self._entries = vals
+        if not isinstance(entries, np.ndarray):
+            entries = [e.to_float() if isinstance(e, TropValue) else float(e) for e in entries]
+        a = np.array(entries, dtype=float)
+        if a.ndim != 1 or a.size == 0:
+            raise ValueError("a tropical vector needs at least one entry, in one dimension")
+        if np.isnan(a).any():
+            raise ValueError("NaN has no tropical meaning")
+        a.flags.writeable = False
+        self._a = a
 
     @classmethod
     def constant(cls, n: int, value: Union[TropValue, Number]) -> "TropVector":
-        return cls([as_trop(value)] * n)
+        return cls(np.full(n, as_trop(value).to_float()))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only float64 entries."""
+        return self._a
 
     @property
     def entries(self) -> tuple:
-        return self._entries
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._a)
 
-    def __getitem__(self, i: int) -> TropValue:
-        return self._entries[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.entries[i]
+        return TropValue(self._a[operator.index(i)])
 
     def __iter__(self):
-        return iter(self._entries)
+        return map(TropValue, self._a.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropVector):
             return NotImplemented
-        return self._entries == other._entries
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
-        return hash(self._entries)
+        # float hashing maps -0.0 and 0.0 alike, as == does; the array
+        # bytes would not
+        return hash(tuple(self._a.tolist()))
 
     def __repr__(self) -> str:
-        return f"TropVector({[trop_to_json(e) for e in self._entries]})"
+        return f"TropVector({self.to_json()})"
 
     @property
     def is_finite(self) -> bool:
-        return all(e.is_finite for e in self._entries)
+        return bool(np.isfinite(self._a).all())
 
     def sup(self) -> TropValue:
         """⊕ over all entries."""
-        best = self._entries[0]
-        for e in self._entries[1:]:
-            if e > best:
-                best = e
-        return best
+        return TropValue(array_sup(self._a))
 
     def to_json(self) -> list:
-        return [trop_to_json(e) for e in self._entries]
+        return floats_to_json(self._a)
 
     @classmethod
     def from_json(cls, data: list) -> "TropVector":
-        return cls([trop_from_json(x) for x in data])
+        return cls([_float_from_json(x) for x in data])
 
 
 def vec_add(u: TropVector, v: TropVector) -> TropVector:
     """Pointwise ⊕."""
     _check_len(u, v)
-    return TropVector([t_add(a, b) for a, b in zip(u, v)])
+    # u wins ties, as in t_add, so -0.0 survives against 0.0 (np.maximum
+    # would take the second operand)
+    return TropVector(np.where(u.array >= v.array, u.array, v.array))
 
 
 def vec_scale(lam: TropValue, u: TropVector) -> TropVector:
     """Pointwise λ ⊗ u."""
-    return TropVector([t_mul(lam, a) for a in u])
+    return TropVector(array_mul(lam.to_float(), u.array))
 
 
 def vec_leq(u: TropVector, v: TropVector) -> bool:
     """Pointwise order u ≼ v."""
     _check_len(u, v)
-    return all(a <= b for a, b in zip(u, v))
+    return bool(np.all(u.array <= v.array))
 
 
 def residual(u: TropVector, v: TropVector) -> TropValue:
@@ -218,21 +263,11 @@ def residual(u: TropVector, v: TropVector) -> TropValue:
     the top element.
     """
     _check_len(u, v)
-    best = POS_INF
-    for ux, vx in zip(u, v):
-        if vx._tag == _NEG:
-            term = POS_INF
-        elif vx._tag == _POS:
-            term = POS_INF if ux._tag == _POS else NEG_INF
-        elif ux._tag == _NEG:
-            term = NEG_INF
-        elif ux._tag == _POS:
-            term = POS_INF
-        else:
-            term = TropValue(ux._num - vx._num)
-        if term < best:
-            best = term
-    return best
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = u.array - v.array
+    # the NaNs are inf - inf and -inf - -inf: no constraint
+    terms[np.isnan(terms)] = math.inf
+    return TropValue(terms[np.argmin(terms)])
 
 
 def sup_distance(u: TropVector, v: TropVector) -> float:
@@ -242,15 +277,10 @@ def sup_distance(u: TropVector, v: TropVector) -> float:
     an infinity contributes +inf.
     """
     _check_len(u, v)
-    worst = 0.0
-    for a, b in zip(u, v):
-        if a._tag != b._tag:
-            return math.inf
-        if a._tag == _FIN:
-            d = abs(a._num - b._num)
-            if d > worst:
-                worst = d
-    return worst
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = np.abs(u.array - v.array)
+    # NaN is the same infinity on both sides
+    return float(np.where(np.isnan(gaps), 0.0, gaps).max())
 
 
 def _check_len(u: TropVector, v: TropVector) -> None:

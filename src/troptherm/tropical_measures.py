@@ -2,38 +2,37 @@
 
 Every subset of a finite discrete space is open, so a tropical measure
 is determined by its values on singletons: the density is the stored
-object and the measure view is derived. The distinguished top density
-(constant +inf) is kept behind an explicit flag; every other density is
-+inf-free.
+object and the measure view is derived. A density wraps a TropVector,
+so its masses are one read-only float64 array. The distinguished top
+density (constant +inf) is kept behind an explicit flag; every other
+density is +inf-free.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from .tropical_core import (
-    NEG_INF,
-    POS_INF,
-    TropValue,
-    TropVector,
-    t_add,
-    t_mul,
-)
+import numpy as np
+
+from .tropical_core import POS_INF, TropValue, TropVector, array_mul, array_sup
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TransitionSystem
 
 
 class Density:
-    """A tropical density: the state-wise masses of a tropical measure."""
+    """A tropical density: the state-wise masses of a tropical measure,
+    held as a TropVector, with the top density flagged explicitly."""
 
     __slots__ = ("_values", "_is_top")
 
     def __init__(self, values: TropVector, is_top: bool = False):
         if is_top:
             values = TropVector.constant(len(values), POS_INF)
-        elif any(v.is_pos_inf for v in values):
+        elif np.isposinf(values.array).any():
             raise ValueError("only the top density may carry +inf entries")
         self._values = values
         self._is_top = is_top
@@ -72,8 +71,9 @@ class Density:
     @classmethod
     def from_json(cls, data: list) -> "Density":
         vec = TropVector.from_json(data)
-        if any(v.is_pos_inf for v in vec):
-            if not all(v.is_pos_inf for v in vec):
+        top = np.isposinf(vec.array)
+        if top.any():
+            if not top.all():
                 raise ValueError("+inf entries only occur in the constant top density")
             return cls.top(len(vec))
         return cls(vec)
@@ -92,26 +92,25 @@ def functional_eval(l: TropicalFunctional, f: TropVector) -> TropValue:
     return tropical_integral(l.density, f, range(len(l.density)))
 
 
+def _states(b: Density, S: Iterable[int]) -> np.ndarray:
+    idx = np.fromiter(map(operator.index, S), dtype=np.intp)
+    bad = idx[(idx < 0) | (idx >= len(b))]
+    if bad.size:
+        raise IndexError(f"unknown state index {bad[0]}")
+    return idx
+
+
 def measure_of(b: Density, S: Iterable[int]) -> TropValue:
     """Mass of a state subset: ⊕ over S of b; the empty set has mass -inf."""
-    acc = NEG_INF
-    for x in S:
-        if not 0 <= x < len(b):
-            raise IndexError(f"unknown state index {x}")
-        acc = t_add(acc, b[x])
-    return acc
+    return TropValue(array_sup(b.values.array[_states(b, S)]))
 
 
 def tropical_integral(b: Density, f: TropVector, S: Iterable[int]) -> TropValue:
     """⊕ over S of f(x) ⊗ b(x); over the full set this is the functional."""
     if len(f) != len(b):
         raise ValueError(f"length mismatch: {len(f)} vs {len(b)}")
-    acc = NEG_INF
-    for x in S:
-        if not 0 <= x < len(b):
-            raise IndexError(f"unknown state index {x}")
-        acc = t_add(acc, t_mul(f[x], b[x]))
-    return acc
+    idx = _states(b, S)
+    return TropValue(array_sup(array_mul(f.array[idx], b.values.array[idx])))
 
 
 def is_invariant(sys: "TransitionSystem", b: Density) -> bool:
@@ -125,13 +124,10 @@ def is_invariant(sys: "TransitionSystem", b: Density) -> bool:
         raise ValueError("invariance is defined for deterministic systems")
     if len(b) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, density {len(b)}")
-    for x in range(sys.n):
-        acc = NEG_INF
-        for y, _w in sys.predecessors(x):
-            acc = t_add(acc, b[y])
-        if acc != b[x]:
-            return False
-    return True
+    src, tgt, _ = sys.arc_arrays
+    image = np.full(sys.n, -math.inf)
+    np.maximum.at(image, tgt, b.values.array[src])
+    return bool(np.array_equal(image, b.values.array))
 
 
 def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
@@ -164,12 +160,7 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
 
 def singleton_probes(n: int) -> List[TropVector]:
     """The exact probe basis: 0 at one state, -inf elsewhere."""
-    probes = []
-    for s in range(n):
-        entries = [NEG_INF] * n
-        entries[s] = TropValue(0.0)
-        probes.append(TropVector(entries))
-    return probes
+    return [TropVector(np.where(np.arange(n) == s, 0.0, -math.inf)) for s in range(n)]
 
 
 def densities_equivalent(

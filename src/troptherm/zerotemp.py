@@ -19,7 +19,7 @@ from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport, ergodic_report
 from .maxplus_linalg import DEFAULT_TOL
 from .thermo import SpectralData, log_moment, normalized_potential, spectral_data
-from .tropical_core import NEG_INF, TropValue, TropVector, t_add, t_mul, vec_scale
+from .tropical_core import TropVector, array_mul, array_sup, floats_to_json
 from .tropical_measures import Density
 
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
@@ -65,7 +65,7 @@ class RateFunction:
 
     def to_json(self) -> dict:
         return {
-            "values": [("+inf" if math.isinf(x) else x) for x in self.values],
+            "values": floats_to_json(self.values),
             "eigenfunction": self.eigenfunction.to_json(),
             "density": self.density.to_json(),
         }
@@ -143,16 +143,12 @@ def beta_sweep(
     if report is None:
         report = ergodic_report(sys)
     ref = min(report.mane.aubry)
-    v = _floats(report.eigenfunction_basis[0])
-    b = _floats(report.eigen_density_basis[0].values)
+    v = report.eigenfunction_basis[0].array
+    b = report.eigen_density_basis[0].values.array
     return [
         sweep_record(sys, beta, ref, start_log_u=beta * v, start_log_m=beta * b, q=report.Q)
         for beta in grid
     ]
-
-
-def _floats(vec: TropVector) -> np.ndarray:
-    return np.array([x.to_float() for x in vec])
 
 
 def rate_function(
@@ -164,20 +160,13 @@ def rate_function(
         report = ergodic_report(sys, tol=tol)
     if not report.uniquely_calibrated:
         raise MultiClassError(report.mane.critical_classes)
-    b0 = report.eigen_density_basis[0]
-    shift = b0.values.sup()
-    b_al = vec_scale(TropValue(-shift.finite), b0.values)
-    v0 = report.eigenfunction_basis[0]
-    pair_sup = NEG_INF
-    for vx, bx in zip(v0, b_al):
-        pair_sup = t_add(pair_sup, t_mul(vx, bx))
-    v_al = vec_scale(TropValue(-pair_sup.finite), v0)
-    values = np.empty(sys.n)
-    for x in range(sys.n):
-        prod = t_mul(v_al[x], b_al[x])
-        # + 0.0 turns the -0.0 produced by negating a zero into 0.0
-        values[x] = math.inf if prod.is_neg_inf else -prod.finite + 0.0
-    return RateFunction(values=values, eigenfunction=v_al, density=Density(b_al))
+    b0 = report.eigen_density_basis[0].values.array
+    b_al = b0 - array_sup(b0)
+    v0 = report.eigenfunction_basis[0].array
+    v_al = v0 - array_sup(array_mul(v0, b_al))
+    # + 0.0 turns the -0.0 produced by negating a zero into 0.0
+    values = -array_mul(v_al, b_al) + 0.0
+    return RateFunction(values=values, eigenfunction=TropVector(v_al), density=Density(TropVector(b_al)))
 
 
 def seeded_spectral_data(
@@ -188,8 +177,8 @@ def seeded_spectral_data(
     return spectral_data(
         sys,
         beta,
-        start_log_u=beta * _floats(rate.eigenfunction),
-        start_log_m=beta * _floats(rate.density.values),
+        start_log_u=beta * rate.eigenfunction.array,
+        start_log_m=beta * rate.density.values.array,
         q=q,
     )
 
@@ -255,11 +244,10 @@ def limit_diagnostics(
                 f"sweep reference state {rec.ref_state} does not match the report's {ref}"
             )
 
-    v0 = report.eigenfunction_basis[0]
-    v_f = np.array([x.to_float() - v0[ref].finite for x in v0])
-    b0 = report.eigen_density_basis[0]
-    b_sup = b0.values.sup().finite
-    b_f = np.array([x.to_float() - b_sup for x in b0.values])
+    v0 = report.eigenfunction_basis[0].array
+    v_f = v0 - v0[ref]
+    b0 = report.eigen_density_basis[0].values.array
+    b_f = b0 - array_sup(b0)
     finite_b = np.isfinite(b_f)
 
     arc_src, arc_tgt, arc_w = sys.arc_arrays

@@ -264,11 +264,41 @@ def test_lost_critical_cycle_exits_2(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error: no cycle is critical")
 
 
+def test_bad_system_json_exits_2(tmp_path):
+    # a non-array labels value, and an integer weight beyond float range
+    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    arcs = [[0, 0, 0.0], [0, 1, -1.0], [1, 0, -1.0], [1, 1, -3.0]]
+    cases = {
+        "labels_int": {"n": 2, "arcs": arcs, "labels": 5},
+        "labels_str": {"n": 2, "arcs": arcs, "labels": "ab"},
+        "huge_weight": {"n": 2, "arcs": arcs[:3] + [[1, 1, int("9" * 400)]]},
+    }
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        for command in ("analyze", "sweep"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "troptherm.cli", command, "--input", str(path)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == cli.EXIT_INPUT, (name, command, proc.stderr)
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):
     path = _dump(tmp_path, "fixa.json", fixa)
     assert cli.main(["ldp", "--input", path, "[0, 5"]) == cli.EXIT_INPUT
     assert cli.main(["ldp", "--input", path, "[0]"]) == cli.EXIT_INPUT
     assert cli.main(["ldp", "--input", path, "[0, true]"]) == cli.EXIT_INPUT
+    # non-finite entries: a float literal that overflows, and an integer
+    # beyond float range
+    assert cli.main(["ldp", "--input", path, "[1, 1e400]"]) == cli.EXIT_INPUT
+    assert cli.main(["ldp", "--input", path, "[1, " + "9" * 400 + "]"]) == cli.EXIT_INPUT
     two = _dump(tmp_path, "two.json", two_loops)
     assert cli.main(["ldp", "--input", two]) == cli.EXIT_MULTICLASS
     capsys.readouterr()

@@ -4,8 +4,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from troptherm.dynamics import TransitionSystem, adjoint_apply, bousch_apply
+from troptherm.maxplus_linalg import TropMatrix, mat_vec
 from troptherm.tropical_core import (
     NEG_INF,
     POS_INF,
@@ -22,6 +25,7 @@ from troptherm.tropical_core import (
     vec_leq,
     vec_scale,
 )
+from troptherm.tropical_measures import Density, tropical_integral
 
 SMALL = [NEG_INF, TropValue(-2.0), TropValue(-1.0), TropValue(0.0), TropValue(1.5), TropValue(3.0), POS_INF]
 
@@ -195,3 +199,120 @@ def test_vector_json_round_trip():
     v = TropVector([NEG_INF, as_trop(0.5), POS_INF])
     encoded = json.dumps(v.to_json())
     assert TropVector.from_json(json.loads(encoded)) == v
+
+
+# The scalar TropValue loops the vector layer used to run, kept here as
+# references for the array expressions that replaced them.
+
+
+def _vec_add_loop(u, v):
+    return [t_add(a, b) for a, b in zip(u, v)]
+
+
+def _vec_scale_loop(lam, u):
+    return [t_mul(lam, a) for a in u]
+
+
+def _sup_loop(u):
+    best = u[0]
+    for e in u.entries[1:]:
+        if e > best:
+            best = e
+    return best
+
+
+def _residual_loop(u, v):
+    best = POS_INF
+    for ux, vx in zip(u, v):
+        if vx.is_neg_inf:
+            term = POS_INF
+        elif vx.is_pos_inf:
+            term = POS_INF if ux.is_pos_inf else NEG_INF
+        elif not ux.is_finite:
+            term = ux
+        else:
+            term = TropValue(ux.finite - vx.finite)
+        if term < best:
+            best = term
+    return best
+
+
+def _sup_distance_loop(u, v):
+    worst = 0.0
+    for a, b in zip(u, v):
+        if a.is_finite != b.is_finite or (not a.is_finite and a != b):
+            return math.inf
+        if a.is_finite and abs(a.finite - b.finite) > worst:
+            worst = abs(a.finite - b.finite)
+    return worst
+
+
+def _fold(terms):
+    acc = NEG_INF
+    for t in terms:
+        acc = t_add(acc, t)
+    return acc
+
+
+def _bousch_loop(sys_, u):
+    return [_fold(t_mul(u[y], TropValue(w)) for y, w in sys_.predecessors(x)) for x in range(sys_.n)]
+
+
+def _adjoint_loop(sys_, b):
+    if b.is_top:  # the top density is returned unchanged
+        return list(b.values)
+    return [_fold(t_mul(TropValue(w), b[x]) for x, w in sys_.successors(y)) for y in range(sys_.n)]
+
+
+def _mat_vec_loop(m, v):
+    return [_fold(t_mul(m.entry(i, j), v[i]) for i in range(m.n)) for j in range(m.n)]
+
+
+def _integral_loop(b, f, states):
+    return _fold(t_mul(f[x], b[x]) for x in states)
+
+
+def _bits(values):
+    # repr tells -0.0 from 0.0 and names both infinities
+    return [repr(x.to_float() if isinstance(x, TropValue) else float(x)) for x in values]
+
+
+def _draw(rng, n, pos_inf=True):
+    zeros_only = rng.random() < 0.3  # ties between signed zeros at the top
+    pool = [-math.inf, -1.0, -0.0, 0.0] if zeros_only else [-math.inf, -0.0, 0.0, -2.5, 1.25, 3.0]
+    if pos_inf and not zeros_only:
+        pool.append(math.inf)
+    return TropVector([rng.choice(pool) if rng.random() < 0.7 else rng.uniform(-4, 4) for _ in range(n)])
+
+
+def test_vector_layer_matches_scalar_loops():
+    rng = random.Random(61)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        u, v = _draw(rng, n), _draw(rng, n)
+        lam = rng.choice([NEG_INF, POS_INF, TropValue(-0.0), TropValue(0.0), TropValue(rng.uniform(-3, 3))])
+        assert _bits(vec_add(u, v)) == _bits(_vec_add_loop(u, v))
+        assert _bits(vec_scale(lam, u)) == _bits(_vec_scale_loop(lam, u))
+        assert _bits([u.sup()]) == _bits([_sup_loop(u)])
+        assert _bits([residual(u, v)]) == _bits([_residual_loop(u, v)])
+        assert _bits([sup_distance(u, v)]) == _bits([_sup_distance_loop(u, v)])
+
+        arcs = [(s, t, rng.choice([-0.0, 0.0, -1.0, rng.uniform(-3, 3)])) for s in range(n) for t in range(n) if rng.random() < 0.4]
+        sys_ = TransitionSystem(n, arcs)
+        b = Density.top(n) if rng.random() < 0.1 else Density(_draw(rng, n, pos_inf=False))
+        grid = np.full((n, n), -math.inf)
+        for s, t, w in arcs:
+            grid[s, t] = w
+        states = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+        # the arc reductions may return either zero of a tie, so by value
+        assert list(bousch_apply(sys_, u)) == _bousch_loop(sys_, u)
+        assert list(adjoint_apply(sys_, b).values) == _adjoint_loop(sys_, b)
+        assert list(mat_vec(TropMatrix.from_floats(grid), u)) == _mat_vec_loop(TropMatrix.from_floats(grid), u)
+        assert tropical_integral(b, u, states) == _integral_loop(b, u, states)
+
+
+def test_signed_zeros_compare_and_hash_alike():
+    a, b = TropVector([-0.0, 1.0, -math.inf]), TropVector([0.0, 1.0, -math.inf])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert TropVector([0.0, 1.0]) != TropVector([0.0, 1.0, 1.0])
