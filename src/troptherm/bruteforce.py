@@ -2,19 +2,23 @@
 
 Deliberately independent of the fast paths: cycle means come from
 exhaustive simple-cycle enumeration, path suprema from naive max-plus
-matrix powers over plain floats, and the Ruelle operator is applied in
-linear space arc by arc. Sized for small systems (the CLI caps the
-oracle at 10 states).
+matrix powers over plain floats, calibrated sub-actions from iterating
+the Bousch operator, and the Ruelle operator is applied in linear space
+arc by arc. Sized for small systems (the CLI caps the oracle at 10
+states).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from collections import deque
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import TransitionSystem
+from .dynamics import TransitionSystem, bousch_apply
+from .maxplus_linalg import DEFAULT_TOL, _karp_mean
+from .tropical_core import TropVector, sup_distance, vec_add
 
 _NINF = -math.inf
 
@@ -89,6 +93,68 @@ def enum_aubry(phi: List[List[float]], tol: float = 1e-9) -> Tuple[int, ...]:
         if d != _NINF and abs(d) <= tol:
             out.append(i)
     return tuple(out)
+
+
+def subaction_limsup(
+    sys: TransitionSystem,
+    u0: TropVector,
+    cap: Optional[int] = None,
+    window: Optional[int] = None,
+    tol: float = DEFAULT_TOL,
+) -> TropVector:
+    """The limsup of Bousch iterates of u0 on a normalized system.
+
+    Iterates are eventually periodic, so the supremum over a sliding
+    window becomes stationary; since the operator distributes over
+    finite sups, a stationary window supremum is already a fixed point.
+    Convergence is declared once the window supremum holds still across
+    one full window. The default window is the state count and the
+    default cap 4 n^2 iterations.
+    """
+    n = sys.n
+    if len(u0) != n:
+        raise ValueError(f"length mismatch: system {n}, vector {len(u0)}")
+    if not u0.is_finite:
+        raise ValueError("start vector must be finite-valued")
+    mean = _karp_mean(n, *sys.arc_arrays)
+    if mean == _NINF or abs(mean) > tol:
+        raise ValueError("system is not normalized (max cycle mean must be 0)")
+    w = window if window is not None else n
+    limit = cap if cap is not None else 4 * n * n
+    if w < 1 or limit < w:
+        raise ValueError("window must be >= 1 and cap >= window")
+    recent = deque(maxlen=w)
+    recent.append(u0)
+    prev_sup = None
+    last_change = math.inf
+    streak = 0
+    u = u0
+    for _step in range(limit):
+        u = bousch_apply(sys, u)
+        recent.append(u)
+        if len(recent) < w:
+            continue
+        cur = recent[0]
+        for item in list(recent)[1:]:
+            cur = vec_add(cur, item)
+        if prev_sup is not None:
+            last_change = sup_distance(cur, prev_sup)
+            if last_change <= 1e-12:
+                streak += 1
+                if streak >= w:
+                    resid = sup_distance(bousch_apply(sys, cur), cur)
+                    if resid > tol:
+                        raise RuntimeError(
+                            f"window supremum stabilized but fixed-point residual {resid:.3e} exceeds {tol:.1e}"
+                        )
+                    return cur
+            else:
+                streak = 0
+        prev_sup = cur
+    raise RuntimeError(
+        f"no stabilization within {limit} iterations "
+        f"(window {w}, last window-sup change {last_change:.3e})"
+    )
 
 
 def ruelle_apply(sys: TransitionSystem, u: Sequence[float], beta: float) -> np.ndarray:

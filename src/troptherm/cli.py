@@ -9,7 +9,9 @@ Exit codes: 0 ok, 2 invalid input, 3 assumption violation under
 --strict, 4 refusal on multiple critical classes, 5 oracle mismatch.
 All output is deterministic byte-for-byte given the input bytes and
 flags; CSV uses '.' decimals, '\\n' line endings and 17 significant
-digits.
+digits. JSON is streamed to the output by one writer whose bytes equal
+json.dumps(payload, indent=2) followed by a newline; it formats each
+distinct float of a list of number lists (such as phi) once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import argparse
 import json
 import math
 import sys as _sys
-from typing import List, Optional, Sequence
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,16 +64,116 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], pieces: Iterable[str]) -> None:
     if path is None:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(pieces)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_scalar(x) -> str:
+    if isinstance(x, str):
+        return _json_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _json_float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _is_leaf(items) -> bool:
+    return not any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, items)))
+
+
+def _json_cells(cells: list) -> np.ndarray:
+    """The JSON text of each scalar in `cells`, as an object array.
+
+    Floats are keyed on their int64 bit pattern, so each distinct one is
+    formatted once, 0.0 and -0.0 stay apart, and an int or a bool never
+    shares a text with an equal float.
+    """
+    is_float = np.fromiter(map(isinstance, cells, repeat(float)), bool, len(cells))
+    floats = cells if is_float.all() else list(compress(cells, is_float))
+    bits, inverse = np.unique(np.array(floats, dtype=np.float64).view(np.int64), return_inverse=True)
+    unique = bits.view(np.float64)
+    formatted = np.array(list(map(float.__repr__, unique.tolist())), dtype=object)
+    special = ~np.isfinite(unique)  # repr writes inf and nan
+    formatted[special] = list(map(_json_float, unique[special].tolist()))
+    texts = np.empty(len(cells), dtype=object)
+    texts[is_float] = formatted[inverse]
+    others = ~is_float
+    texts[others] = list(map(_json_scalar, compress(cells, others)))
+    return texts
+
+
+def _leaf_text(texts, depth: int) -> str:
+    if len(texts) == 0:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
+    """The text of json.dumps(obj, indent=2), piece by piece.
+
+    A list of scalars goes out as one piece. A list of such lists (phi,
+    the eigen bases, the observables, the arcs) has all its cells
+    formatted by one _json_cells call, then goes out one row per piece.
+    """
+    if isinstance(obj, (list, tuple)):
+        if _is_leaf(obj):
+            yield _leaf_text(_json_cells(obj), depth)
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "[" + inner
+        rows = all(isinstance(row, (list, tuple)) for row in obj)
+        if rows and _is_leaf(cells := list(chain.from_iterable(obj))):
+            texts, start = _json_cells(cells), 0
+            for row in obj:
+                yield sep + _leaf_text(texts[start : start + len(row)], depth + 1)
+                start, sep = start + len(row), "," + inner
+        else:
+            for item in obj:
+                yield sep
+                yield from _json_pieces(item, depth + 1)
+                sep = "," + inner
+        yield "\n" + "  " * depth + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield sep + _json_str(key) + ": "
+            yield from _json_pieces(value, depth + 1)
+            sep = "," + inner
+        yield "\n" + "  " * depth + "}"
+    else:
+        yield _json_scalar(obj)
 
 
 def _write_json(path: Optional[str], payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, chain(_json_pieces(payload), ["\n"]))
 
 
 def _load_system(path: str) -> TransitionSystem:
@@ -168,7 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells = [_fmt(beta), _fmt(pob), _fmt(d_u), _fmt(d_b), _fmt(d_g), _fmt(d_d)]
         cells += [_fmt(r) for r in resid]
         lines.append(",".join(cells))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 

@@ -305,6 +305,6 @@ def system_from_json(data) -> TransitionSystem:
             raise SystemValidationError(f"arc weight must be a number: {arc!r}")
         parsed.append((s, t, w))
     labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise SystemValidationError("'labels' must be an array")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise SystemValidationError("'labels' must be an array of strings")
     return TransitionSystem(n, parsed, labels=labels)

@@ -11,7 +11,6 @@ operator and fixed densities of its tropical adjoint.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_from_json, system_to_json
 from .maxplus_linalg import DEFAULT_TOL, TropMatrix, _karp_mean, _TropicalPass
-from .tropical_core import TropVector, array_mul, floats_to_json, sup_distance, vec_add
+from .tropical_core import TropVector, array_mul, floats_to_json, sup_distance
 from .tropical_measures import Density
 
 _NINF = -math.inf
@@ -87,68 +86,6 @@ def mane_potential(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ManeMatri
             f"system is not normalized: max cycle mean {p.mean:.6g} < 0 would empty the Aubry set"
         )
     return _mane(p)
-
-
-def subaction_limsup(
-    sys: TransitionSystem,
-    u0: TropVector,
-    cap: Optional[int] = None,
-    window: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> TropVector:
-    """The limsup of Bousch iterates of u0 on a normalized system.
-
-    Iterates are eventually periodic, so the supremum over a sliding
-    window becomes stationary; since the operator distributes over
-    finite sups, a stationary window supremum is already a fixed point.
-    Convergence is declared once the window supremum holds still across
-    one full window. The default window is the state count and the
-    default cap 4 n^2 iterations.
-    """
-    n = sys.n
-    if len(u0) != n:
-        raise ValueError(f"length mismatch: system {n}, vector {len(u0)}")
-    if not u0.is_finite:
-        raise ValueError("start vector must be finite-valued")
-    mean = _karp_mean(n, *sys.arc_arrays)
-    if mean == _NINF or abs(mean) > tol:
-        raise ValueError("system is not normalized (max cycle mean must be 0)")
-    w = window if window is not None else n
-    limit = cap if cap is not None else 4 * n * n
-    if w < 1 or limit < w:
-        raise ValueError("window must be >= 1 and cap >= window")
-    recent = deque(maxlen=w)
-    recent.append(u0)
-    prev_sup = None
-    last_change = math.inf
-    streak = 0
-    u = u0
-    for _step in range(limit):
-        u = bousch_apply(sys, u)
-        recent.append(u)
-        if len(recent) < w:
-            continue
-        cur = recent[0]
-        for item in list(recent)[1:]:
-            cur = vec_add(cur, item)
-        if prev_sup is not None:
-            last_change = sup_distance(cur, prev_sup)
-            if last_change <= 1e-12:
-                streak += 1
-                if streak >= w:
-                    resid = sup_distance(bousch_apply(sys, cur), cur)
-                    if resid > tol:
-                        raise RuntimeError(
-                            f"window supremum stabilized but fixed-point residual {resid:.3e} exceeds {tol:.1e}"
-                        )
-                    return cur
-            else:
-                streak = 0
-        prev_sup = cur
-    raise RuntimeError(
-        f"no stabilization within {limit} iterations "
-        f"(window {w}, last window-sup change {last_change:.3e})"
-    )
 
 
 def eigenfunction_spectral(

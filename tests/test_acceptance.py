@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import troptherm.cli as cli
-from troptherm.bruteforce import enum_aubry, enum_max_cycle_mean, enum_mane
+from troptherm.bruteforce import enum_aubry, enum_max_cycle_mean, enum_mane, subaction_limsup
 from troptherm.dynamics import adjoint_apply, bousch_apply, from_sft, system_to_json
 from troptherm.ergodic_opt import (
     ergodic_report,
@@ -22,7 +22,6 @@ from troptherm.ergodic_opt import (
     mane_potential,
     normalize,
     representation_check,
-    subaction_limsup,
 )
 from troptherm.maxplus_linalg import eigenproblem
 from troptherm.thermo import NODA_BRACKET, log_ruelle_apply, spectral_data

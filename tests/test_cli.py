@@ -4,15 +4,17 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import troptherm
 import troptherm.cli as cli
 import troptherm.zerotemp as zerotemp
-from troptherm.dynamics import TransitionSystem, from_map, system_from_json, system_to_json
+from troptherm.dynamics import TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import report_from_json
 from troptherm.thermo import ConvergenceError
 
@@ -265,7 +267,8 @@ def test_lost_critical_cycle_exits_2(tmp_path, capsys):
 
 
 def test_bad_system_json_exits_2(tmp_path):
-    # a non-array labels value, and an integer weight beyond float range
+    # a labels value that is not an array of strings, and an integer
+    # weight beyond float range
     src = pathlib.Path(troptherm.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     arcs = [[0, 0, 0.0], [0, 1, -1.0], [1, 0, -1.0], [1, 1, -3.0]]
@@ -273,6 +276,8 @@ def test_bad_system_json_exits_2(tmp_path):
         "labels_int": {"n": 2, "arcs": arcs, "labels": 5},
         "labels_str": {"n": 2, "arcs": arcs, "labels": "ab"},
         "huge_weight": {"n": 2, "arcs": arcs[:3] + [[1, 1, int("9" * 400)]]},
+        "labels_null_int": {"n": 2, "arcs": arcs, "labels": [None, 1]},
+        "labels_ints": {"n": 2, "arcs": arcs, "labels": [1, 2]},
     }
     for name, data in cases.items():
         path = tmp_path / f"{name}.json"
@@ -359,3 +364,88 @@ def test_golden_sweep(tmp_path, fixa):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--input", path, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "fixa_sweep.csv").read_bytes()
+
+
+# Scalars the JSON writer must tell apart: signed zeros, floats equal to
+# ints and bools, raw infinities and nan beside the "-inf"/"+inf"
+# sentinels, strings that need escapes, and numpy floats.
+_SCALARS = [
+    0.0, -0.0, 1.0, -1.5, 0.1, 1e16, 1e-7, 5e-324, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, "-inf", "+inf",
+    0, 1, -7, 2**70, True, False, None,
+    "", 'q"b\\s/\n\t\x00\x1f', "é ünï ☃ \U0001f600",
+    np.float64(-0.0), np.float64(1.0), np.float64(3.25),
+]
+_FLOATS = [x for x in _SCALARS if isinstance(x, float)] + ["-inf", "+inf"]
+_KEYS = ["", "a", "phi", "key with \"quotes\"", "ключ", "\u2028"]
+
+
+def _random_payload(rng, depth=0):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.25:
+        return rng.choice(_SCALARS)
+    container = rng.choice([list, list, tuple])
+    if roll < 0.45:  # a list of scalars, floats mixed with everything else
+        return container(rng.choice(_SCALARS) for _ in range(rng.randrange(9)))
+    if roll < 0.65:  # a matrix: rows of floats and sentinels, now and then an int
+        width = rng.randrange(1, 6)
+        pool = _FLOATS + ([1, True, None] if rng.random() < 0.3 else [])
+        return container(
+            [rng.choice(pool) for _ in range(width if rng.random() < 0.8 else rng.randrange(6))]
+            for _ in range(rng.randrange(1, 5))
+        )
+    if roll < 0.85:
+        return {rng.choice(_KEYS) + str(k): _random_payload(rng, depth + 1) for k in range(rng.randrange(5))}
+    return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+
+
+def test_json_writer_matches_json_dumps(tmp_path, capsys):
+    rng = random.Random(7)
+    out = tmp_path / "out.json"
+    for k in range(400):
+        payload = _random_payload(rng)
+        expected = json.dumps(payload, indent=2) + "\n"
+        cli._write_json(str(out), payload)
+        assert out.read_bytes() == expected.encode(), payload
+        if k % 20 == 0:  # the stdout path writes the same pieces
+            cli._write_json(None, payload)
+            assert capsys.readouterr().out == expected
+    with pytest.raises(TypeError):
+        cli._write_json(str(out), [np.int64(1)])
+
+
+def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
+    payloads = []
+    write_json = cli._write_json
+
+    def recording(path, payload):
+        payloads.append(payload)
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    inputs = []
+    for order in range(3, 8):
+        sys_ = discretize_doubling(order, lambda t: math.cos(2 * math.pi * t))
+        inputs.append(_dump(tmp_path, f"doubling{order}.json", sys_))
+    out = tmp_path / "out.json"
+    checked = 0
+    for seed in (1, 2, 5, 17):
+        for flags in ([], ["--deterministic"]):
+            path = str(tmp_path / f"gen{seed}{len(flags)}.json")
+            assert cli.main(["gen", "--seed", str(seed), *flags, "--output", path]) == 0
+            assert pathlib.Path(path).read_bytes() == (json.dumps(payloads[-1], indent=2) + "\n").encode()
+            inputs.append(path)
+            checked += 1
+    for path in inputs:
+        n = system_from_json(json.loads(pathlib.Path(path).read_text())).n
+        for command in ("analyze", "ldp", "oracle"):
+            if command == "oracle" and n > cli.ORACLE_N_MAX:
+                continue
+            before = len(payloads)
+            code = cli.main([command, "--input", path, "--output", str(out)])
+            if len(payloads) == before:  # ldp refuses reducible and multi-class systems
+                assert code in (cli.EXIT_INPUT, cli.EXIT_MULTICLASS)
+                continue
+            assert out.read_bytes() == (json.dumps(payloads[-1], indent=2) + "\n").encode()
+            checked += 1
+    assert checked == 37  # 8 gen, 13 analyze, 9 ldp and 7 oracle files

@@ -1,5 +1,6 @@
 """Transition systems, both transfer operators, orbit sums, JSON I/O."""
 
+import json
 import math
 import random
 
@@ -129,6 +130,12 @@ def test_json_round_trip(fixb):
     data = system_to_json(fixb)
     again = system_from_json(data)
     assert again == fixb
+    # string labels survive the text round trip (equality compares labels)
+    for order in range(3, 7):
+        sys = discretize_doubling(order, lambda t: math.cos(2 * math.pi * t))
+        assert system_from_json(json.loads(json.dumps(system_to_json(sys)))) == sys
+    with pytest.raises(SystemValidationError):
+        system_from_json({"n": 2, "arcs": [[0, 1, 1.0]], "labels": ["a", None]})
     with pytest.raises(SystemValidationError):
         system_from_json({"n": 2})
     with pytest.raises(SystemValidationError):

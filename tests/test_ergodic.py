@@ -7,6 +7,7 @@ import pytest
 
 import troptherm.ergodic_opt as ergodic_opt
 import troptherm.maxplus_linalg as maxplus_linalg
+from troptherm.bruteforce import subaction_limsup
 from troptherm.cli import _gen_system
 from troptherm.dynamics import PathRecord, TransitionSystem, adjoint_apply, bousch_apply, discretize_doubling
 from troptherm.ergodic_opt import (
@@ -21,7 +22,6 @@ from troptherm.ergodic_opt import (
     report_from_json,
     report_to_json,
     representation_check,
-    subaction_limsup,
 )
 from troptherm.maxplus_linalg import PositiveCycleError
 from troptherm.tropical_core import TropVector, as_trop, sup_distance
