@@ -2,8 +2,10 @@
 
 Subcommands: analyze (ergodic report as JSON), sweep (beta sweep with
 limit diagnostics and LDP residuals as CSV), ldp (rate function and
-residuals for supplied or seeded observables), gen (random irreducible
-fixtures), oracle (brute-force cross-check of the fast path).
+residuals for supplied or seeded observables), gen (random fixtures:
+strongly connected by default; --deterministic draws a random
+permutation, which usually has several cycles), oracle (brute-force
+cross-check of the fast path).
 
 Exit codes: 0 ok, 2 invalid input, 3 assumption violation under
 --strict, 4 refusal on multiple critical classes, 5 oracle mismatch.
@@ -35,7 +37,7 @@ from .dynamics import (
     system_to_json,
 )
 from .ergodic_opt import ergodic_report, report_to_json
-from .maxplus_linalg import DEFAULT_TOL
+from .maxplus_linalg import DEFAULT_TOL, strongly_connected
 from .thermo import ConvergenceError
 from .zerotemp import (
     DEFAULT_GRID,
@@ -336,18 +338,13 @@ def _gen_system(seed: int, n: Optional[int], deterministic: bool) -> TransitionS
                 break
         weights = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
         return from_map([int(x) for x in table], weights)
-    import networkx as nx  # imported here so the other subcommands never load it
-
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
     arcs = {}
-    while not (len(arcs) > 0 and nx.is_strongly_connected(g)):
+    while not (arcs and len(strongly_connected(range(n), arcs)) == 1):
         s = int(rng.integers(0, n))
         t = int(rng.integers(0, n))
         if (s, t) in arcs:
             continue
         arcs[(s, t)] = float(rng.integers(lo, hi + 1))
-        g.add_edge(s, t)
     arc_list = sorted((s, t, w) for (s, t), w in arcs.items())
     return TransitionSystem(n, arc_list)
 
@@ -436,13 +433,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, "json")
     p.set_defaults(func=cmd_ldp)
 
-    p = sub.add_parser("gen", help="generate a random irreducible system")
+    p = sub.add_parser("gen", help="random system, strongly connected unless --deterministic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, help=f"state count in [{GEN_N_MIN}, {GEN_N_MAX}]")
     p.add_argument(
         "--deterministic",
         action="store_true",
-        help="functional-graph flavor (one outgoing arc per state)",
+        help="functional-graph flavor: a random permutation, usually of several cycles",
     )
     common(p, "json")
     p.set_defaults(func=cmd_gen)

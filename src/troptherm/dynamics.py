@@ -10,8 +10,9 @@ of finite type with a locally constant potential.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,8 +21,15 @@ from .tropical_measures import Density
 from .maxplus_linalg import TropMatrix
 
 
+N_MAX = 2**20  # the most states of a system: discretize_doubling at order 20
+
+
 class SystemValidationError(ValueError):
     """The description violates the transition-system invariants."""
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -40,9 +48,14 @@ class PathRecord:
 
 
 class TransitionSystem:
-    """Immutable weighted digraph with the potential charged at arc sources."""
+    """Immutable weighted digraph with the potential charged at arc sources.
 
-    __slots__ = ("_n", "_arcs", "_arc_arrays", "_labels", "_deterministic", "_surjective_like", "_preds", "_succs", "_weight")
+    The constructor is the one validator. The store is the (source,
+    target) -> weight dict in arc order, plus read-only arc arrays built
+    from it once; everything else is read off these.
+    """
+
+    __slots__ = ("_n", "_weight", "_arc_arrays", "_labels")
 
     def __init__(
         self,
@@ -50,53 +63,48 @@ class TransitionSystem:
         arcs: Sequence[Tuple[int, int, float]],
         labels: Optional[Sequence[str]] = None,
     ):
-        if n < 1:
-            raise SystemValidationError("state count must be positive")
+        if not _is_integer(n):
+            raise SystemValidationError(f"state count must be an integer: {n!r}")
+        if not 1 <= n <= N_MAX:
+            raise SystemValidationError(f"state count must lie in [1, {N_MAX}]: {n}")
+        n = int(n)
         weight = {}
-        clean = []
         for arc in arcs:
-            if len(arc) != 3:
-                raise SystemValidationError(f"arc must be (source, target, weight): {arc!r}")
-            s, t, w = arc
-            if not (isinstance(s, int) and isinstance(t, int)):
+            try:
+                s, t, w = arc
+            except (TypeError, ValueError):
+                raise SystemValidationError(f"arc must be (source, target, weight): {arc!r}") from None
+            if not (_is_integer(s) and _is_integer(t)):
                 raise SystemValidationError(f"arc endpoints must be integers: {arc!r}")
             if not (0 <= s < n and 0 <= t < n):
                 raise SystemValidationError(f"arc endpoint out of range: {arc!r}")
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise SystemValidationError(f"arc weight must be a real number: {arc!r}")
             try:
                 w = float(w)
             except OverflowError:  # an integer beyond float range
                 w = math.inf
             if not math.isfinite(w):
                 raise SystemValidationError(f"arc weight must be finite: {arc!r}")
-            if (s, t) in weight:
-                raise SystemValidationError(f"duplicate arc ({s}, {t})")
-            weight[(s, t)] = w
-            clean.append((s, t, w))
+            key = (int(s), int(t))
+            if key in weight:
+                raise SystemValidationError(f"duplicate arc {key}")
+            weight[key] = w
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise SystemValidationError("labels must cover every state")
+            labels = () if isinstance(labels, str) else tuple(labels)
+            if len(labels) != n or not all(isinstance(x, str) for x in labels):
+                raise SystemValidationError("labels must be one string per state")
         self._n = n
-        self._arcs = tuple(clean)
-        self._labels = labels
         self._weight = weight
+        self._labels = labels
+        m = len(weight)
         self._arc_arrays = (
-            np.array([s for s, _, _ in clean], dtype=np.intp),
-            np.array([t for _, t, _ in clean], dtype=np.intp),
-            np.array([w for _, _, w in clean], dtype=float),
+            np.fromiter((s for s, _ in weight), np.intp, m),
+            np.fromiter((t for _, t in weight), np.intp, m),
+            np.fromiter(weight.values(), float, m),
         )
         for col in self._arc_arrays:
             col.flags.writeable = False
-        src, tgt, _ = self._arc_arrays
-        self._deterministic = bool(np.all(np.bincount(src, minlength=n) == 1))
-        self._surjective_like = bool(np.all(np.bincount(tgt, minlength=n) >= 1))
-        preds: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        succs: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        for s, t, w in clean:
-            preds[t].append((s, w))
-            succs[s].append((t, w))
-        self._preds = tuple(tuple(p) for p in preds)
-        self._succs = tuple(tuple(p) for p in succs)
 
     @property
     def n(self) -> int:
@@ -104,7 +112,8 @@ class TransitionSystem:
 
     @property
     def arcs(self) -> tuple:
-        return self._arcs
+        """(source, target, weight) triples in arc order."""
+        return tuple((s, t, w) for (s, t), w in self._weight.items())
 
     @property
     def arc_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,37 +126,41 @@ class TransitionSystem:
 
     @property
     def deterministic(self) -> bool:
-        return self._deterministic
+        return bool(np.all(np.bincount(self._arc_arrays[0], minlength=self._n) == 1))
 
     @property
     def surjective_like(self) -> bool:
-        return self._surjective_like
+        return bool(np.all(np.bincount(self._arc_arrays[1], minlength=self._n) >= 1))
 
     def predecessors(self, x: int) -> tuple:
-        """(source, weight) pairs of arcs into x."""
-        return self._preds[x]
+        """(source, weight) pairs of arcs into x, in arc order."""
+        src, tgt, w = self._arc_arrays
+        hit = tgt == x
+        return tuple(zip(src[hit].tolist(), w[hit].tolist()))
 
     def successors(self, y: int) -> tuple:
-        """(target, weight) pairs of arcs out of y."""
-        return self._succs[y]
+        """(target, weight) pairs of arcs out of y, in arc order."""
+        src, tgt, w = self._arc_arrays
+        hit = src == y
+        return tuple(zip(tgt[hit].tolist(), w[hit].tolist()))
 
     def arc_weight(self, s: int, t: int) -> float:
         return self._weight[(s, t)]
 
     def image(self, y: int) -> int:
         """The unique image of y; deterministic systems only."""
-        if not self._deterministic:
+        if not self.deterministic:
             raise SystemValidationError("image map is defined only for deterministic systems")
-        return self._succs[y][0][0]
+        return self.successors(y)[0][0]
 
     def max_in_degree(self) -> int:
         """The preimage-count bound N."""
-        return max((len(p) for p in self._preds), default=0)
+        return int(np.bincount(self._arc_arrays[1], minlength=self._n).max())
 
     def shifted(self, delta: float) -> "TransitionSystem":
         """Same arcs with every weight moved by delta."""
         return TransitionSystem(
-            self._n, [(s, t, w + delta) for s, t, w in self._arcs], self._labels
+            self._n, [(s, t, w + delta) for s, t, w in self.arcs], self._labels
         )
 
     def to_matrix(self) -> TropMatrix:
@@ -159,14 +172,10 @@ class TransitionSystem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransitionSystem):
             return NotImplemented
-        return (
-            self._n == other._n
-            and self._arcs == other._arcs
-            and self._labels == other._labels
-        )
+        return (self._n, self.arcs, self._labels) == (other._n, other.arcs, other._labels)
 
     def __repr__(self) -> str:
-        return f"TransitionSystem(n={self._n}, arcs={len(self._arcs)})"
+        return f"TransitionSystem(n={self._n}, arcs={len(self._weight)})"
 
 
 def from_sft(
@@ -216,10 +225,8 @@ def discretize_doubling(order: int, sample: Callable[[float], float]) -> Transit
     outgoing arcs is the sample at the left endpoint of the source
     cylinder. Every state has in-degree and out-degree 2.
     """
-    if order < 1:
-        raise SystemValidationError("order must be >= 1")
-    if order > 20:
-        raise SystemValidationError("order capped at 20")
+    if not 1 <= order <= 20:
+        raise SystemValidationError(f"order must lie in [1, 20]: {order}")
     n = 1 << order
     arcs = []
     for s in range(n):
@@ -281,6 +288,7 @@ def system_to_json(sys: TransitionSystem) -> dict:
 
 
 def system_from_json(data) -> TransitionSystem:
+    """Check the JSON shape; the constructor checks the values."""
     if not isinstance(data, dict):
         raise SystemValidationError("system JSON must be an object")
     unknown = set(data) - {"n", "arcs", "labels"}
@@ -288,23 +296,9 @@ def system_from_json(data) -> TransitionSystem:
         raise SystemValidationError(f"unknown keys in system JSON: {sorted(unknown)}")
     if "n" not in data or "arcs" not in data:
         raise SystemValidationError("system JSON needs 'n' and 'arcs'")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SystemValidationError("'n' must be an integer")
-    arcs = data["arcs"]
-    if not isinstance(arcs, list):
-        raise SystemValidationError("'arcs' must be a list")
-    parsed = []
-    for arc in arcs:
-        if not isinstance(arc, list) or len(arc) != 3:
-            raise SystemValidationError(f"arc must be [source, target, weight]: {arc!r}")
-        s, t, w = arc
-        if not isinstance(s, int) or not isinstance(t, int) or isinstance(s, bool) or isinstance(t, bool):
-            raise SystemValidationError(f"arc endpoints must be integers: {arc!r}")
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise SystemValidationError(f"arc weight must be a number: {arc!r}")
-        parsed.append((s, t, w))
-    labels = data.get("labels")
-    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+    arcs, labels = data["arcs"], data.get("labels")
+    if not (isinstance(arcs, list) and all(isinstance(arc, list) for arc in arcs)):
+        raise SystemValidationError("'arcs' must be an array of [source, target, weight] arrays")
+    if labels is not None and not isinstance(labels, list):
         raise SystemValidationError("'labels' must be an array of strings")
-    return TransitionSystem(n, parsed, labels=labels)
+    return TransitionSystem(data["n"], arcs, labels=labels)

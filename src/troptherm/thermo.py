@@ -93,7 +93,8 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def strongly_connected_components(sys: TransitionSystem) -> List[Tuple[int, ...]]:
-    return strongly_connected(range(sys.n), ((s, t) for s, t, _ in sys.arcs))
+    src, tgt, _ = sys.arc_arrays
+    return strongly_connected(range(sys.n), zip(src.tolist(), tgt.tolist()))
 
 
 def log_ruelle_apply(sys: TransitionSystem, log_u: Sequence[float], beta: float) -> np.ndarray:
@@ -216,14 +217,14 @@ def spectral_data(
         raise BetaRangeError("beta must be positive")
     if beta > beta_max:
         raise BetaRangeError(f"beta {beta} exceeds the overflow guard {beta_max}")
-    if not sys.arcs:
+    n = sys.n
+    src, tgt, w = sys.arc_arrays
+    if len(w) == 0:
         raise ValueError("system has no arcs")
     comps = strongly_connected_components(sys)
     if len(comps) > 1:
         raise ReducibleSystemError(comps)
 
-    n = sys.n
-    src, tgt, w = sys.arc_arrays
     if q is None:
         q = _karp_mean(n, src, tgt, w)
     lw = beta * (w - q)

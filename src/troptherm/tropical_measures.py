@@ -143,12 +143,14 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
     if not is_invariant(sys, b):
         raise ValueError("ergodicity presupposes an invariant density")
     total = b.values.sup()
+    src, tgt, _ = sys.arc_arrays
+    image = dict(zip(src.tolist(), tgt.tolist()))  # one arc per source
     for x in range(sys.n):
         seen = set()
         y = x
         while y not in seen:
             seen.add(y)
-            y = sys.image(y)
+            y = image[y]
         limit = b[y]  # constant on the terminal cycle
         if b[x].is_neg_inf:
             if not limit.is_neg_inf:

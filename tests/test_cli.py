@@ -14,7 +14,7 @@ import pytest
 import troptherm
 import troptherm.cli as cli
 import troptherm.zerotemp as zerotemp
-from troptherm.dynamics import TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
+from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import report_from_json
 from troptherm.thermo import ConvergenceError
 
@@ -229,10 +229,18 @@ def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
     assert calls == list(zerotemp.DEFAULT_GRID)
 
 
-def test_cli_import_skips_networkx():
+def test_cli_import_skips_networkx(tmp_path):
+    # neither the import nor gen's default, strongly connected flavour
+    # loads networkx
     src = pathlib.Path(troptherm.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = "import sys, troptherm.cli; assert 'networkx' not in sys.modules, 'networkx imported'"
+    out = str(tmp_path / "gen.json")
+    code = (
+        "import sys, troptherm.cli as cli\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+        f"assert cli.main(['gen', '--seed', '1', '--n', '6', '--output', {out!r}]) == 0\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported by gen'\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -267,8 +275,9 @@ def test_lost_critical_cycle_exits_2(tmp_path, capsys):
 
 
 def test_bad_system_json_exits_2(tmp_path):
-    # a labels value that is not an array of strings, and an integer
-    # weight beyond float range
+    # a labels value that is not an array of strings, an integer weight
+    # beyond float range, and state counts above N_MAX (rejected before
+    # anything is sized: no allocation, no OverflowError traceback)
     src = pathlib.Path(troptherm.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     arcs = [[0, 0, 0.0], [0, 1, -1.0], [1, 0, -1.0], [1, 1, -3.0]]
@@ -278,6 +287,9 @@ def test_bad_system_json_exits_2(tmp_path):
         "huge_weight": {"n": 2, "arcs": arcs[:3] + [[1, 1, int("9" * 400)]]},
         "labels_null_int": {"n": 2, "arcs": arcs, "labels": [None, 1]},
         "labels_ints": {"n": 2, "arcs": arcs, "labels": [1, 2]},
+        "n_overflow": {"n": 10**20, "arcs": arcs[:1]},
+        "n_huge": {"n": 10**9, "arcs": arcs[:1]},
+        "n_above_max": {"n": N_MAX + 1, "arcs": arcs[:1]},
     }
     for name, data in cases.items():
         path = tmp_path / f"{name}.json"

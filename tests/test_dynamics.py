@@ -4,10 +4,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from troptherm.cli import _gen_system
 from troptherm.dynamics import (
+    N_MAX,
     PathRecord,
     SystemValidationError,
     TransitionSystem,
@@ -58,6 +60,18 @@ def test_constructor_flags_and_errors():
         TransitionSystem(1, [(0, 0, math.inf)])
     with pytest.raises(SystemValidationError):
         TransitionSystem(0, [])
+    # one rule for every caller: no bool endpoints, no string weights, one
+    # string label per state
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(2, [(True, 0, 2.5), (0, 1, 1.0)])
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(2, [(1, 0, "2.5"), (0, 1, 1.0)])
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(2, [(1, 0, 2.5), (0, 1, 1.0)], labels=[None, 1])
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(N_MAX + 1, [])
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(2.0, [(0, 1, 1.0)])
 
 
 def test_from_map_flags(fixc):
@@ -134,6 +148,10 @@ def test_json_round_trip(fixb):
     for order in range(3, 7):
         sys = discretize_doubling(order, lambda t: math.cos(2 * math.pi * t))
         assert system_from_json(json.loads(json.dumps(system_to_json(sys)))) == sys
+    # numpy scalars are stored as Python numbers, so what the constructor
+    # accepts writes as JSON and reads back
+    lib = TransitionSystem(np.int64(2), [(np.int64(0), 1, np.float64(-0.5)), (1, np.int32(0), 3)], labels=("a", "b"))
+    assert system_from_json(json.loads(json.dumps(system_to_json(lib)))) == lib
     with pytest.raises(SystemValidationError):
         system_from_json({"n": 2, "arcs": [[0, 1, 1.0]], "labels": ["a", None]})
     with pytest.raises(SystemValidationError):
