@@ -37,12 +37,13 @@ from .dynamics import (
     system_to_json,
 )
 from .ergodic_opt import ergodic_report, report_to_json
-from .maxplus_linalg import DEFAULT_TOL, strongly_connected
+from .maxplus_linalg import DEFAULT_TOL, check_tol, strongly_connected
 from .thermo import ConvergenceError
 from .zerotemp import (
     DEFAULT_GRID,
     MultiClassError,
     beta_sweep,
+    check_betas,
     ldp_residual,
     limit_diagnostics,
     rate_function,
@@ -100,29 +101,38 @@ def _json_scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _is_leaf(items) -> bool:
-    return not any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, items)))
+def _leaf_kinds(items) -> Optional[set]:
+    """The types of items, or None when one is a list, tuple or dict."""
+    kinds = set(map(type, items))
+    return None if any(issubclass(kind, (list, tuple, dict)) for kind in kinds) else kinds
 
 
-def _json_cells(cells: list) -> np.ndarray:
-    """The JSON text of each scalar in `cells`, as an object array.
+def _json_cells(cells: list, kinds: set) -> List[str]:
+    """The JSON text of each scalar in `cells`, whose types are `kinds`.
 
     Floats are keyed on their int64 bit pattern, so each distinct one is
     formatted once, 0.0 and -0.0 stay apart, and an int or a bool never
-    shares a text with an equal float.
+    shares a text with an equal float. When every cell is exactly a
+    float (phi, the eigen bases) the per-cell type mask is skipped.
     """
-    is_float = np.fromiter(map(isinstance, cells, repeat(float)), bool, len(cells))
-    floats = cells if is_float.all() else list(compress(cells, is_float))
+    all_float = kinds <= {float}
+    if all_float:
+        floats = cells
+    else:
+        is_float = np.fromiter(map(isinstance, cells, repeat(float)), bool, len(cells))
+        floats = list(compress(cells, is_float))
     bits, inverse = np.unique(np.array(floats, dtype=np.float64).view(np.int64), return_inverse=True)
     unique = bits.view(np.float64)
     formatted = np.array(list(map(float.__repr__, unique.tolist())), dtype=object)
     special = ~np.isfinite(unique)  # repr writes inf and nan
     formatted[special] = list(map(_json_float, unique[special].tolist()))
+    if all_float:
+        return formatted[inverse].tolist()
     texts = np.empty(len(cells), dtype=object)
     texts[is_float] = formatted[inverse]
     others = ~is_float
     texts[others] = list(map(_json_scalar, compress(cells, others)))
-    return texts
+    return texts.tolist()
 
 
 def _leaf_text(texts, depth: int) -> str:
@@ -140,14 +150,15 @@ def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
     formatted by one _json_cells call, then goes out one row per piece.
     """
     if isinstance(obj, (list, tuple)):
-        if _is_leaf(obj):
-            yield _leaf_text(_json_cells(obj), depth)
+        kinds = _leaf_kinds(obj)
+        if kinds is not None:
+            yield _leaf_text(_json_cells(obj, kinds), depth)
             return
         inner = "\n" + "  " * (depth + 1)
         sep = "[" + inner
         rows = all(isinstance(row, (list, tuple)) for row in obj)
-        if rows and _is_leaf(cells := list(chain.from_iterable(obj))):
-            texts, start = _json_cells(cells), 0
+        if rows and (kinds := _leaf_kinds(cells := list(chain.from_iterable(obj)))) is not None:
+            texts, start = _json_cells(cells, kinds), 0
             for row in obj:
                 yield sep + _leaf_text(texts[start : start + len(row)], depth + 1)
                 start, sep = start + len(row), "," + inner
@@ -216,6 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format != "csv":
         return _fail(EXIT_INPUT, "sweep emits CSV only")
+    check_betas(args.grid)
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
     if not report.uniquely_calibrated and not args.force:
@@ -281,6 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_ldp(args: argparse.Namespace) -> int:
     if args.format != "json":
         return _fail(EXIT_INPUT, "ldp emits JSON only")
+    check_betas(args.grid)  # in any order
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
     rate = rate_function(sys_, report=report, tol=args.tol)
@@ -459,6 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # rounding, and an eigenvector solve that hits its step cap all exit 2
     # with a message
     try:
+        check_tol(args.tol)
         return args.func(args)
     except MultiClassError as exc:
         return _fail(EXIT_MULTICLASS, str(exc))

@@ -22,6 +22,8 @@ import numpy as np
 from .tropical_core import NEG_INF, TropValue, TropVector, array_mul, as_trop
 
 DEFAULT_TOL = 1e-9
+# cells of one gathered block in the closure: 256 KiB of float64
+_BLOCK_CELLS = 1 << 15
 
 _NINF = -math.inf
 
@@ -35,6 +37,13 @@ class PositiveCycleError(ValueError):
         super().__init__(
             f"positive cycle mean {mean:.6g} on cycle {cycle}; closure diverges"
         )
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0: an infinite
+    one makes every arc critical, a negative or NaN one none."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0: {tol!r}")
 
 
 def _weight_array(grid) -> np.ndarray:
@@ -134,20 +143,42 @@ def _raise_to(dst: np.ndarray, cand: np.ndarray) -> None:
     np.copyto(dst, cand, where=cand > dst)
 
 
+def _relax(a: np.ndarray, rows: np.ndarray, k: int) -> None:
+    # gathered in blocks of about _BLOCK_CELLS cells, so the temporaries
+    # stay in cache: a whole n x n temporary per k is 8 MiB at n = 1,024
+    step = max(1, _BLOCK_CELLS // a.shape[1])
+    for lo in range(0, rows.size, step):
+        block = rows[lo : lo + step]
+        sub = a[block]
+        _raise_to(sub, sub[:, k, None] + a[k])
+        a[block] = sub
+
+
 def _closure(a: np.ndarray) -> np.ndarray:
     """Floyd-Warshall all-pairs maximum path weight, paths of length >= 1,
     computed in place.
 
     Only valid when every cycle mean is <= 0 (up to rounding). For each
-    k the rows are relaxed against row k in index order: rows before k
-    see row k as it was, rows after k see it after its own update. Row k
-    changes only when a[k, k] > 0, which Karp's rounding allows, so this
-    ordering is what keeps the result bit for bit the scalar recurrence.
+    k only the rows i with a[i, k] > -inf are relaxed against row k: the
+    candidates of any other row are -inf + a[k, j] = -inf (a[k, j] is
+    never +inf), which never pass the strict > test. On the doubling
+    models at most a quarter of a column is finite on average over k,
+    so most of the O(n³) work is skipped; a dense matrix still costs
+    O(n³). Row k changes only when a[k, k] > 0, which Karp's rounding
+    allows; then the rows before k see row k as it was and the rows
+    after k see it after its own update. That ordering keeps the result
+    bit for bit the scalar recurrence.
     """
     for k in range(a.shape[0]):
-        _raise_to(a[:k], a[:k, k, None] + a[k])
-        _raise_to(a[k], a[k, k] + a[k])
-        _raise_to(a[k + 1 :], a[k + 1 :, k, None] + a[k])
+        live = np.flatnonzero(a[:, k] > _NINF)
+        if a[k, k] > 0:
+            cut = np.searchsorted(live, k)  # live[cut] == k
+            _relax(a, live[:cut], k)
+            _raise_to(a[k], a[k, k] + a[k])
+            _relax(a, live[cut + 1 :], k)
+        else:
+            # row k does not move, so every live row sees the same row k
+            _relax(a, live, k)
     return a
 
 
@@ -216,6 +247,7 @@ class _TropicalPass:
     """
 
     def __init__(self, n, src, tgt, w, tol: float, normalized: bool = False):
+        check_tol(tol)
         self.n, self.tol = n, tol
         self.mean = _karp_mean(n, src, tgt, w)
         if normalized and self.mean > tol:

@@ -47,6 +47,13 @@ class BetaRangeError(ValueError):
     """Requested inverse temperature is outside the guarded range."""
 
 
+def check_beta(beta: float) -> None:
+    """Refuse a beta that is not a finite positive number, before any
+    arithmetic on it (nan <= 0 is False, and inf * v warns)."""
+    if not 0 < beta < math.inf:
+        raise BetaRangeError(f"beta must be a finite positive number: {beta!r}")
+
+
 class ConvergenceError(RuntimeError):
     """The eigenvector iteration hit its step cap."""
 
@@ -213,8 +220,7 @@ def spectral_data(
     The pressure is the Rayleigh quotient of the undamped operator at
     the converged right vector, weighted by the left one.
     """
-    if beta <= 0:
-        raise BetaRangeError("beta must be positive")
+    check_beta(beta)
     if beta > beta_max:
         raise BetaRangeError(f"beta {beta} exceeds the overflow guard {beta_max}")
     n = sys.n
@@ -315,8 +321,7 @@ def log_moment(
     states at large beta underflow in linear space, and their moments are
     only recoverable from the log representation.
     """
-    if beta <= 0:
-        raise BetaRangeError("beta must be positive")
+    check_beta(beta)
     f = np.asarray(f, dtype=float)
     if measure_is_log:
         logm = np.asarray(measure, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport, ergodic_report
 from .maxplus_linalg import DEFAULT_TOL
-from .thermo import SpectralData, log_moment, normalized_potential, spectral_data
+from .thermo import SpectralData, check_beta, log_moment, normalized_potential, spectral_data
 from .tropical_core import TropVector, array_mul, array_sup, floats_to_json
 from .tropical_measures import Density
 
@@ -87,12 +87,19 @@ class LimitDiagnostics:
     divergence_ok: bool
 
 
-def _check_grid(grid: Sequence[float]) -> Tuple[float, ...]:
+def check_betas(grid: Sequence[float]) -> Tuple[float, ...]:
+    """The grid as floats; ValueError when it is empty or holds a beta
+    that is not a finite positive number."""
     grid = tuple(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta grid")
-    if any(b <= 0 for b in grid):
-        raise ValueError("beta grid entries must be positive")
+    for b in grid:
+        check_beta(b)
+    return grid
+
+
+def _check_grid(grid: Sequence[float]) -> Tuple[float, ...]:
+    grid = check_betas(grid)
     if any(b1 >= b2 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
     return grid
@@ -174,6 +181,7 @@ def seeded_spectral_data(
 ) -> SpectralData:
     """spectral_data at beta started from beta times the rate function's
     limit pair (v, b), as in beta_sweep; q as in spectral_data."""
+    check_beta(beta)
     return spectral_data(
         sys,
         beta,

@@ -15,7 +15,7 @@ import troptherm
 import troptherm.cli as cli
 import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
-from troptherm.ergodic_opt import report_from_json
+from troptherm.ergodic_opt import ergodic_report, report_from_json, report_to_json
 from troptherm.thermo import ConvergenceError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -307,6 +307,41 @@ def test_bad_system_json_exits_2(tmp_path):
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    # an infinite tol made every arc critical (gen seed 1 reported the
+    # cycle [0, 0] over a missing arc); a negative or nan one, none
+    path = str(tmp_path / "gen1.json")
+    assert cli.main(["gen", "--seed", "1", "--output", path]) == 0
+    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for tol in ("inf", "-1", "nan"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "troptherm.cli", "analyze", "--input", path, f"--tol={tol}"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_INPUT, (tol, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: tol must be") and proc.stderr.count("\n") == 1, proc.stderr
+    assert cli.main(["analyze", "--input", path, "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["Q"] == ergodic_report(system_from_json(json.loads(pathlib.Path(path).read_text()))).Q
+
+
+def test_bad_beta_grid_exits_2(tmp_path, fixa, capsys):
+    # refused before any arithmetic: nan slipped past `beta <= 0`, and
+    # inf * v warned before the range check
+    path = _dump(tmp_path, "fixa.json", fixa)
+    for command in ("sweep", "ldp"):
+        for grid in ("nan", "inf", "10,nan", "-1", "0", ","):
+            assert cli.main([command, "--input", path, f"--grid={grid}"]) == cli.EXIT_INPUT, (command, grid)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, grid, err)
+    assert cli.main(["ldp", "--input", path, "--grid", "100,10"]) == 0  # any order
+    assert json.loads(capsys.readouterr().out)["grid"] == [100.0, 10.0]
+
+
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):
     path = _dump(tmp_path, "fixa.json", fixa)
     assert cli.main(["ldp", "--input", path, "[0, 5"]) == cli.EXIT_INPUT
@@ -461,3 +496,32 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
             assert out.read_bytes() == (json.dumps(payloads[-1], indent=2) + "\n").encode()
             checked += 1
     assert checked == 37  # 8 gen, 13 analyze, 9 ldp and 7 oracle files
+
+
+def test_json_writer_all_float_matrices(tmp_path):
+    # matrices whose cells are all exactly float take the path without a
+    # per-cell type mask; one np.float64 or int sends a matrix down the
+    # general path, and both paths give the same texts
+    out = tmp_path / "out.json"
+    matrices = [
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[math.inf, -math.inf, math.nan], [1.5, -0.0, 0.1]],
+        [[1.0], [], [2.0, 3.0, 0.0, -0.0]],
+        [[]],
+        [[0.25, -1e300, 5e-324]] * 3,
+        [[1.0, np.float64(-0.0)], [0.0, 2.0]],
+        [[1.0, 2], [2.0, -0.0]],
+    ]
+    for phi in matrices:
+        payload = {"phi": phi, "row": phi[0]}
+        cli._write_json(str(out), payload)
+        assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode(), phi
+        cells = [x for row in phi for x in row]
+        assert cli._json_cells(cells, cli._leaf_kinds(cells)) == cli._json_cells(cells, {float, int}), phi
+
+
+def test_analyze_doubling8_equals_json_dumps(tmp_path):
+    sys_ = discretize_doubling(8, lambda t: math.cos(2 * math.pi * t))
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--input", _dump(tmp_path, "doubling8.json", sys_), "--output", str(out)]) == 0
+    assert out.read_bytes() == (json.dumps(report_to_json(ergodic_report(sys_)), indent=2) + "\n").encode()

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from troptherm.bruteforce import enum_max_cycle_mean
+from troptherm.cli import _gen_system
 from troptherm.dynamics import TransitionSystem, discretize_doubling
 from troptherm.maxplus_linalg import (
+    DEFAULT_TOL,
     PositiveCycleError,
     TropMatrix,
+    _TropicalPass,
     _closure,
     _karp_mean,
     critical_classes,
@@ -321,3 +324,43 @@ def test_array_pass_matches_scalar_loops_bitwise():
         shifted = [[w - mean if w > NI else NI for w in row] for row in grid]
         want = np.array(_closure_loops(shifted))
         assert _closure(np.array(shifted)).tobytes() == want.tobytes()
+
+
+def _closure_dense(a):
+    """Reference for the closure: every row relaxed against row k at each k,
+    whatever its a[i, k], rows before k first, then row k, then the rest.
+
+    Also counts the steps at which some a[i, k] is -inf (rows the closure
+    skips) and those at which a[k, k] > 0 (row k moves).
+    """
+    skips = moves = 0
+    for k in range(a.shape[0]):
+        skips += bool((a[:, k] == NI).any())
+        moves += bool(a[k, k] > 0)
+        for rows, col in ((a[:k], a[:k, k, None]), (a[k], a[k, k]), (a[k + 1 :], a[k + 1 :, k, None])):
+            cand = col + a[k]
+            np.copyto(rows, cand, where=cand > rows)
+    return a, skips, moves
+
+
+def test_closure_skipping_rows_matches_dense_bitwise():
+    # the doubling models and the gen systems, shifted by their Karp mean,
+    # and sparse grids with fractional weights: the shift leaves closure
+    # diagonals a few ulp above 0, so row k moves at some steps
+    systems = [discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)) for order in range(6, 10)]
+    systems += [_gen_system(seed, None, flag) for seed in range(200) for flag in (False, True)]
+    grids = [_TropicalPass(s.n, *s.arc_arrays, DEFAULT_TOL).grid for s in systems]
+    rng = np.random.default_rng(29)
+    for _ in range(120):
+        n = int(rng.integers(2, 81))
+        weights = rng.uniform(-5, 5, (n, n)).round(3)
+        grid = np.where(rng.random((n, n)) < rng.uniform(0.02, 0.3), weights, NI)
+        mean = _karp_mean(n, *np.nonzero(grid > NI), grid[grid > NI])
+        if mean > NI:
+            grids.append(np.where(grid > NI, grid - mean, NI))
+    skips = moves = 0
+    for grid in grids:
+        want, skipped, moved = _closure_dense(grid.copy())
+        assert _closure(grid.copy()).tobytes() == want.tobytes()
+        skips, moves = skips + skipped, moves + moved
+    assert skips > 0 and moves > 0
