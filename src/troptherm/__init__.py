@@ -1,11 +1,12 @@
 """Max-plus (tropical) thermodynamic formalism on finite transition systems.
 
 Layers, bottom up: the scalar semiring (tropical_core), densities and
-functionals (tropical_measures), max-plus matrix algebra
+functionals (tropical_measures), the max-plus tropical pass
 (maxplus_linalg), weighted transition systems with the Bousch operator
-and its adjoint (dynamics), ergodic optimization (ergodic_opt), the
-classical Ruelle side (thermo), and zero-temperature diagnostics
-(zerotemp). The cli module exposes all of it as batch commands.
+and its adjoint (dynamics), ergodic optimization (ergodic_opt, the one
+front end to the tropical pass), the classical Ruelle side (thermo), and
+zero-temperature diagnostics (zerotemp). The cli module exposes all of
+it as batch commands.
 """
 
 from .tropical_core import (
@@ -18,7 +19,7 @@ from .tropical_core import (
     t_mul,
 )
 from .tropical_measures import Density, TropicalFunctional
-from .maxplus_linalg import CycleMeanResult, TropMatrix
+from .maxplus_linalg import TropMatrix
 from .dynamics import PathRecord, TransitionSystem
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "t_mul",
     "Density",
     "TropicalFunctional",
-    "CycleMeanResult",
     "TropMatrix",
     "PathRecord",
     "TransitionSystem",

@@ -191,7 +191,10 @@ def _write_json(path: Optional[str], payload) -> None:
 
 def _load_system(path: str) -> TransitionSystem:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return system_from_json(data)
 
 
@@ -303,7 +306,7 @@ def cmd_ldp(args: argparse.Namespace) -> int:
         for raw in args.observables:
             try:
                 vec = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 return _fail(EXIT_INPUT, f"bad observable {raw!r}: {exc}")
             if (
                 not isinstance(vec, list)
@@ -469,8 +472,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # one place maps errors to exit codes: unreadable or invalid input,
     # library refusals such as an acyclic system or a critical graph lost to
-    # rounding, and an eigenvector solve that hits its step cap all exit 2
-    # with a message
+    # rounding, an eigenvector solve that hits its step cap, and a system
+    # too large for memory all exit 2 with a message
     try:
         check_tol(args.tol)
         return args.func(args)
@@ -478,6 +481,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_MULTICLASS, str(exc))
     except (OSError, ValueError, ConvergenceError) as exc:
         return _fail(EXIT_INPUT, str(exc))
+    except MemoryError as exc:  # numpy's names the allocation, a bare one nothing
+        return _fail(EXIT_INPUT, f"out of memory: {exc}" if str(exc) else "out of memory")
 
 
 if __name__ == "__main__":

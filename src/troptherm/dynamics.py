@@ -50,9 +50,9 @@ class PathRecord:
 class TransitionSystem:
     """Immutable weighted digraph with the potential charged at arc sources.
 
-    The constructor is the one validator. The store is the (source,
-    target) -> weight dict in arc order, plus read-only arc arrays built
-    from it once; everything else is read off these.
+    The constructor is the one validator (`shifted` rechecks only the
+    moved weights). The store is the (source, target) -> weight dict in
+    arc order, plus read-only arc arrays; everything is read off these.
     """
 
     __slots__ = ("_n", "_weight", "_arc_arrays", "_labels")
@@ -158,10 +158,18 @@ class TransitionSystem:
         return int(np.bincount(self._arc_arrays[1], minlength=self._n).max())
 
     def shifted(self, delta: float) -> "TransitionSystem":
-        """Same arcs with every weight moved by delta."""
-        return TransitionSystem(
-            self._n, [(s, t, w + delta) for s, t, w in self.arcs], self._labels
-        )
+        """Same arcs with every weight moved by delta, bit for bit what the
+        constructor would store; only the moved weights are checked again."""
+        src, tgt, w = self._arc_arrays
+        with np.errstate(over="ignore"):
+            w = w + delta
+        if not np.isfinite(w).all():
+            raise SystemValidationError(f"arc weight must be finite: shifted by {delta!r}")
+        w.flags.writeable = False
+        out = object.__new__(TransitionSystem)
+        out._n, out._labels, out._arc_arrays = self._n, self._labels, (src, tgt, w)
+        out._weight = dict(zip(self._weight, w.tolist()))
+        return out
 
     def to_matrix(self) -> TropMatrix:
         src, tgt, w = self._arc_arrays

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_from_json, system_to_json
-from .maxplus_linalg import DEFAULT_TOL, TropMatrix, _karp_mean, _TropicalPass
+from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, TropMatrix, _karp_mean, _TropicalPass
 from .tropical_core import TropVector, array_mul, floats_to_json, sup_distance
 from .tropical_measures import Density
 
@@ -76,15 +76,18 @@ def mane_potential(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ManeMatri
     """All-pairs maximum normalized path weight, Aubry set, critical classes.
 
     Requires a normalized system: a positive cycle mean makes the path
-    supremum diverge, a negative one empties the Aubry set.
+    supremum diverge (reported with a maximizing cycle), a negative one
+    empties the Aubry set. A mean within tol of 0 is shifted away.
     """
-    p = _TropicalPass(sys.n, *sys.arc_arrays, tol, normalized=True)
+    p = _TropicalPass(sys.n, *sys.arc_arrays, tol)
     if p.mean == _NINF:
         raise ValueError("acyclic system has no normalized potential")
     if p.mean < -tol:
         raise ValueError(
-            f"system is not normalized: max cycle mean {p.mean:.6g} < 0 would empty the Aubry set"
+            f"system is not normalized (max cycle mean {p.mean:.6g} < 0 would empty the Aubry set)"
         )
+    if p.mean > tol:
+        raise PositiveCycleError(p.mean, p.witness)
     return _mane(p)
 
 

@@ -1,25 +1,26 @@
-"""Max-plus matrices: cycle means, Kleene closures, critical graph, eigenproblem.
+"""Max-plus matrices and the one tropical pass: cycle means, Kleene
+closures, the critical graph.
 
 Matrix entry (i, j) is the weight of the arc i -> j; -inf marks a missing
 arc. Weights come from real potentials, so +inf never appears here and
 the arithmetic runs on float64 arrays (the only infinity in play is
 -inf, which is safe under + and max). One tropical pass serves every
-question about a matrix: Karp's maximum cycle mean over the arcs, then
-one Kleene closure, from which the critical arcs, a maximizing cycle,
-the Aubry set and the critical classes are all read.
+question about a system (its front end is `ergodic_opt`): Karp's maximum
+cycle mean over the arcs, then one Kleene closure of the weights shifted
+by it, from which the critical arcs, a maximizing cycle, the Aubry set
+and the critical classes are all read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import NEG_INF, TropValue, TropVector, array_mul, as_trop
+from .tropical_core import TropValue, as_trop
 
 DEFAULT_TOL = 1e-9
 # cells of one gathered block in the closure: 256 KiB of float64
@@ -100,23 +101,6 @@ class TropMatrix:
     def to_floats(self) -> List[List[float]]:
         """Plain float grid with -inf for missing arcs."""
         return self._a.tolist()
-
-    def _arc_arrays(self) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        src, tgt = np.nonzero(self._a > _NINF)
-        return self.n, src, tgt, self._a[src, tgt]
-
-
-@dataclass
-class CycleMeanResult:
-    mean: TropValue
-    witness: List[int]  # one maximizing simple cycle, empty when acyclic
-
-
-def mat_vec(M: TropMatrix, v: TropVector) -> TropVector:
-    """out(j) = ⊕_i M(i,j) ⊗ v(i): push values along arcs into their targets."""
-    if len(v) != M.n:
-        raise ValueError(f"dimension mismatch: matrix {M.n}, vector {len(v)}")
-    return TropVector(array_mul(M.array, v.array[:, None]).max(axis=0))
 
 
 def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float:
@@ -241,20 +225,16 @@ class _TropicalPass:
     """One tropical analysis of a max-plus matrix given by its arcs.
 
     Karp runs once, on construction. The closure runs at most once, on
-    the matrix shifted by the mean, or unshifted when the caller states
-    that the matrix is already normalized (a positive mean is then
-    reported with a witness). Everything else is read off that closure.
+    the weights shifted by the mean. Everything else is read off that
+    closure.
     """
 
-    def __init__(self, n, src, tgt, w, tol: float, normalized: bool = False):
+    def __init__(self, n, src, tgt, w, tol: float):
         check_tol(tol)
         self.n, self.tol = n, tol
         self.mean = _karp_mean(n, src, tgt, w)
-        if normalized and self.mean > tol:
-            raise PositiveCycleError(self.mean, _TropicalPass(n, src, tgt, w, tol).witness)
-        # x - 0.0 is x bit for bit; the weights shifted by an acyclic
-        # graph's -inf mean are never read
-        self._arcs = (src, tgt, w - (0.0 if normalized else self.mean))
+        # the weights shifted by an acyclic graph's -inf mean are never read
+        self._arcs = (src, tgt, w - self.mean)
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -321,46 +301,3 @@ class _TropicalPass:
             f"no cycle is critical within tol {self.tol:g} at Q = {self.mean!r}: "
             "rounding at this weight scale exceeds the tolerance"
         )
-
-
-def max_cycle_mean(M: TropMatrix, tol: float = DEFAULT_TOL) -> CycleMeanResult:
-    """Karp's maximum cycle mean plus one deterministic witness cycle."""
-    p = _TropicalPass(*M._arc_arrays(), tol)
-    if p.mean == _NINF:
-        return CycleMeanResult(mean=NEG_INF, witness=[])
-    return CycleMeanResult(mean=TropValue(p.mean), witness=p.witness)
-
-
-def kleene_plus(M: TropMatrix, tol: float = DEFAULT_TOL) -> TropMatrix:
-    """M⁺ = ⊕_{k>=1} M^⊗k, the all-pairs maximum path weight.
-
-    Requires every cycle mean <= 0 (+tol); a positive-mean cycle is
-    reported with a witness instead of silently diverging.
-    """
-    return TropMatrix.from_floats(_TropicalPass(*M._arc_arrays(), tol, normalized=True).plus)
-
-
-def critical_nodes(M: TropMatrix, tol: float = DEFAULT_TOL) -> Tuple[int, ...]:
-    """Nodes on a zero-weight cycle of a normalized matrix: |M⁺(i,i)| <= tol."""
-    return _TropicalPass(*M._arc_arrays(), tol, normalized=True).aubry
-
-
-def critical_classes(M: TropMatrix, tol: float = DEFAULT_TOL) -> List[Tuple[int, ...]]:
-    """Strongly connected classes of the zero-mean-cycle arc subgraph."""
-    p = _TropicalPass(*M._arc_arrays(), tol)
-    return [] if p.mean == _NINF else p.classes
-
-
-def eigenproblem(
-    M: TropMatrix, tol: float = DEFAULT_TOL
-) -> Tuple[TropValue, List[TropVector]]:
-    """Tropical eigenvalue and one eigenvector per critical class.
-
-    λ is the maximum cycle mean; the basis vectors are the rows
-    (M - λ)⁺(x, ·) for one representative x per critical class. Each
-    satisfies mat_vec(M, v) = λ ⊗ v.
-    """
-    p = _TropicalPass(*M._arc_arrays(), tol)
-    if p.mean == _NINF:
-        raise ValueError("acyclic matrix has no tropical eigenvalue")
-    return TropValue(p.mean), [TropVector(p.plus[cls[0]]) for cls in p.classes]

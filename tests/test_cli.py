@@ -13,6 +13,7 @@ import pytest
 
 import troptherm
 import troptherm.cli as cli
+import troptherm.maxplus_linalg as maxplus_linalg
 import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report, report_from_json, report_to_json
@@ -305,6 +306,40 @@ def test_bad_system_json_exits_2(tmp_path):
             assert proc.returncode == cli.EXIT_INPUT, (name, command, proc.stderr)
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a valid 200,000-state cycle asks Karp for a 298 GiB walk table;
+    # numpy's MemoryError names the allocation, a bare one says nothing.
+    # Both are raised by hand, so that nothing is allocated
+    n = 200_000
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"n": n, "arcs": [[i, (i + 1) % n, 0.0] for i in range(n)]}))
+    numpy_text = "Unable to allocate 298. GiB for an array with shape (200001, 200000) and data type float64"
+    for detail, line in (((numpy_text,), f"error: out of memory: {numpy_text}\n"), ((), "error: out of memory\n")):
+
+        def too_large(n, src, tgt, w):
+            raise MemoryError(*detail)
+
+        monkeypatch.setattr(maxplus_linalg, "_karp_mean", too_large)
+        assert cli.main(["analyze", "--input", str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", line)
+
+
+def test_deep_json_nesting_exits_2(tmp_path, fixa, capsys):
+    # json's decoder raises RecursionError, not JSONDecodeError, on deep
+    # nesting: in a system file and in an ldp observable
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for command in ("analyze", "sweep", "ldp", "oracle"):
+        assert cli.main([command, "--input", str(deep)]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert "nested too deeply" in err
+    path = _dump(tmp_path, "fixa.json", fixa)
+    assert cli.main(["ldp", "--input", path, "[" * 5000 + "]" * 5000]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad observable ") and err.count("\n") == 1
 
 
 def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):

@@ -140,6 +140,30 @@ def test_birkhoff_sum(fixa, fixc):
         birkhoff_sum(fixc, PathRecord([0, 2]))
 
 
+def test_shifted_equals_constructor():
+    # shifted builds its store from the validated one: the same arcs,
+    # weights bit for bit (signed zeros included) and labels as the
+    # constructor gives on the moved arcs
+    systems = [discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)) for order in range(3, 9)]
+    systems += [_gen_system(seed, None, False) for seed in range(50)]
+    for sys in systems:
+        mean = float(np.max(sys.arc_arrays[2]))
+        for delta in (-mean, 0.1, -0.0, np.float64(-2.5e-17), -3):
+            got = sys.shifted(delta)
+            want = TransitionSystem(sys.n, [(s, t, w + delta) for s, t, w in sys.arcs], sys.labels)
+            assert got == want
+            assert repr(got.arcs) == repr(want.arcs)
+            assert all(type(w) is float for _, _, w in got.arcs)
+            for a, b in zip(got.arc_arrays, want.arc_arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
+            assert got.labels == want.labels
+    # the moved weights are checked again: overflow and nan are refused
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(1, [(0, 0, 1e308)]).shifted(1e308)
+    with pytest.raises(SystemValidationError):
+        TransitionSystem(1, [(0, 0, 1.0)]).shifted(math.nan)
+
+
 def test_json_round_trip(fixb):
     data = system_to_json(fixb)
     again = system_from_json(data)

@@ -70,11 +70,22 @@ def test_mane_potential_fixc(fixc):
     assert all(mane.phi.entry(i, i).finite == 0.0 for i in range(3))
 
 
-def test_mane_potential_rejects_unnormalized(fixc):
-    with pytest.raises(PositiveCycleError):
+def test_mane_potential_rejects_unnormalized(fixc, one_state):
+    # a positive mean is reported with its maximizing cycle, read off the
+    # same pass
+    with pytest.raises(PositiveCycleError) as err:
         mane_potential(fixc)  # Q = 2
-    with pytest.raises(ValueError):
+    assert err.value.mean == 2.0 and err.value.cycle == [0, 1, 2]
+    with pytest.raises(PositiveCycleError) as err:
+        mane_potential(one_state)  # Q = 1.5
+    assert err.value.mean == 1.5 and err.value.cycle == [0]
+    with pytest.raises(ValueError, match="not normalized"):
         mane_potential(fixc.shifted(-3.0))  # mean -1
+    with pytest.raises(ValueError, match="acyclic"):
+        mane_potential(TransitionSystem(2, [(0, 1, 0.0)]))
+    # within tol of 0 the mean is shifted away, as in ergodic_report
+    near = fixc.shifted(-2.0 + 1e-12)
+    assert mane_potential(near).phi == ergodic_report(near).mane.phi
 
 
 def test_subaction_limsup_examples(fixa, fixc):

@@ -1,4 +1,9 @@
-"""Karp means, Kleene closures, critical structure, eigenproblem."""
+"""Karp means, Kleene closures, critical structure, eigenproblem.
+
+The tropical pass is reached through its one front end, ergodic_opt on a
+TransitionSystem; the closure of a matrix with a negative mean is read
+from _closure directly.
+"""
 
 import math
 import random
@@ -8,29 +13,19 @@ import pytest
 
 from troptherm.bruteforce import enum_max_cycle_mean
 from troptherm.cli import _gen_system
-from troptherm.dynamics import TransitionSystem, discretize_doubling
+from troptherm.dynamics import PathRecord, TransitionSystem, bousch_apply, discretize_doubling
+from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy, normalize
 from troptherm.maxplus_linalg import (
     DEFAULT_TOL,
-    PositiveCycleError,
     TropMatrix,
     _TropicalPass,
     _closure,
     _karp_mean,
-    critical_classes,
-    critical_nodes,
-    eigenproblem,
-    kleene_plus,
-    mat_vec,
-    max_cycle_mean,
     strongly_connected,
 )
 from troptherm.tropical_core import NEG_INF, TropValue, TropVector, as_trop, sup_distance, t_add, t_mul
 
 NI = -math.inf
-
-
-def mat(rows):
-    return TropMatrix.from_floats(rows)
 
 
 def tv(*xs):
@@ -40,96 +35,91 @@ def tv(*xs):
 FIXA = [[0.0, -1.0], [-1.0, -3.0]]
 
 
-def _random_matrix(rng, n_max=12):
+def _random_grid(rng, n_max=12):
     n = rng.randint(2, n_max)
-    rows = [
+    return [
         [float(rng.randint(-5, 5)) if rng.random() < 0.4 else NI for _ in range(n)]
         for _ in range(n)
     ]
-    return mat(rows)
 
 
-def _shift_to_nonpositive(m):
-    mean = max_cycle_mean(m).mean
-    if not mean.is_finite or mean.finite <= 0:
-        return m
-    shift = float(math.ceil(mean.finite))
-    rows = [
-        [w - shift if w > NI else NI for w in row]
-        for row in m.to_floats()
-    ]
-    return mat(rows)
+def _arcs(grid):
+    """n and the (sources, targets, weights) arrays of a grid, row-major."""
+    a = np.array(grid, dtype=float)
+    return (a.shape[0], *np.nonzero(a > NI), a[a > NI])
 
 
-def _matrix_system(m):
-    arcs = [
-        (i, j, w)
-        for i, row in enumerate(m.to_floats())
-        for j, w in enumerate(row)
-        if w > NI
-    ]
-    return TransitionSystem(m.n, arcs)
+def _shift_to_nonpositive(grid):
+    mean = _karp_mean(*_arcs(grid))
+    if mean <= 0:
+        return grid
+    shift = float(math.ceil(mean))
+    return [[w - shift if w > NI else NI for w in row] for row in grid]
+
+
+def _matrix_system(grid):
+    arcs = [(i, j, w) for i, row in enumerate(grid) for j, w in enumerate(row) if w > NI]
+    return TransitionSystem(len(grid), arcs)
 
 
 def test_matrix_rejects_pos_inf():
     with pytest.raises(ValueError):
-        mat([[math.inf]])
+        TropMatrix.from_floats([[math.inf]])
     with pytest.raises(ValueError):
-        mat([[0.0, 1.0]])  # not square
+        TropMatrix.from_floats([[0.0, 1.0]])  # not square
 
 
 def test_mat_vec_examples():
-    ident = mat([[0.0, NI], [NI, 0.0]])
+    ident = _matrix_system([[0.0, NI], [NI, 0.0]])
     v = tv(2, -1)
-    assert mat_vec(ident, v) == v
-    assert mat_vec(mat(FIXA), tv(0, -1)) == tv(0, -1)
-    empty = mat([[NI, NI], [NI, NI]])
-    assert mat_vec(empty, v) == TropVector([NEG_INF, NEG_INF])
+    assert bousch_apply(ident, v) == v
+    assert bousch_apply(_matrix_system(FIXA), tv(0, -1)) == tv(0, -1)
+    empty = TransitionSystem(2, [])
+    assert bousch_apply(empty, v) == TropVector([NEG_INF, NEG_INF])
 
 
 def test_mat_vec_orientation():
     # single arc 0 -> 1, weight 7: mass moves from entry 0 to entry 1
-    m = mat([[NI, 7.0], [NI, NI]])
-    assert mat_vec(m, tv(1, 0)) == TropVector([NEG_INF, as_trop(8)])
+    m = _matrix_system([[NI, 7.0], [NI, NI]])
+    assert bousch_apply(m, tv(1, 0)) == TropVector([NEG_INF, as_trop(8)])
 
 
 def test_max_cycle_mean_examples():
-    r = max_cycle_mean(mat(FIXA))
-    assert r.mean == TropValue(0.0)
-    assert r.witness == [0]
-    cyc = mat([[NI, 1.0, NI], [NI, NI, 2.0], [3.0, NI, NI]])
-    assert max_cycle_mean(cyc).mean == TropValue(2.0)
-    chain = mat([[NI, 1.0], [NI, NI]])
-    r = max_cycle_mean(chain)
-    assert r.mean == NEG_INF and r.witness == []
+    assert max_potential_energy(_matrix_system(FIXA)) == (0.0, PathRecord((0, 0)))
+    cyc = _matrix_system([[NI, 1.0, NI], [NI, NI, 2.0], [3.0, NI, NI]])
+    assert max_potential_energy(cyc)[0] == 2.0
+    chain = _matrix_system([[NI, 1.0], [NI, NI]])
+    with pytest.raises(ValueError, match="acyclic"):
+        max_potential_energy(chain)
 
 
 def test_witness_tie_breaks():
     # zero self-loops at 0 and 2: lowest index wins
     rows = [[0.0, NI, NI], [NI, NI, 0.0], [NI, 0.0, 0.0]]
-    assert max_cycle_mean(mat(rows)).witness == [0]
+    assert max_potential_energy(_matrix_system(rows))[1].states == (0, 0)
     # at the lowest critical node, the self-loop beats the 2-cycle
     rows = [[0.0, 0.0], [0.0, NI]]
-    assert max_cycle_mean(mat(rows)).witness == [0]
+    assert max_potential_energy(_matrix_system(rows))[1].states == (0, 0)
 
 
 def test_witness_is_simple_cycle_seeded():
     rng = random.Random(3)
     checked = 0
     for _ in range(100):
-        m = _random_matrix(rng, n_max=8)
-        r = max_cycle_mean(m)
-        if not r.mean.is_finite:
-            assert r.witness == []
+        grid = _random_grid(rng, n_max=8)
+        if _karp_mean(*_arcs(grid)) == NI:
+            with pytest.raises(ValueError, match="acyclic"):
+                max_potential_energy(_matrix_system(grid))
             continue
-        w = r.witness
+        mean, cycle = max_potential_energy(_matrix_system(grid))
+        w = list(cycle.states[:-1])
+        assert cycle.states[-1] == w[0]
         assert len(set(w)) == len(w)
-        grid = m.to_floats()
         total = 0.0
         for a, b in zip(w, w[1:] + [w[0]]):
             assert grid[a][b] > NI
             total += grid[a][b]
-        assert abs(total / len(w) - r.mean.finite) <= 1e-9
+        assert abs(total / len(w) - mean) <= 1e-9
         checked += 1
     assert checked > 50
 
@@ -137,39 +127,37 @@ def test_witness_is_simple_cycle_seeded():
 def test_karp_vs_enumeration_seeded():
     rng = random.Random(13)
     for _ in range(100):
-        m = _random_matrix(rng, n_max=8)
-        fast = max_cycle_mean(m).mean
-        slow = enum_max_cycle_mean(_matrix_system(m))
-        if fast.is_finite:
-            assert abs(fast.finite - slow) <= 1e-9
+        sys_ = _matrix_system(_random_grid(rng, n_max=8))
+        slow = enum_max_cycle_mean(sys_)
+        if slow == NI:
+            with pytest.raises(ValueError, match="acyclic"):
+                max_potential_energy(sys_)
         else:
-            assert slow == NI
+            assert abs(max_potential_energy(sys_)[0] - slow) <= 1e-9
 
 
 def test_kleene_plus_examples():
-    closure = kleene_plus(mat(FIXA))
-    assert closure.to_floats() == [[0.0, -1.0], [-1.0, -2.0]]
-    ident = mat([[0.0, NI], [NI, 0.0]])
-    assert kleene_plus(ident).to_floats() == ident.to_floats()
-    with pytest.raises(PositiveCycleError) as err:
-        kleene_plus(mat([[1.0]]))
-    assert err.value.mean > 0
-    assert err.value.cycle == [0]
+    phi = mane_potential(_matrix_system(FIXA)).phi
+    assert phi.to_floats() == [[0.0, -1.0], [-1.0, -2.0]]
+    ident = [[0.0, NI], [NI, 0.0]]
+    assert mane_potential(_matrix_system(ident)).phi.to_floats() == ident
+    # a negative mean: the closure itself, without the front end's refusal
+    assert _closure(np.array([[NI, -1.0], [-2.0, NI]])).tolist() == [[-3.0, -1.0], [-2.0, -3.0]]
 
 
 def test_kleene_fixed_point_seeded():
     rng = random.Random(41)
     for _ in range(100):
-        m = _shift_to_nonpositive(_random_matrix(rng))
-        plus = kleene_plus(m)
-        n = m.n
+        grid = _shift_to_nonpositive(_random_grid(rng))
+        plus = _closure(np.array(grid))
+        n = len(grid)
         for i in range(n):
             for j in range(n):
                 # M+ = M  (+)  M (x) M+
-                best = m.entry(i, j)
+                best = TropValue(grid[i][j])
                 for k in range(n):
-                    best = t_add(best, t_mul(m.entry(i, k), plus.entry(k, j)))
-                assert sup_distance(TropVector([best]), TropVector([plus.entry(i, j)])) <= 1e-9
+                    best = t_add(best, t_mul(TropValue(grid[i][k]), TropValue(plus[k, j])))
+                assert sup_distance(TropVector([best]), TropVector([plus[i, j]])) <= 1e-9
 
 
 def test_kleene_walk_oracle_exact():
@@ -177,9 +165,8 @@ def test_kleene_walk_oracle_exact():
     # length 1..2n, bit for bit
     rng = random.Random(59)
     for _ in range(60):
-        m = _shift_to_nonpositive(_random_matrix(rng, n_max=7))
-        n = m.n
-        grid = m.to_floats()
+        grid = _shift_to_nonpositive(_random_grid(rng, n_max=7))
+        n = len(grid)
         best = [row[:] for row in grid]
         power = [row[:] for row in grid]
         for _ in range(2 * n - 1):
@@ -191,62 +178,68 @@ def test_kleene_walk_oracle_exact():
                 for i in range(n)
             ]
             best = [[max(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(best, power)]
-        assert kleene_plus(m).to_floats() == best
+        assert _closure(np.array(grid)).tolist() == best
 
 
 def test_critical_nodes_examples():
-    assert critical_nodes(mat(FIXA)) == (0,)
-    cyc = mat([[NI, 1.0, NI], [NI, NI, 0.0], [-1.0, NI, NI]])
-    assert critical_nodes(cyc) == (0, 1, 2)
+    assert mane_potential(_matrix_system(FIXA)).aubry == (0,)
+    cyc = _matrix_system([[NI, 1.0, NI], [NI, NI, 0.0], [-1.0, NI, NI]])
+    assert mane_potential(normalize(cyc)).aubry == (0, 1, 2)
+    assert ergodic_report(cyc).mane.aubry == (0, 1, 2)
 
 
 def test_critical_nodes_nonempty_after_normalization():
     rng = random.Random(67)
+    checked = 0
     for _ in range(60):
-        m = _random_matrix(rng, n_max=8)
-        r = max_cycle_mean(m)
-        if not r.mean.is_finite:
+        sys_ = _matrix_system(_random_grid(rng, n_max=8))
+        if enum_max_cycle_mean(sys_) == NI:
             continue
-        rows = [
-            [w - r.mean.finite if w > NI else NI for w in row]
-            for row in m.to_floats()
-        ]
-        nodes = critical_nodes(mat(rows))
-        assert nodes, "normalized matrix must keep its witness cycle critical"
+        nodes = mane_potential(normalize(sys_)).aubry
+        assert nodes, "normalized system must keep its witness cycle critical"
+        assert ergodic_report(sys_).mane.aubry == nodes
+        checked += 1
+    assert checked > 30
 
 
 def test_eigenproblem_examples():
-    lam, basis = eigenproblem(mat(FIXA))
-    assert lam == TropValue(0.0)
-    assert basis == [tv(0, -1)]
-    zero_cycle = mat([[NI, 0.0, NI], [NI, NI, 0.0], [0.0, NI, NI]])
-    lam, basis = eigenproblem(zero_cycle)
-    assert lam == TropValue(0.0) and len(basis) == 1
-    two_loops = mat([[0.0, -2.0], [-1.0, 0.0]])
-    lam, basis = eigenproblem(two_loops)
-    assert lam == TropValue(0.0) and len(basis) == 2
-    with pytest.raises(ValueError):
-        eigenproblem(mat([[NI, 0.0], [NI, NI]]))
+    report = ergodic_report(_matrix_system(FIXA))
+    assert report.Q == 0.0
+    assert report.eigenfunction_basis == [tv(0, -1)]
+    zero_cycle = _matrix_system([[NI, 0.0, NI], [NI, NI, 0.0], [0.0, NI, NI]])
+    report = ergodic_report(zero_cycle)
+    assert report.Q == 0.0 and len(report.eigenfunction_basis) == 1
+    two_loops = _matrix_system([[0.0, -2.0], [-1.0, 0.0]])
+    report = ergodic_report(two_loops)
+    assert report.Q == 0.0 and len(report.eigenfunction_basis) == 2
+    with pytest.raises(ValueError, match="acyclic"):
+        ergodic_report(_matrix_system([[NI, 0.0], [NI, NI]]))
 
 
 def test_eigen_identity_seeded():
+    # one eigenfunction per critical class: L(v) = Q (x) v on the system
+    # as given, not only on the normalized one
     rng = random.Random(83)
+    checked = 0
     for _ in range(80):
-        m = _random_matrix(rng, n_max=9)
-        r = max_cycle_mean(m)
-        if not r.mean.is_finite:
+        sys_ = _matrix_system(_random_grid(rng, n_max=9))
+        slow = enum_max_cycle_mean(sys_)
+        if slow == NI:
             continue
-        lam, basis = eigenproblem(m)
-        assert abs(lam.finite - r.mean.finite) <= 1e-9
-        for v in basis:
-            image = mat_vec(m, v)
-            scaled = TropVector([t_mul(lam, x) for x in v])
-            assert sup_distance(image, scaled) <= 1e-9
+        report = ergodic_report(sys_)
+        assert abs(report.Q - slow) <= 1e-9
+        assert len(report.eigenfunction_basis) == len(report.mane.critical_classes) >= 1
+        for v in report.eigenfunction_basis:
+            assert sup_distance(bousch_apply(sys_, v), TropVector(v.array + report.Q)) <= 1e-9
+        checked += 1
+    assert checked > 40
 
 
 def test_critical_classes_two_loops():
-    assert critical_classes(mat([[0.0, -2.0], [-1.0, 0.0]])) == [(0,), (1,)]
-    assert critical_classes(mat(FIXA)) == [(0,)]
+    two_loops = _matrix_system([[0.0, -2.0], [-1.0, 0.0]])
+    assert ergodic_report(two_loops).mane.critical_classes == [(0,), (1,)]
+    assert mane_potential(normalize(two_loops)).critical_classes == [(0,), (1,)]
+    assert ergodic_report(_matrix_system(FIXA)).mane.critical_classes == [(0,)]
 
 
 def test_strongly_connected_matches_networkx_seeded():
@@ -316,8 +309,7 @@ def test_array_pass_matches_scalar_loops_bitwise():
             [[rng.choice((-0.0, float(rng.randint(-5, 5)))) if rng.random() < 0.5 else NI for _ in range(n)] for _ in range(n)]
         )
     for grid in grids:
-        m = mat(grid)
-        mean = _karp_mean(*m._arc_arrays())
+        mean = _karp_mean(*_arcs(grid))
         assert repr(mean) == repr(_karp_loops(grid))
         if mean == NI:
             continue

@@ -4,11 +4,9 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from troptherm.dynamics import TransitionSystem, adjoint_apply, bousch_apply
-from troptherm.maxplus_linalg import TropMatrix, mat_vec
 from troptherm.tropical_core import (
     NEG_INF,
     POS_INF,
@@ -264,10 +262,6 @@ def _adjoint_loop(sys_, b):
     return [_fold(t_mul(TropValue(w), b[x]) for x, w in sys_.successors(y)) for y in range(sys_.n)]
 
 
-def _mat_vec_loop(m, v):
-    return [_fold(t_mul(m.entry(i, j), v[i]) for i in range(m.n)) for j in range(m.n)]
-
-
 def _integral_loop(b, f, states):
     return _fold(t_mul(f[x], b[x]) for x in states)
 
@@ -300,14 +294,10 @@ def test_vector_layer_matches_scalar_loops():
         arcs = [(s, t, rng.choice([-0.0, 0.0, -1.0, rng.uniform(-3, 3)])) for s in range(n) for t in range(n) if rng.random() < 0.4]
         sys_ = TransitionSystem(n, arcs)
         b = Density.top(n) if rng.random() < 0.1 else Density(_draw(rng, n, pos_inf=False))
-        grid = np.full((n, n), -math.inf)
-        for s, t, w in arcs:
-            grid[s, t] = w
         states = [rng.randrange(n) for _ in range(rng.randint(0, n))]
         # the arc reductions may return either zero of a tie, so by value
         assert list(bousch_apply(sys_, u)) == _bousch_loop(sys_, u)
         assert list(adjoint_apply(sys_, b).values) == _adjoint_loop(sys_, b)
-        assert list(mat_vec(TropMatrix.from_floats(grid), u)) == _mat_vec_loop(TropMatrix.from_floats(grid), u)
         assert tropical_integral(b, u, states) == _integral_loop(b, u, states)
 
 
