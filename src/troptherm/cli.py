@@ -47,7 +47,6 @@ from .zerotemp import (
     ldp_residual,
     limit_diagnostics,
     rate_function,
-    seeded_spectral_data,
     sweep_record,
 )
 
@@ -61,6 +60,8 @@ GEN_N_MIN, GEN_N_MAX = 2, 12
 ORACLE_N_MAX = 10
 PROBE_COUNT = 10
 WEIGHT_RANGE = (-5, 5)
+ECHO_MAX = 60
+GEN_TABLE_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -211,6 +212,12 @@ def _probes(n: int, seed: int, count: int = PROBE_COUNT) -> List[np.ndarray]:
     return [rng.uniform(lo, hi, n) for _ in range(count)]
 
 
+def _echo(raw: str) -> str:
+    """repr of a command-line value, clipped so an error line stays short."""
+    text = repr(raw)
+    return text if len(text) <= ECHO_MAX else text[:ECHO_MAX] + "..."
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=_sys.stderr)
     return code
@@ -255,32 +262,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 (rec.beta, rec.pressure_over_beta, drow.d_u, drow.d_b, drow.d_g, drow.d_D, resid)
             )
     else:
-        # --force on multiple classes: no single limit object to compare
-        # against, diagnostics columns go out as nan. A row whose solve
-        # hits the step cap keeps beta and goes out all-nan instead of
-        # pretending the eigendata converged.
+        # --force on multiple classes: each solve starts from the report's
+        # pair, which is one class's limit, and with no single limit to
+        # compare against the diagnostics go out as nan. A row whose solve
+        # hits the step cap keeps beta and goes out all-nan.
         nan = math.nan
-        # Each beta after a converged one starts from its rescaled
-        # eigenvectors, scaled up to the new beta.
-        ref = min(report.mane.aubry)
         rows = []
-        prev = None
         for beta in args.grid:
-            start_u = start_m = None
-            if prev is not None:
-                start_u, start_m = prev.scaled_log_u * beta, prev.scaled_log_m * beta
             try:
-                rec = sweep_record(
-                    sys_, beta, ref, start_log_u=start_u, start_log_m=start_m, q=report.Q
-                )
+                pob = sweep_record(sys_, beta, report).pressure_over_beta
             except ConvergenceError:
-                prev = None
-                rows.append((beta, nan, nan, nan, nan, nan, [nan] * PROBE_COUNT))
-                continue
-            prev = rec
-            rows.append(
-                (beta, rec.pressure_over_beta, nan, nan, nan, nan, [nan] * PROBE_COUNT)
-            )
+                pob = nan
+            rows.append((beta, pob, nan, nan, nan, nan, [nan] * PROBE_COUNT))
 
     header = ["beta", "pressure_over_beta", "d_u", "d_b", "d_g", "d_D"]
     header += [f"ldp_residual_{k}" for k in range(PROBE_COUNT)]
@@ -307,7 +300,7 @@ def cmd_ldp(args: argparse.Namespace) -> int:
             try:
                 vec = json.loads(raw)
             except (json.JSONDecodeError, RecursionError) as exc:
-                return _fail(EXIT_INPUT, f"bad observable {raw!r}: {exc}")
+                return _fail(EXIT_INPUT, f"bad observable {_echo(raw)}: {exc}")
             if (
                 not isinstance(vec, list)
                 or len(vec) != sys_.n
@@ -315,18 +308,18 @@ def cmd_ldp(args: argparse.Namespace) -> int:
             ):
                 return _fail(
                     EXIT_INPUT,
-                    f"observable must be a JSON array of {sys_.n} numbers: {raw!r}",
+                    f"observable must be a JSON array of {sys_.n} numbers: {_echo(raw)}",
                 )
             try:
                 observables.append(np.array(vec, dtype=float))
             except OverflowError:  # an integer beyond float range
-                return _fail(EXIT_INPUT, f"observable must be finite: {raw!r}")
+                return _fail(EXIT_INPUT, f"observable must be finite: {_echo(raw)}")
     else:
         observables = _probes(sys_.n, args.seed)
 
     residuals = []
     for beta in args.grid:
-        spectral = seeded_spectral_data(sys_, beta, rate, q=report.Q)
+        spectral = sweep_record(sys_, beta, report).spectral
         values = [ldp_residual(sys_, f, beta, rate=rate, spectral=spectral) for f in observables]
         residuals.append({"beta": beta, "values": values})
 
@@ -347,10 +340,16 @@ def _gen_system(seed: int, n: Optional[int], deterministic: bool) -> TransitionS
         n = int(rng.integers(GEN_N_MIN, GEN_N_MAX + 1))
     if deterministic:
         # functional graph; surjectivity of a finite self-map forces a
-        # permutation, found by retry
+        # permutation: the first table drawn that is one. Tables are drawn
+        # a block at a time, then the generator is rewound and draws up to
+        # that table again, which leaves it where one-at-a-time draws would
         while True:
-            table = rng.integers(0, n, size=n)
-            if len(set(int(x) for x in table)) == n:
+            state = rng.bit_generator.state
+            block = rng.integers(0, n, size=(GEN_TABLE_BLOCK, n))
+            hits = np.flatnonzero((np.sort(block, axis=1) == np.arange(n)).all(axis=1))
+            if len(hits):
+                rng.bit_generator.state = state
+                table = rng.integers(0, n, size=(hits[0] + 1, n))[-1]
                 break
         weights = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
         return from_map([int(x) for x in table], weights)

@@ -78,19 +78,6 @@ class SpectralData:
     log_mu: np.ndarray
     iterations: int
 
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "pressure": self.pressure,
-            "u_beta": self.u_beta.tolist(),
-            "m_beta": self.m_beta.tolist(),
-            "mu_beta": self.mu_beta.tolist(),
-            "log_u": self.log_u.tolist(),
-            "log_m": self.log_m.tolist(),
-            "log_mu": self.log_mu.tolist(),
-            "iterations": self.iterations,
-        }
-
 
 def _logsumexp(a: np.ndarray) -> float:
     m = np.max(a)
@@ -193,7 +180,7 @@ def spectral_data(
     q is the maximal potential energy of sys (its maximum cycle mean);
     callers holding an ergodic report pass report.Q, otherwise Karp
     computes it. The start vectors default to 0; see
-    zerotemp.beta_sweep for a start near the answer.
+    zerotemp.sweep_record for a start near the answer.
 
     The loop solves for the offsets of log u and log m from the start
     vectors, that is for the eigenvectors of the operator scaled by the

@@ -1,10 +1,12 @@
 """Zero-temperature limits: beta sweeps, rate functions, limit diagnostics.
 
 Everything here compares positive-temperature spectral data, rescaled by
-1/beta, against the tropical objects it converges to. Scalings are fixed
-once per run: scaled log u is pinned to 0 at the reference state (the
-lowest-index Aubry state), scaled log m has sup 0, and the normalized
-potential is divided by beta arc by arc.
+1/beta, against the tropical objects it converges to. Every Ruelle solve
+here goes through sweep_record, which starts it from beta times the
+report's limit pair. Scalings are fixed once per run: scaled log u is
+pinned to 0 at the reference state (the lowest-index Aubry state),
+scaled log m has sup 0, and the normalized potential is divided by beta
+arc by arc.
 """
 
 from __future__ import annotations
@@ -105,16 +107,24 @@ def _check_grid(grid: Sequence[float]) -> Tuple[float, ...]:
     return grid
 
 
-def sweep_record(
-    sys: TransitionSystem,
-    beta: float,
-    ref: int,
-    start_log_u: Optional[np.ndarray] = None,
-    start_log_m: Optional[np.ndarray] = None,
-    q: Optional[float] = None,
-) -> SweepRecord:
-    """One rescaled spectral record, pinned to the given reference state."""
-    data = spectral_data(sys, beta, start_log_u=start_log_u, start_log_m=start_log_m, q=q)
+def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> SweepRecord:
+    """One rescaled spectral record: the Ruelle solve at beta, started
+    from the report's limit pair and pinned to its reference state.
+
+    (1/beta) log u_beta tends to the calibrated sub-action v and
+    (1/beta) log m_beta to the eigen-density b, so beta * v and beta * b
+    start near the answer at every beta; a cold start instead climbs
+    beta * range(v) by about log 2 per damped step. v and b are the
+    report's first basis pair, finite on every irreducible system; on
+    several critical classes that pair is one class's limit. The report's
+    Q spares a Karp run, and the reference state is its lowest-index
+    Aubry state.
+    """
+    check_beta(beta)
+    ref = min(report.mane.aubry)
+    v = report.eigenfunction_basis[0].array
+    b = report.eigen_density_basis[0].values.array
+    data = spectral_data(sys, beta, start_log_u=beta * v, start_log_m=beta * b, q=report.Q)
     slu = data.log_u / beta
     slu = slu - slu[ref]
     slm = data.log_m / beta
@@ -136,26 +146,12 @@ def beta_sweep(
     grid: Sequence[float] = DEFAULT_GRID,
     report: Optional[ErgodicReport] = None,
 ) -> List[SweepRecord]:
-    """Spectral data across an increasing beta grid, rescaled by 1/beta.
-
-    Every grid point starts the power iteration from its tropical limit:
-    (1/beta) log u_beta tends to the calibrated sub-action v and
-    (1/beta) log m_beta to the eigen-density b, so beta * v and beta * b
-    start near the answer at every beta. A cold start instead climbs
-    beta * range(v) by about log 2 per damped step. v and b are the
-    first basis pair of the report, finite on every irreducible system,
-    and the report's Q spares a Karp run per beta.
-    """
+    """sweep_record at each point of an increasing beta grid, so every
+    beta depends only on the report."""
     grid = _check_grid(grid)
     if report is None:
         report = ergodic_report(sys)
-    ref = min(report.mane.aubry)
-    v = report.eigenfunction_basis[0].array
-    b = report.eigen_density_basis[0].values.array
-    return [
-        sweep_record(sys, beta, ref, start_log_u=beta * v, start_log_m=beta * b, q=report.Q)
-        for beta in grid
-    ]
+    return [sweep_record(sys, beta, report) for beta in grid]
 
 
 def rate_function(
@@ -176,21 +172,6 @@ def rate_function(
     return RateFunction(values=values, eigenfunction=TropVector(v_al), density=Density(TropVector(b_al)))
 
 
-def seeded_spectral_data(
-    sys: TransitionSystem, beta: float, rate: RateFunction, q: Optional[float] = None
-) -> SpectralData:
-    """spectral_data at beta started from beta times the rate function's
-    limit pair (v, b), as in beta_sweep; q as in spectral_data."""
-    check_beta(beta)
-    return spectral_data(
-        sys,
-        beta,
-        start_log_u=beta * rate.eigenfunction.array,
-        start_log_m=beta * rate.density.values.array,
-        q=q,
-    )
-
-
 def ldp_residual(
     sys: TransitionSystem,
     f: Sequence[float],
@@ -202,18 +183,21 @@ def ldp_residual(
 
     The moment is taken against the log-space equilibrium state; linear
     masses underflow at the betas where the comparison is interesting.
-    Without spectral data the solve is seeded from the rate function;
-    pass it in to share one solve between observables at the same beta.
+    Without spectral data the solve is sweep_record's, so the residual
+    equals the matching cell of a sweep; pass it in to share one solve
+    between observables at the same beta.
     """
     f = np.asarray(f, dtype=float)
     if len(f) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, observable {len(f)}")
     if not np.all(np.isfinite(f)):
         raise ValueError("observable must be finite")
-    if rate is None:
-        rate = rate_function(sys)
-    if spectral is None:
-        spectral = seeded_spectral_data(sys, beta, rate)
+    if rate is None or spectral is None:
+        report = ergodic_report(sys)
+        if rate is None:
+            rate = rate_function(sys, report=report)
+        if spectral is None:
+            spectral = sweep_record(sys, beta, report).spectral
     moment = log_moment(spectral.log_mu, f, beta, measure_is_log=True)
     sup_term = float(np.max(f - rate.values))
     return abs(moment - sup_term)

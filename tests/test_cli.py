@@ -53,6 +53,23 @@ def test_gen_n_guard(tmp_path):
     assert system_from_json(json.loads(pathlib.Path(out).read_text())).n == 12
 
 
+def test_gen_deterministic_block_draw_matches_one_at_a_time():
+    # the permutation search draws tables in blocks and rewinds; it must
+    # give the system, and leave the stream, as drawing one table at a time
+    def one_at_a_time(seed, n):
+        rng = np.random.default_rng(seed)
+        while True:
+            table = rng.integers(0, n, size=n)
+            if len(set(int(x) for x in table)) == n:
+                break
+        weights = [float(rng.integers(cli.WEIGHT_RANGE[0], cli.WEIGHT_RANGE[1] + 1)) for _ in range(n)]
+        return from_map([int(x) for x in table], weights)
+
+    for n in range(2, 8):
+        for seed in range(200):
+            assert cli._gen_system(seed, n, True) == one_at_a_time(seed, n), (seed, n)
+
+
 def test_gen_deterministic_flag(tmp_path):
     out = tmp_path / "perm.json"
     assert cli.main(["gen", "--seed", "9", "--deterministic", "--output", str(out)]) == 0
@@ -149,13 +166,14 @@ def test_sweep_force_nan_rows(tmp_path, two_loops):
 
 def test_sweep_force_reports_stall(tmp_path, two_loops, monkeypatch):
     # a row whose solve hits the step cap goes out all-nan rather than as
-    # a block mixture; the next beta starts cold and is reported
+    # a block mixture; the next beta starts from the report's pair and is
+    # reported
     solve = cli.sweep_record
 
-    def stalled(sys_, beta, ref, **kwargs):
+    def stalled(sys_, beta, report):
         if beta == 10.0:
             raise ConvergenceError("power iteration did not converge within 100000 steps")
-        return solve(sys_, beta, ref, **kwargs)
+        return solve(sys_, beta, report)
 
     monkeypatch.setattr(cli, "sweep_record", stalled)
     path = _dump(tmp_path, "two.json", two_loops)
@@ -200,6 +218,50 @@ def test_convergence_error_exits_2(tmp_path, fixa, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: power iteration did not converge within 100000 steps\n"
+
+
+def test_ldp_residuals_equal_sweep_cells(tmp_path, capsys):
+    # one seeded solve per (system, beta): ldp prints the residuals of the
+    # sweep CSV bit for bit
+    paths = []
+    for seed, n in ((10, []), (3, ["--n", "12"]), (17, ["--n", "12"])):
+        path = str(tmp_path / f"gen{seed}.json")
+        assert cli.main(["gen", "--seed", str(seed), *n, "--output", path]) == 0
+        paths.append(path)
+    paths.append(_dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))))
+    for path in paths:
+        assert cli.main(["sweep", "--input", path]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cli.main(["ldp", "--input", path]) == 0
+        residuals = json.loads(capsys.readouterr().out)["residuals"]
+        assert len(rows) == len(residuals) == len(zerotemp.DEFAULT_GRID)
+        for row, res in zip(rows, residuals):
+            assert float(row[0]) == res["beta"]
+            assert len(res["values"]) == cli.PROBE_COUNT
+            assert [float(cell) for cell in row[6:]] == res["values"], (path, res["beta"])
+
+
+def test_cli_solves_never_start_cold(tmp_path, two_loops, capsys, monkeypatch):
+    calls = []
+    solve = zerotemp.spectral_data
+
+    def seeded_only(sys, beta, **kwargs):
+        assert kwargs.get("start_log_u") is not None and kwargs.get("start_log_m") is not None
+        calls.append(beta)
+        return solve(sys, beta, **kwargs)
+
+    monkeypatch.setattr(zerotemp, "spectral_data", seeded_only)
+    gen0 = str(tmp_path / "gen0.json")
+    assert cli.main(["gen", "--seed", "0", "--n", "12", "--output", gen0]) == 0
+    two = _dump(tmp_path, "two.json", two_loops)
+    for path in (gen0, two):  # both have several critical classes
+        assert cli.main(["sweep", "--input", path]) == cli.EXIT_MULTICLASS
+        assert cli.main(["sweep", "--input", path, "--force"]) == 0
+    gen17 = str(tmp_path / "gen17.json")
+    assert cli.main(["gen", "--seed", "17", "--n", "12", "--output", gen17]) == 0
+    assert cli.main(["ldp", "--input", gen17]) == 0
+    capsys.readouterr()
+    assert calls == 3 * list(zerotemp.DEFAULT_GRID)
 
 
 def test_ldp_fixa(tmp_path, fixa, capsys):
@@ -340,6 +402,7 @@ def test_deep_json_nesting_exits_2(tmp_path, fixa, capsys):
     assert cli.main(["ldp", "--input", path, "[" * 5000 + "]" * 5000]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: bad observable ") and err.count("\n") == 1
+    assert len(err) <= 200  # the observable's echo is clipped
 
 
 def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
@@ -379,13 +442,23 @@ def test_bad_beta_grid_exits_2(tmp_path, fixa, capsys):
 
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):
     path = _dump(tmp_path, "fixa.json", fixa)
-    assert cli.main(["ldp", "--input", path, "[0, 5"]) == cli.EXIT_INPUT
-    assert cli.main(["ldp", "--input", path, "[0]"]) == cli.EXIT_INPUT
-    assert cli.main(["ldp", "--input", path, "[0, true]"]) == cli.EXIT_INPUT
-    # non-finite entries: a float literal that overflows, and an integer
-    # beyond float range
-    assert cli.main(["ldp", "--input", path, "[1, 1e400]"]) == cli.EXIT_INPUT
-    assert cli.main(["ldp", "--input", path, "[1, " + "9" * 400 + "]"]) == cli.EXIT_INPUT
+    long = "[" + "0, " * 5000 + "0"
+    bad = (
+        "[0, 5",
+        "[0]",
+        "[0, true]",
+        long,  # unterminated
+        long + "]",  # too many entries
+        # non-finite entries: a float literal that overflows, and an
+        # integer beyond float range
+        "[1, 1e400]",
+        "[1, " + "9" * 400 + "]",
+    )
+    for raw in bad:
+        assert cli.main(["ldp", "--input", path, raw]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) <= 200, err  # the observable's echo is clipped
     two = _dump(tmp_path, "two.json", two_loops)
     assert cli.main(["ldp", "--input", two]) == cli.EXIT_MULTICLASS
     capsys.readouterr()

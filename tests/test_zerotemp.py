@@ -1,5 +1,6 @@
 """Zero-temperature limit: rescaled sweeps, diagnostics, rate functions."""
 
+import dataclasses
 import math
 import random
 
@@ -108,10 +109,10 @@ def test_limit_diagnostics_guards(fixa, two_loops):
     with pytest.raises(ValueError):
         limit_diagnostics(fixa, [])
     with pytest.raises(MultiClassError) as err:
-        limit_diagnostics(two_loops, [sweep_record(two_loops, 1.0, 0)])
+        limit_diagnostics(two_loops, [sweep_record(two_loops, 1.0, ergodic_report(two_loops))])
     assert err.value.classes == [(0,), (1,)]
-    # mismatched reference state
-    rec = sweep_record(fixa, 10.0, 1)
+    # mismatched reference state: the report pins fixa's to state 0
+    rec = dataclasses.replace(sweep_record(fixa, 10.0, ergodic_report(fixa)), ref_state=1)
     with pytest.raises(ValueError):
         limit_diagnostics(fixa, [rec])
 
