@@ -251,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if report.uniquely_calibrated:
         records = beta_sweep(sys_, args.grid, report=report)
         diag = limit_diagnostics(sys_, records, report=report)
-        rate = rate_function(sys_, report=report, tol=args.tol)
+        rate = rate_function(sys_, report=report)
         rows = []
         for rec, drow in zip(records, diag.rows):
             resid = [
@@ -292,7 +292,7 @@ def cmd_ldp(args: argparse.Namespace) -> int:
     check_betas(args.grid)  # in any order
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
-    rate = rate_function(sys_, report=report, tol=args.tol)
+    rate = rate_function(sys_, report=report)
 
     if args.observables:
         observables = []

@@ -91,25 +91,17 @@ def mane_potential(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ManeMatri
     return _mane(p)
 
 
-def eigenfunction_spectral(
-    sys: TransitionSystem, mane: Optional[ManeMatrix] = None, tol: float = DEFAULT_TOL
-) -> List[TropVector]:
+def eigenfunction_spectral(mane: ManeMatrix) -> List[TropVector]:
     """One Bousch fixed point phi(x, ·) per critical class representative x."""
-    if mane is None:
-        mane = mane_potential(sys, tol=tol)
     return [TropVector(mane.phi.array[cls[0]]) for cls in mane.critical_classes]
 
 
-def eigen_density_spectral(
-    sys: TransitionSystem, mane: Optional[ManeMatrix] = None, tol: float = DEFAULT_TOL
-) -> List[Density]:
+def eigen_density_spectral(mane: ManeMatrix) -> List[Density]:
     """One adjoint fixed point phi(·, y) per critical class representative y.
 
     Each column has a 0 at its own state, so it is never the constant
     -inf density, and path weights are +inf-free, so it is never top.
     """
-    if mane is None:
-        mane = mane_potential(sys, tol=tol)
     return [Density(TropVector(mane.phi.array[:, cls[0]])) for cls in mane.critical_classes]
 
 
@@ -170,8 +162,8 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
         maximizing_cycle=witness,
         normalized_system=norm,
         mane=mane,
-        eigenfunction_basis=eigenfunction_spectral(norm, mane=mane, tol=tol),
-        eigen_density_basis=eigen_density_spectral(norm, mane=mane, tol=tol),
+        eigenfunction_basis=eigenfunction_spectral(mane),
+        eigen_density_basis=eigen_density_spectral(mane),
         uniquely_calibrated=False,
     )
     report.uniquely_calibrated = is_uniquely_calibrated(report, tol=tol)

@@ -108,8 +108,12 @@ def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float
 
     D[k, v] = max weight of a walk with exactly k arcs ending at v, any
     start; each k is one pass over the arcs, O(n·m) in all. Returns -inf
-    when the graph is acyclic.
+    when the graph is acyclic. ValueError when 2·n·max|w|, which bounds
+    |D[n] - D[k]| and every path sum of the closure, overflows float64.
     """
+    top = float(np.max(np.abs(w), initial=0.0))
+    if not math.isfinite(2.0 * n * top):  # a Python float product: no numpy warning
+        raise ValueError(f"path sums overflow float64: 2 * n * max |w| = 2 * {n} * {top:.6g} is inf")
     D = np.full((n + 1, n), _NINF)
     D[0] = 0.0
     for k in range(1, n + 1):

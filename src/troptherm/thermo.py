@@ -9,8 +9,8 @@ inverse step (Numer. Math. 17, 1971), which converges in a few steps
 whatever the spectral gap, whenever float64 resolves it, and a
 +1-damped power step otherwise; the damping keeps the iteration
 convergent on periodic transition structures without moving the
-eigenvectors. Linear-space vectors are also reported, but at large beta
-their small entries underflow; the log fields are the faithful ones.
+eigenvectors. Eigenvectors and measures are reported as logs only: at
+large beta their linear entries underflow or overflow.
 """
 
 from __future__ import annotations
@@ -60,19 +60,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SpectralData:
-    """Ruelle eigendata at one inverse temperature.
+    """Ruelle eigendata at one inverse temperature, in logs.
 
-    u_beta is the positive right eigenvector scaled so its integral
-    against m_beta is 1; m_beta is the probability left eigenvector;
-    mu_beta = u_beta * m_beta is the equilibrium state. log_u, log_m and
-    log_mu carry the same data exactly even where exp underflows.
+    log_u is the log of the positive right eigenvector u, scaled so its
+    integral against m is 1; log_m is the log of the probability left
+    eigenvector m; log_mu = log_u + log_m is the log of the equilibrium
+    state u * m.
     """
 
     beta: float
     pressure: float
-    u_beta: np.ndarray
-    m_beta: np.ndarray
-    mu_beta: np.ndarray
     log_u: np.ndarray
     log_m: np.ndarray
     log_mu: np.ndarray
@@ -170,7 +167,6 @@ def spectral_data(
     sys: TransitionSystem,
     beta: float,
     beta_max: float = BETA_MAX_DEFAULT,
-    cap: int = POWER_CAP_DEFAULT,
     start_log_u: Optional[Sequence[float]] = None,
     start_log_m: Optional[Sequence[float]] = None,
     q: Optional[float] = None,
@@ -233,7 +229,7 @@ def spectral_data(
     y_m = np.zeros(n)
 
     iterations = 0
-    for iterations in range(1, cap + 1):
+    for iterations in range(1, POWER_CAP_DEFAULT + 1):
         # right vector: arcs src -> tgt; left vector: the same arcs reversed
         new_u, resid_u = _solver_step(y_u, tgt, src, lw_u)
         new_m, resid_m = _solver_step(y_m, src, tgt, lw_m)
@@ -245,7 +241,7 @@ def spectral_data(
         if (du < STEP_TOL and dm < STEP_TOL) or (resid_u < STEP_TOL and resid_m < STEP_TOL):
             break
     else:
-        raise ConvergenceError(f"power iteration did not converge within {cap} steps")
+        raise ConvergenceError(f"power iteration did not converge within {POWER_CAP_DEFAULT} steps")
     log_u = log_u + y_u
     log_m = log_m + y_m
     log_u -= log_u.max()
@@ -264,24 +260,13 @@ def spectral_data(
 
     log_m = log_m - _logsumexp(log_m)  # sum m = 1
     log_u = log_u - _logsumexp(log_u + log_m)  # integral of u against m = 1
-    log_mu = log_u + log_m  # sums to 1 by the previous line
-
-    # at large beta the linear eigenfunction can exceed float range; inf
-    # entries are the honest limit, the log fields stay exact
-    with np.errstate(over="ignore"):
-        u_lin = np.exp(log_u)
-        m_lin = np.exp(log_m)
-        mu_lin = np.exp(log_mu)
 
     return SpectralData(
         beta=float(beta),
         pressure=float(pressure),
-        u_beta=u_lin,
-        m_beta=m_lin,
-        mu_beta=mu_lin,
         log_u=log_u,
         log_m=log_m,
-        log_mu=log_mu,
+        log_mu=log_u + log_m,  # sums to 1 by the scaling of log_u above
         iterations=iterations,
     )
 
@@ -296,28 +281,20 @@ def normalized_potential(sys: TransitionSystem, data: SpectralData) -> np.ndarra
     return data.beta * w + data.log_u[src] - data.log_u[tgt] - data.pressure
 
 
-def log_moment(
-    measure: Sequence[float],
-    f: Sequence[float],
-    beta: float,
-    measure_is_log: bool = False,
-) -> float:
-    """(1/beta) log of the integral of e^{beta f} against the measure.
+def log_moment(log_measure: Sequence[float], f: Sequence[float], beta: float) -> float:
+    """(1/beta) log of the integral of e^{beta f} against the measure whose
+    log masses are log_measure.
 
-    Pass measure_is_log=True to hand in log masses directly; equilibrium
-    states at large beta underflow in linear space, and their moments are
-    only recoverable from the log representation.
+    Equilibrium states at large beta underflow in linear space, so their
+    moments are only recoverable from log masses. ValueError when
+    beta * f leaves float range.
     """
     check_beta(beta)
     f = np.asarray(f, dtype=float)
-    if measure_is_log:
-        logm = np.asarray(measure, dtype=float)
-    else:
-        m = np.asarray(measure, dtype=float)
-        if np.any(m < 0):
-            raise ValueError("measure masses must be nonnegative")
-        with np.errstate(divide="ignore"):
-            logm = np.log(m)
+    logm = np.asarray(log_measure, dtype=float)
+    top = float(np.max(np.abs(f), initial=0.0))
+    if not math.isfinite(beta * top):  # a Python float product: no numpy warning
+        raise ValueError(f"beta * f overflows float64: beta * max |f| = {beta:g} * {top:.6g} is inf")
     if len(f) != len(logm):
         raise ValueError(f"length mismatch: {len(f)} vs {len(logm)}")
     return _logsumexp(beta * f + logm) / beta

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .dynamics import TransitionSystem
-from .ergodic_opt import ErgodicReport, ergodic_report
-from .maxplus_linalg import DEFAULT_TOL
+from .ergodic_opt import ErgodicReport
 from .thermo import SpectralData, check_beta, log_moment, normalized_potential, spectral_data
 from .tropical_core import TropVector, array_mul, array_sup, floats_to_json
 from .tropical_measures import Density
@@ -111,8 +110,8 @@ def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> S
     """One rescaled spectral record: the Ruelle solve at beta, started
     from the report's limit pair and pinned to its reference state.
 
-    (1/beta) log u_beta tends to the calibrated sub-action v and
-    (1/beta) log m_beta to the eigen-density b, so beta * v and beta * b
+    (1/beta) log u and (1/beta) log m of the solve at beta tend to the
+    calibrated sub-action v and the eigen-density b, so beta * v and beta * b
     start near the answer at every beta; a cold start instead climbs
     beta * range(v) by about log 2 per damped step. v and b are the
     report's first basis pair, finite on every irreducible system; on
@@ -142,25 +141,15 @@ def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> S
 
 
 def beta_sweep(
-    sys: TransitionSystem,
-    grid: Sequence[float] = DEFAULT_GRID,
-    report: Optional[ErgodicReport] = None,
+    sys: TransitionSystem, grid: Sequence[float] = DEFAULT_GRID, *, report: ErgodicReport
 ) -> List[SweepRecord]:
     """sweep_record at each point of an increasing beta grid, so every
     beta depends only on the report."""
     grid = _check_grid(grid)
-    if report is None:
-        report = ergodic_report(sys)
     return [sweep_record(sys, beta, report) for beta in grid]
 
 
-def rate_function(
-    sys: TransitionSystem,
-    report: Optional[ErgodicReport] = None,
-    tol: float = DEFAULT_TOL,
-) -> RateFunction:
-    if report is None:
-        report = ergodic_report(sys, tol=tol)
+def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
     if not report.uniquely_calibrated:
         raise MultiClassError(report.mane.critical_classes)
     b0 = report.eigen_density_basis[0].values.array
@@ -173,41 +162,29 @@ def rate_function(
 
 
 def ldp_residual(
-    sys: TransitionSystem,
-    f: Sequence[float],
-    beta: float,
-    rate: Optional[RateFunction] = None,
-    spectral: Optional[SpectralData] = None,
+    sys: TransitionSystem, f: Sequence[float], beta: float, *, rate: RateFunction, spectral: SpectralData
 ) -> float:
-    """|(1/beta) log integral of e^{beta f} d mu_beta  -  sup_x (f - I)(x)|.
+    """|(1/beta) log integral of e^{beta f} d mu  -  sup_x (f - I)(x)|, where
+    mu is the equilibrium state at beta.
 
     The moment is taken against the log-space equilibrium state; linear
     masses underflow at the betas where the comparison is interesting.
-    Without spectral data the solve is sweep_record's, so the residual
-    equals the matching cell of a sweep; pass it in to share one solve
-    between observables at the same beta.
+    spectral is the solve at beta, sweep_record's in the CLI, so the
+    residual equals the matching cell of a sweep and one solve serves
+    every observable at that beta.
     """
     f = np.asarray(f, dtype=float)
     if len(f) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, observable {len(f)}")
     if not np.all(np.isfinite(f)):
         raise ValueError("observable must be finite")
-    if rate is None or spectral is None:
-        report = ergodic_report(sys)
-        if rate is None:
-            rate = rate_function(sys, report=report)
-        if spectral is None:
-            spectral = sweep_record(sys, beta, report).spectral
-    moment = log_moment(spectral.log_mu, f, beta, measure_is_log=True)
+    moment = log_moment(spectral.log_mu, f, beta)
     sup_term = float(np.max(f - rate.values))
     return abs(moment - sup_term)
 
 
 def limit_diagnostics(
-    sys: TransitionSystem,
-    records: Sequence[SweepRecord],
-    report: Optional[ErgodicReport] = None,
-    floor: float = DIVERGENCE_FLOOR,
+    sys: TransitionSystem, records: Sequence[SweepRecord], *, report: ErgodicReport
 ) -> LimitDiagnostics:
     """Distances from rescaled spectral data to its tropical limit.
 
@@ -221,12 +198,10 @@ def limit_diagnostics(
 
     States where the density is -inf are checked for divergence instead
     of distance: scaled log m must decrease strictly along the grid and
-    end below the floor.
+    end below DIVERGENCE_FLOOR.
     """
     if not records:
         raise ValueError("empty sweep")
-    if report is None:
-        report = ergodic_report(sys)
     if not report.uniquely_calibrated:
         raise MultiClassError(report.mane.critical_classes)
     ref = min(report.mane.aubry)
@@ -262,6 +237,6 @@ def limit_diagnostics(
     for x in np.nonzero(~finite_b)[0]:
         series = [rec.scaled_log_m[x] for rec in records]
         decreasing = all(s2 < s1 for s1, s2 in zip(series, series[1:]))
-        if not (decreasing and series[-1] < floor):
+        if not (decreasing and series[-1] < DIVERGENCE_FLOOR):
             divergence_ok = False
     return LimitDiagnostics(rows=rows, ref_state=ref, divergence_ok=divergence_ok)

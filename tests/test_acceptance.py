@@ -36,7 +36,7 @@ from troptherm.tropical_core import (
     t_mul,
 )
 from troptherm.tropical_measures import TropicalFunctional, functional_eval, singleton_probes
-from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function
+from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function, sweep_record
 
 
 @contextlib.contextmanager
@@ -304,10 +304,11 @@ def test_acceptance_8_ldp():
         cases = [(fixa, ergodic_report(fixa))] + _uniquely_calibrated_systems(10)
         for sys_, report in cases:
             rate = rate_function(sys_, report=report)
+            s10, s1000 = (sweep_record(sys_, beta, report).spectral for beta in (10.0, 1000.0))
             probes = cli._probes(sys_.n, seed=99)
             for f in probes:
-                r10 = ldp_residual(sys_, f, 10.0, rate=rate)
-                r1000 = ldp_residual(sys_, f, 1000.0, rate=rate)
+                r10 = ldp_residual(sys_, f, 10.0, rate=rate, spectral=s10)
+                r1000 = ldp_residual(sys_, f, 1000.0, rate=rate, spectral=s1000)
                 assert r1000 <= 0.05
                 assert r1000 <= r10 + 1e-12
 

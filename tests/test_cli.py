@@ -292,6 +292,37 @@ def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
     assert calls == list(zerotemp.DEFAULT_GRID)
 
 
+def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
+    # every consumer takes the command's one report: Karp and the closure
+    # run once per run, whatever the command
+    import troptherm.ergodic_opt as ergodic_opt
+    import troptherm.thermo as thermo
+
+    calls = {"karp": 0, "closure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    karp = counted("karp", maxplus_linalg._karp_mean)
+    for module in (maxplus_linalg, ergodic_opt, thermo):
+        monkeypatch.setattr(module, "_karp_mean", karp)
+    monkeypatch.setattr(maxplus_linalg, "_closure", counted("closure", maxplus_linalg._closure))
+    gen17 = str(tmp_path / "gen17.json")
+    assert cli.main(["gen", "--seed", "17", "--n", "12", "--output", gen17]) == 0
+    doubling = _dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t)))
+    for path in (gen17, doubling):
+        for command in ("analyze", "sweep", "ldp"):
+            for key in calls:
+                calls[key] = 0
+            assert cli.main([command, "--input", path]) == 0
+            assert calls == {"karp": 1, "closure": 1}, (path, command)
+    capsys.readouterr()
+
+
 def test_cli_import_skips_networkx(tmp_path):
     # neither the import nor gen's default, strongly connected flavour
     # loads networkx
@@ -335,6 +366,37 @@ def test_lost_critical_cycle_exits_2(tmp_path, capsys):
         for command in ("sweep", "ldp", "oracle"):
             assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
             assert capsys.readouterr().err.startswith("error: no cycle is critical")
+
+
+def test_karp_overflow_exits_2(tmp_path, capsys):
+    # 2 * n * max |w| bounds Karp's walk sums and the closure's path sums:
+    # a 1e308 two-cycle overflowed to inf (reported as lost to rounding,
+    # after a RuntimeWarning), a 300-cycle of 1e306 gave Q = nan
+    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    n = 300
+    for name, system in (
+        ("two.json", TransitionSystem(2, [(0, 1, 1e308), (1, 0, 1e308)])),
+        ("cycle.json", TransitionSystem(n, [(i, (i + 1) % n, 1e306) for i in range(n)])),
+    ):
+        path = _dump(tmp_path, name, system)
+        proc = subprocess.run(
+            [sys.executable, "-m", "troptherm.cli", "analyze", "--input", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: path sums overflow float64") and proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr
+        for command in ("sweep", "ldp"):
+            assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: path sums overflow") and err.count("\n") == 1
+        with pytest.raises(ValueError, match="overflow"):
+            ergodic_report(system)
 
 
 def test_bad_system_json_exits_2(tmp_path):
@@ -462,6 +524,18 @@ def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):
     two = _dump(tmp_path, "two.json", two_loops)
     assert cli.main(["ldp", "--input", two]) == cli.EXIT_MULTICLASS
     capsys.readouterr()
+
+
+def test_ldp_observable_overflow_exits_2(tmp_path, fixa, capsys):
+    # beta * 1e308 printed Infinity residuals after a RuntimeWarning;
+    # +-1e300 stays in range at every beta of the grid
+    path = _dump(tmp_path, "fixa.json", fixa)
+    assert cli.main(["ldp", "--input", path, "[1e308, 0]"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: beta * f overflows float64") and err.count("\n") == 1
+    assert cli.main(["ldp", "--input", path, "[1e300, -1e300]"]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    assert [row["values"] for row in residuals] == [[0.0]] * len(zerotemp.DEFAULT_GRID)
 
 
 def test_ldp_seeded_probes(tmp_path, fixa, capsys):

@@ -120,14 +120,15 @@ def test_subaction_limsup_fixed_point_seeded():
 
 
 def test_spectral_bases_fixtures(fixa, fixb, fixc):
-    assert [_floats(v) for v in eigenfunction_spectral(fixa)] == [[0.0, -1.0]]
-    assert [_floats(d.values) for d in eigen_density_spectral(fixa)] == [[0.0, -1.0]]
-    cnorm = normalize(fixc)
-    assert [_floats(v) for v in eigenfunction_spectral(cnorm)] == [[0.0, -1.0, -1.0]]
-    assert [_floats(d.values) for d in eigen_density_spectral(cnorm)] == [[0.0, 1.0, 1.0]]
-    bnorm = normalize(fixb)
-    (v,) = eigenfunction_spectral(bnorm)
-    (d,) = eigen_density_spectral(bnorm)
+    amane = mane_potential(fixa)
+    assert [_floats(v) for v in eigenfunction_spectral(amane)] == [[0.0, -1.0]]
+    assert [_floats(d.values) for d in eigen_density_spectral(amane)] == [[0.0, -1.0]]
+    cmane = mane_potential(normalize(fixc))
+    assert [_floats(v) for v in eigenfunction_spectral(cmane)] == [[0.0, -1.0, -1.0]]
+    assert [_floats(d.values) for d in eigen_density_spectral(cmane)] == [[0.0, 1.0, 1.0]]
+    bmane = mane_potential(normalize(fixb))
+    (v,) = eigenfunction_spectral(bmane)
+    (d,) = eigen_density_spectral(bmane)
     assert max(abs(a - b) for a, b in zip(_floats(v), [0.0, 0.0, -1.0, -1.0])) <= 1e-12
     assert max(abs(a - b) for a, b in zip(_floats(d.values), [0.0, -3.0, -2.0, -3.0])) <= 1e-12
 
@@ -135,9 +136,9 @@ def test_spectral_bases_fixtures(fixa, fixb, fixc):
 def test_spectral_bases_are_fixed_points(fixa, fixb, fixc, two_loops):
     for sys in (fixa, normalize(fixb), normalize(fixc), two_loops):
         mane = mane_potential(sys)
-        for v in eigenfunction_spectral(sys, mane=mane):
+        for v in eigenfunction_spectral(mane):
             assert sup_distance(bousch_apply(sys, v), v) <= 1e-12
-        for d in eigen_density_spectral(sys, mane=mane):
+        for d in eigen_density_spectral(mane):
             assert sup_distance(adjoint_apply(sys, d).values, d.values) <= 1e-12
 
 

@@ -26,11 +26,11 @@ from troptherm.zerotemp import (
 def test_grid_validation(one_state):
     for bad in ((), (0.0, 1.0), (-1.0,), (10.0, 10.0), (100.0, 10.0)):
         with pytest.raises(ValueError):
-            beta_sweep(one_state, grid=bad)
+            beta_sweep(one_state, grid=bad, report=ergodic_report(one_state))
 
 
 def test_sweep_alignment_invariants(fixa):
-    records = beta_sweep(fixa)
+    records = beta_sweep(fixa, report=ergodic_report(fixa))
     assert [r.beta for r in records] == list(DEFAULT_GRID)
     for rec in records:
         assert rec.ref_state == 0
@@ -39,7 +39,7 @@ def test_sweep_alignment_invariants(fixa):
 
 
 def test_sweep_one_state(one_state):
-    for rec in beta_sweep(one_state):
+    for rec in beta_sweep(one_state, report=ergodic_report(one_state)):
         assert rec.pressure_over_beta == pytest.approx(1.5, abs=1e-12)
         assert rec.scaled_log_u == pytest.approx([0.0], abs=1e-15)
         assert rec.scaled_log_m == pytest.approx([0.0], abs=1e-15)
@@ -50,7 +50,7 @@ def test_sweep_full_shift():
     from troptherm.dynamics import from_sft
 
     sys = from_sft([[1, 1], [1, 1]], [[0.0] * 2] * 2)
-    for rec in beta_sweep(sys):
+    for rec in beta_sweep(sys, report=ergodic_report(sys)):
         assert rec.pressure_over_beta == pytest.approx(math.log(2.0) / rec.beta, abs=1e-12)
         assert np.max(np.abs(rec.scaled_log_u)) <= 1e-12
         # m is uniform (1/2, 1/2): scaled log m is log(1/2)/beta aligned to max 0
@@ -58,7 +58,7 @@ def test_sweep_full_shift():
 
 
 def test_sweep_fixa_limits(fixa):
-    records = beta_sweep(fixa)
+    records = beta_sweep(fixa, report=ergodic_report(fixa))
     last = records[-1]
     assert last.scaled_log_u == pytest.approx([0.0, -1.0], abs=1e-6)
     assert last.scaled_log_m == pytest.approx([0.0, -1.0], abs=1e-6)
@@ -84,7 +84,8 @@ def test_pressure_bracket_seeded():
 
 
 def test_limit_diagnostics_one_state(one_state):
-    diag = limit_diagnostics(one_state, beta_sweep(one_state))
+    report = ergodic_report(one_state)
+    diag = limit_diagnostics(one_state, beta_sweep(one_state, report=report), report=report)
     assert diag.divergence_ok
     for row in diag.rows:
         assert row.d_u == 0.0 and row.d_b == 0.0
@@ -92,8 +93,9 @@ def test_limit_diagnostics_one_state(one_state):
 
 
 def test_limit_diagnostics_fixa(fixa):
-    records = beta_sweep(fixa)
-    diag = limit_diagnostics(fixa, records)
+    report = ergodic_report(fixa)
+    records = beta_sweep(fixa, report=report)
+    diag = limit_diagnostics(fixa, records, report=report)
     assert diag.ref_state == 0
     assert diag.divergence_ok
     d_u = [row.d_u for row in diag.rows]
@@ -106,19 +108,21 @@ def test_limit_diagnostics_fixa(fixa):
 
 
 def test_limit_diagnostics_guards(fixa, two_loops):
+    report = ergodic_report(fixa)
     with pytest.raises(ValueError):
-        limit_diagnostics(fixa, [])
+        limit_diagnostics(fixa, [], report=report)
+    two_report = ergodic_report(two_loops)
     with pytest.raises(MultiClassError) as err:
-        limit_diagnostics(two_loops, [sweep_record(two_loops, 1.0, ergodic_report(two_loops))])
+        limit_diagnostics(two_loops, [sweep_record(two_loops, 1.0, two_report)], report=two_report)
     assert err.value.classes == [(0,), (1,)]
     # mismatched reference state: the report pins fixa's to state 0
-    rec = dataclasses.replace(sweep_record(fixa, 10.0, ergodic_report(fixa)), ref_state=1)
+    rec = dataclasses.replace(sweep_record(fixa, 10.0, report), ref_state=1)
     with pytest.raises(ValueError):
-        limit_diagnostics(fixa, [rec])
+        limit_diagnostics(fixa, [rec], report=report)
 
 
 def test_rate_function_fixa(fixa):
-    rate = rate_function(fixa)
+    rate = rate_function(fixa, report=ergodic_report(fixa))
     assert rate.values == pytest.approx([0.0, 2.0], abs=0)
     assert [x.finite for x in rate.eigenfunction] == [0.0, -1.0]
     assert [x.finite for x in rate.density.values] == [0.0, -1.0]
@@ -127,7 +131,8 @@ def test_rate_function_fixa(fixa):
 
 
 def test_rate_function_fixc(fixc):
-    rate = rate_function(normalize(fixc))
+    sys = normalize(fixc)
+    rate = rate_function(sys, report=ergodic_report(sys))
     assert rate.values == pytest.approx([0.0, 0.0, 0.0], abs=0)
 
 
@@ -150,7 +155,7 @@ def test_rate_zero_exactly_on_witness_seeded():
 
 def test_rate_function_multiclass(two_loops):
     with pytest.raises(MultiClassError):
-        rate_function(two_loops)
+        rate_function(two_loops, report=ergodic_report(two_loops))
 
 
 def test_rate_function_json_sentinel():
@@ -164,34 +169,41 @@ def test_rate_function_json_sentinel():
     assert data["eigenfunction"] == [0.0, "-inf"]
 
 
+def _ldp_inputs(sys, betas):
+    """The rate function and sweep_record's solve at each beta."""
+    report = ergodic_report(sys)
+    return rate_function(sys, report=report), {b: sweep_record(sys, b, report).spectral for b in betas}
+
+
 def test_ldp_residual_examples(fixa):
+    rate, spectral = _ldp_inputs(fixa, DEFAULT_GRID)
     # constant observables give a zero gap at every beta
     for beta in DEFAULT_GRID:
-        assert ldp_residual(fixa, [2.0, 2.0], beta) <= 1e-9
-    r10 = ldp_residual(fixa, [0.0, 5.0], 10.0)
-    r1000 = ldp_residual(fixa, [0.0, 5.0], 1000.0)
+        assert ldp_residual(fixa, [2.0, 2.0], beta, rate=rate, spectral=spectral[beta]) <= 1e-9
+    r10 = ldp_residual(fixa, [0.0, 5.0], 10.0, rate=rate, spectral=spectral[10.0])
+    r1000 = ldp_residual(fixa, [0.0, 5.0], 1000.0, rate=rate, spectral=spectral[1000.0])
     assert r1000 <= 0.05
     assert r1000 <= r10
     with pytest.raises(ValueError):
-        ldp_residual(fixa, [0.0], 10.0)
+        ldp_residual(fixa, [0.0], 10.0, rate=rate, spectral=spectral[10.0])
     with pytest.raises(ValueError):
-        ldp_residual(fixa, [0.0, math.inf], 10.0)
+        ldp_residual(fixa, [0.0, math.inf], 10.0, rate=rate, spectral=spectral[10.0])
 
 
 def test_ldp_residual_seeded_probes(fixa):
-    rate = rate_function(fixa)
+    rate, spectral = _ldp_inputs(fixa, (10.0, 1000.0))
     rng = np.random.default_rng(83)
     for _ in range(10):
         f = rng.uniform(-5, 5, 2)
-        r10 = ldp_residual(fixa, f, 10.0, rate=rate)
-        r1000 = ldp_residual(fixa, f, 1000.0, rate=rate)
+        r10 = ldp_residual(fixa, f, 10.0, rate=rate, spectral=spectral[10.0])
+        r1000 = ldp_residual(fixa, f, 1000.0, rate=rate, spectral=spectral[1000.0])
         assert r1000 <= 0.05
         assert r1000 <= r10 + 1e-12
 
 
 def test_ldp_residual_at_rate_minimizer(fixc):
     sys = normalize(fixc)
-    rate = rate_function(sys)
+    rate, spectral = _ldp_inputs(sys, (1000.0,))
     # f = -I makes the sup term 0 and the moment converge to 0
     f = -rate.values
-    assert ldp_residual(sys, f, 1000.0, rate=rate) <= 0.05
+    assert ldp_residual(sys, f, 1000.0, rate=rate, spectral=spectral[1000.0]) <= 0.05
