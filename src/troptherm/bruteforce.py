@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -95,21 +95,15 @@ def enum_aubry(phi: List[List[float]], tol: float = 1e-9) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def subaction_limsup(
-    sys: TransitionSystem,
-    u0: TropVector,
-    cap: Optional[int] = None,
-    window: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> TropVector:
+def subaction_limsup(sys: TransitionSystem, u0: TropVector, tol: float = DEFAULT_TOL) -> TropVector:
     """The limsup of Bousch iterates of u0 on a normalized system.
 
     Iterates are eventually periodic, so the supremum over a sliding
     window becomes stationary; since the operator distributes over
     finite sups, a stationary window supremum is already a fixed point.
     Convergence is declared once the window supremum holds still across
-    one full window. The default window is the state count and the
-    default cap 4 n^2 iterations.
+    one full window. The window is the state count and the cap 4 n^2
+    iterations.
     """
     n = sys.n
     if len(u0) != n:
@@ -119,10 +113,7 @@ def subaction_limsup(
     mean = _karp_mean(n, *sys.arc_arrays)
     if mean == _NINF or abs(mean) > tol:
         raise ValueError("system is not normalized (max cycle mean must be 0)")
-    w = window if window is not None else n
-    limit = cap if cap is not None else 4 * n * n
-    if w < 1 or limit < w:
-        raise ValueError("window must be >= 1 and cap >= window")
+    w, limit = n, 4 * n * n
     recent = deque(maxlen=w)
     recent.append(u0)
     prev_sup = None

@@ -224,8 +224,6 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.format != "json":
-        return _fail(EXIT_INPUT, "analyze emits JSON only")
     sys_ = _load_system(args.input)
     if args.strict and not sys_.surjective_like:
         return _fail(EXIT_ASSUMPTION, "system is not surjective-like: some state has no incoming arc")
@@ -235,8 +233,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.format != "csv":
-        return _fail(EXIT_INPUT, "sweep emits CSV only")
     check_betas(args.grid)
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
@@ -254,10 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rate = rate_function(sys_, report=report)
         rows = []
         for rec, drow in zip(records, diag.rows):
-            resid = [
-                ldp_residual(sys_, f, rec.beta, rate=rate, spectral=rec.spectral)
-                for f in probes
-            ]
+            resid = [ldp_residual(f, rate=rate, spectral=rec.spectral) for f in probes]
             rows.append(
                 (rec.beta, rec.pressure_over_beta, drow.d_u, drow.d_b, drow.d_g, drow.d_D, resid)
             )
@@ -287,8 +280,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ldp(args: argparse.Namespace) -> int:
-    if args.format != "json":
-        return _fail(EXIT_INPUT, "ldp emits JSON only")
     check_betas(args.grid)  # in any order
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
@@ -320,7 +311,7 @@ def cmd_ldp(args: argparse.Namespace) -> int:
     residuals = []
     for beta in args.grid:
         spectral = sweep_record(sys_, beta, report).spectral
-        values = [ldp_residual(sys_, f, beta, rate=rate, spectral=spectral) for f in observables]
+        values = [ldp_residual(f, rate=rate, spectral=spectral) for f in observables]
         residuals.append({"beta": beta, "values": values})
 
     payload = {
@@ -365,8 +356,6 @@ def _gen_system(seed: int, n: Optional[int], deterministic: bool) -> TransitionS
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.format != "json":
-        return _fail(EXIT_INPUT, "gen emits JSON only")
     if args.n is not None and not (GEN_N_MIN <= args.n <= GEN_N_MAX):
         return _fail(EXIT_INPUT, f"--n must lie in [{GEN_N_MIN}, {GEN_N_MAX}]")
     sys_ = _gen_system(args.seed, args.n, args.deterministic)
@@ -375,8 +364,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.format != "json":
-        return _fail(EXIT_INPUT, "oracle emits JSON only")
     sys_ = _load_system(args.input)
     if sys_.n > ORACLE_N_MAX:
         return _fail(EXIT_INPUT, f"oracle is exhaustive, n capped at {ORACLE_N_MAX}")
@@ -417,15 +404,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt: str) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--format", choices=("json", "csv"), default=fmt)
 
     p = sub.add_parser("analyze", help="ergodic report for a system JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--strict", action="store_true", help="reject non surjective-like systems")
-    common(p, "json")
+    common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="beta sweep with limit diagnostics, CSV")
@@ -433,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=list(DEFAULT_GRID))
     p.add_argument("--seed", type=int, default=0, help="seed for the LDP probe vectors")
     p.add_argument("--force", action="store_true", help="sweep multi-class systems without diagnostics")
-    common(p, "csv")
+    common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ldp", help="rate function and LDP residuals")
@@ -445,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="observables as JSON arrays, e.g. '[0, 5]'; seeded probes when omitted",
     )
-    common(p, "json")
+    common(p)
     p.set_defaults(func=cmd_ldp)
 
     p = sub.add_parser("gen", help="random system, strongly connected unless --deterministic")
@@ -456,12 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="functional-graph flavor: a random permutation, usually of several cycles",
     )
-    common(p, "json")
+    common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("oracle", help="brute-force cross-check of the fast path")
     p.add_argument("--input", required=True)
-    common(p, "json")
+    common(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser

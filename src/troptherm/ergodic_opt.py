@@ -130,15 +130,6 @@ def representation_check(
     return sup_distance(vec, TropVector(terms.max(axis=0, initial=_NINF)))
 
 
-def is_uniquely_calibrated(report: ErgodicReport, tol: float = DEFAULT_TOL) -> bool:
-    """True when phi(x,y) ⊗ phi(y,x) = 0 for all Aubry pairs, which pins the
-    eigenfunction and the fixed density up to one tropical constant each
-    (equivalently: a single critical class)."""
-    aubry = list(report.mane.aubry)
-    phi = report.mane.phi.array[np.ix_(aubry, aubry)]
-    return bool(np.all(np.abs(phi + phi.T) <= tol))
-
-
 def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the Bousch image of u stays below u shifted by the maximal
     potential energy."""
@@ -152,22 +143,24 @@ def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL)
 
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:
     """Full analysis bundle: Q, a maximizing cycle, the normalized system,
-    the Mañé data, and one eigenfunction/density pair per critical class."""
+    the Mañé data, and one eigenfunction/density pair per critical class.
+
+    uniquely_calibrated is a single critical class: the eigenfunction and
+    the fixed density are then unique up to one tropical constant each.
+    The classes cover the Aubry set (see _TropicalPass.critical_arcs), so
+    one class means every two Aubry states lie on one cycle of weight 0."""
     p = _TropicalPass(sys.n, *sys.arc_arrays, tol)
     q, witness = _q_and_cycle(p)
-    norm = sys.shifted(-q)
     mane = _mane(p)
-    report = ErgodicReport(
+    return ErgodicReport(
         Q=q,
         maximizing_cycle=witness,
-        normalized_system=norm,
+        normalized_system=sys.shifted(-q),
         mane=mane,
         eigenfunction_basis=eigenfunction_spectral(mane),
         eigen_density_basis=eigen_density_spectral(mane),
-        uniquely_calibrated=False,
+        uniquely_calibrated=len(mane.critical_classes) == 1,
     )
-    report.uniquely_calibrated = is_uniquely_calibrated(report, tol=tol)
-    return report
 
 
 def report_to_json(report: ErgodicReport) -> dict:

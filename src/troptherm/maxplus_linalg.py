@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import TropValue, as_trop
+from .tropical_core import TropValue
 
 DEFAULT_TOL = 1e-9
 # cells of one gathered block in the closure: 256 KiB of float64
@@ -69,7 +69,7 @@ class TropMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self._a = _weight_array([[as_trop(x).to_float() for x in row] for row in rows])
+        self._a = _weight_array([[float(x) for x in row] for row in rows])
 
     @classmethod
     def from_floats(cls, grid: Sequence[Sequence[float]]) -> "TropMatrix":
@@ -255,8 +255,14 @@ class _TropicalPass:
 
     @cached_property
     def critical_arcs(self) -> List[Tuple[int, int]]:
-        """Arcs lying on some cycle of total weight 0, in row-major order."""
-        i, j = np.nonzero(np.abs(self.grid + self.plus.T) <= self.tol)
+        """Arcs lying on some cycle of total weight 0, in row-major order:
+        |w(i, j) + star(j, i)| <= tol, the way back read from the Kleene
+        star, whose diagonal max(plus(i, i), 0) is the empty path. So a
+        self-loop is counted once, as the Aubry test counts it, and the
+        critical classes cover the Aubry set."""
+        cycle = self.grid + self.plus.T
+        np.fill_diagonal(cycle, np.diagonal(self.grid) + np.maximum(np.diagonal(self.plus), 0.0))
+        i, j = np.nonzero(np.abs(cycle) <= self.tol)
         return list(zip(i.tolist(), j.tolist()))
 
     @property

@@ -49,9 +49,13 @@ class BetaRangeError(ValueError):
 
 def check_beta(beta: float) -> None:
     """Refuse a beta that is not a finite positive number, before any
-    arithmetic on it (nan <= 0 is False, and inf * v warns)."""
+    arithmetic on it (nan <= 0 is False, and inf * v warns), and one so
+    small (below about 5.56e-309) that 1 / beta, by which every rescaled
+    quantity is multiplied, overflows."""
     if not 0 < beta < math.inf:
         raise BetaRangeError(f"beta must be a finite positive number: {beta!r}")
+    if not math.isfinite(1.0 / beta):  # a Python float quotient: no numpy warning
+        raise BetaRangeError(f"beta is too small: 1 / beta overflows float64: {beta!r}")
 
 
 class ConvergenceError(RuntimeError):
@@ -166,7 +170,6 @@ def _start_vector(start: Optional[Sequence[float]], n: int) -> np.ndarray:
 def spectral_data(
     sys: TransitionSystem,
     beta: float,
-    beta_max: float = BETA_MAX_DEFAULT,
     start_log_u: Optional[Sequence[float]] = None,
     start_log_m: Optional[Sequence[float]] = None,
     q: Optional[float] = None,
@@ -204,8 +207,8 @@ def spectral_data(
     the converged right vector, weighted by the left one.
     """
     check_beta(beta)
-    if beta > beta_max:
-        raise BetaRangeError(f"beta {beta} exceeds the overflow guard {beta_max}")
+    if beta > BETA_MAX_DEFAULT:
+        raise BetaRangeError(f"beta {beta} exceeds the overflow guard {BETA_MAX_DEFAULT}")
     n = sys.n
     src, tgt, w = sys.arc_arrays
     if len(w) == 0:

@@ -1,12 +1,13 @@
 """Scalar max-plus semiring and its pointwise vector extension.
 
 Elements live in R ∪ {-inf, +inf} with ⊕ = max and ⊗ = +. A scalar
-TropValue keeps the two infinities as tagged states, so the convention
-(-inf) ⊗ (+inf) = -inf is enforced structurally. A TropVector holds one
-read-only float64 array with IEEE ±inf; its arithmetic applies the same
-convention by turning the NaN of -inf + inf into -inf (array_mul), and
-⊕ keeps the first operand on ties as t_add does. Comparisons between
-finite values are exact; no tolerance enters at this level.
+TropValue holds one IEEE float, whose order already is the tropical
+order; t_mul enforces the convention (-inf) ⊗ (+inf) = -inf with one
+explicit test. A TropVector holds one read-only float64 array with IEEE
+±inf; its arithmetic applies the same convention by turning the NaN of
+-inf + inf into -inf (array_mul), and ⊕ keeps the first operand on ties
+as t_add does. Comparisons between finite values are exact; no
+tolerance enters at this level.
 """
 
 from __future__ import annotations
@@ -17,83 +18,71 @@ from typing import Iterable, Union
 
 import numpy as np
 
-_NEG, _FIN, _POS = -1, 0, 1
-
 Number = Union[int, float]
 
 
 class TropValue:
     """A single tropical scalar: a finite real or one of the two infinities."""
 
-    __slots__ = ("_tag", "_num")
+    __slots__ = ("_v",)
 
     def __init__(self, value: Number):
         value = float(value)
         if math.isnan(value):
             raise ValueError("NaN has no tropical meaning")
-        if math.isinf(value):
-            self._tag = _POS if value > 0 else _NEG
-            self._num = 0.0
-        else:
-            self._tag = _FIN
-            self._num = value
+        self._v = value
 
     @property
     def is_finite(self) -> bool:
-        return self._tag == _FIN
+        return math.isfinite(self._v)
 
     @property
     def is_neg_inf(self) -> bool:
-        return self._tag == _NEG
+        return self._v == -math.inf
 
     @property
     def is_pos_inf(self) -> bool:
-        return self._tag == _POS
+        return self._v == math.inf
 
     @property
     def finite(self) -> float:
         """The finite payload; raises on infinities."""
-        if self._tag != _FIN:
+        if not math.isfinite(self._v):
             raise ValueError("not a finite tropical value")
-        return self._num
+        return self._v
 
     def to_float(self) -> float:
         """IEEE view, for display and numeric hand-off only."""
-        if self._tag == _NEG:
-            return -math.inf
-        if self._tag == _POS:
-            return math.inf
-        return self._num
+        return self._v
 
-    def _key(self):
-        return (self._tag, self._num)
+    __float__ = to_float
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TropValue):
             return NotImplemented
-        return self._key() == other._key()
+        return self._v == other._v
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._v)
 
     def __lt__(self, other: "TropValue") -> bool:
-        return self._key() < other._key()
+        return self._v < other._v
 
     def __le__(self, other: "TropValue") -> bool:
-        return self._key() <= other._key()
+        return self._v <= other._v
 
     def __gt__(self, other: "TropValue") -> bool:
-        return self._key() > other._key()
+        return self._v > other._v
 
     def __ge__(self, other: "TropValue") -> bool:
-        return self._key() >= other._key()
+        return self._v >= other._v
 
     def __repr__(self) -> str:
-        if self._tag == _NEG:
+        if self._v == -math.inf:
             return "NEG_INF"
-        if self._tag == _POS:
+        if self._v == math.inf:
             return "POS_INF"
-        return f"TropValue({self._num!r})"
+        return f"TropValue({self._v!r})"
 
 
 NEG_INF = TropValue(-math.inf)
@@ -111,11 +100,9 @@ def t_add(a: TropValue, b: TropValue) -> TropValue:
 
 def t_mul(a: TropValue, b: TropValue) -> TropValue:
     """Tropical multiplication: ordinary +, with -inf absorbing +inf."""
-    if a._tag == _NEG or b._tag == _NEG:
+    if a._v == -math.inf or b._v == -math.inf:
         return NEG_INF
-    if a._tag == _POS or b._tag == _POS:
-        return POS_INF
-    return TropValue(a._num + b._num)
+    return TropValue(a._v + b._v)
 
 
 def floats_to_json(a):
@@ -140,7 +127,7 @@ def _float_from_json(x) -> float:
 
 def trop_to_json(a: TropValue):
     """A number, or the sentinel strings \"-inf\" / \"+inf\"."""
-    return floats_to_json(a.to_float())
+    return floats_to_json(float(a))
 
 
 def trop_from_json(x) -> TropValue:
@@ -172,7 +159,7 @@ class TropVector:
 
     def __init__(self, entries: Iterable[Union[TropValue, Number]]):
         if not isinstance(entries, np.ndarray):
-            entries = [e.to_float() if isinstance(e, TropValue) else float(e) for e in entries]
+            entries = [float(e) for e in entries]
         a = np.array(entries, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("a tropical vector needs at least one entry, in one dimension")
@@ -183,7 +170,7 @@ class TropVector:
 
     @classmethod
     def constant(cls, n: int, value: Union[TropValue, Number]) -> "TropVector":
-        return cls(np.full(n, as_trop(value).to_float()))
+        return cls(np.full(n, float(value)))
 
     @property
     def array(self) -> np.ndarray:
@@ -244,7 +231,7 @@ def vec_add(u: TropVector, v: TropVector) -> TropVector:
 
 def vec_scale(lam: TropValue, u: TropVector) -> TropVector:
     """Pointwise λ ⊗ u."""
-    return TropVector(array_mul(lam.to_float(), u.array))
+    return TropVector(array_mul(float(lam), u.array))
 
 
 def vec_leq(u: TropVector, v: TropVector) -> bool:

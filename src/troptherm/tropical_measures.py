@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List
 
 import numpy as np
 
@@ -165,17 +165,10 @@ def singleton_probes(n: int) -> List[TropVector]:
     return [TropVector(np.where(np.arange(n) == s, 0.0, -math.inf)) for s in range(n)]
 
 
-def densities_equivalent(
-    b1: Density, b2: Density, probes: Optional[Sequence[TropVector]] = None
-) -> bool:
-    """Whether two densities induce the same functional on the probes.
-
-    With the default singleton probe basis this is exact on a finite
-    state set; user probes are a convenience for coarser comparisons.
-    """
+def densities_equivalent(b1: Density, b2: Density) -> bool:
+    """Whether two densities induce the same functional on the singleton
+    probe basis, which is exact on a finite state set."""
     if len(b1) != len(b2):
         raise ValueError(f"length mismatch: {len(b1)} vs {len(b2)}")
-    if probes is None:
-        probes = singleton_probes(len(b1))
     l1, l2 = TropicalFunctional(b1), TropicalFunctional(b2)
-    return all(functional_eval(l1, f) == functional_eval(l2, f) for f in probes)
+    return all(functional_eval(l1, f) == functional_eval(l2, f) for f in singleton_probes(len(b1)))

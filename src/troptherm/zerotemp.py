@@ -161,24 +161,24 @@ def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFuncti
     return RateFunction(values=values, eigenfunction=TropVector(v_al), density=Density(TropVector(b_al)))
 
 
-def ldp_residual(
-    sys: TransitionSystem, f: Sequence[float], beta: float, *, rate: RateFunction, spectral: SpectralData
-) -> float:
+def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralData) -> float:
     """|(1/beta) log integral of e^{beta f} d mu  -  sup_x (f - I)(x)|, where
-    mu is the equilibrium state at beta.
+    mu is the equilibrium state of the solve spectral and beta its
+    inverse temperature.
 
     The moment is taken against the log-space equilibrium state; linear
     masses underflow at the betas where the comparison is interesting.
-    spectral is the solve at beta, sweep_record's in the CLI, so the
-    residual equals the matching cell of a sweep and one solve serves
-    every observable at that beta.
+    spectral is sweep_record's solve in the CLI, so the residual equals
+    the matching cell of a sweep and one solve serves every observable
+    at that beta. The state count is the rate function's.
     """
     f = np.asarray(f, dtype=float)
-    if len(f) != sys.n:
-        raise ValueError(f"length mismatch: system {sys.n}, observable {len(f)}")
+    n = len(rate.values)
+    if len(f) != n:
+        raise ValueError(f"length mismatch: system {n}, observable {len(f)}")
     if not np.all(np.isfinite(f)):
         raise ValueError("observable must be finite")
-    moment = log_moment(spectral.log_mu, f, beta)
+    moment = log_moment(spectral.log_mu, f, spectral.beta)
     sup_term = float(np.max(f - rate.values))
     return abs(moment - sup_term)
 

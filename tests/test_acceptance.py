@@ -307,8 +307,8 @@ def test_acceptance_8_ldp():
             s10, s1000 = (sweep_record(sys_, beta, report).spectral for beta in (10.0, 1000.0))
             probes = cli._probes(sys_.n, seed=99)
             for f in probes:
-                r10 = ldp_residual(sys_, f, 10.0, rate=rate, spectral=s10)
-                r1000 = ldp_residual(sys_, f, 1000.0, rate=rate, spectral=s1000)
+                r10 = ldp_residual(f, rate=rate, spectral=s10)
+                r1000 = ldp_residual(f, rate=rate, spectral=s1000)
                 assert r1000 <= 0.05
                 assert r1000 <= r10 + 1e-12
 

@@ -145,6 +145,15 @@ def test_sweep_multiclass_exit(tmp_path, two_loops, capsys):
     assert cli.main(["sweep", "--input", path]) == cli.EXIT_MULTICLASS
     err = capsys.readouterr().err
     assert "--force" in err
+    # within tol of the boundary the decision is the class count: a
+    # two-cycle 7e-10 short of zero joins the loop at 1 in one class, and
+    # a loop 9e-10 short of zero is a class of its own
+    tie = TransitionSystem(2, [(0, 1, 1.0), (1, 0, -1.0000000007), (1, 1, 0.0)])
+    assert cli.main(["sweep", "--input", _dump(tmp_path, "tie.json", tie)]) == 0
+    assert capsys.readouterr().err == ""
+    selfloop = TransitionSystem(2, [(0, 0, 0.0), (1, 1, -9e-10), (0, 1, -5.0), (1, 0, -5.0)])
+    assert cli.main(["sweep", "--input", _dump(tmp_path, "selfloop.json", selfloop)]) == cli.EXIT_MULTICLASS
+    assert "error: 2 critical classes [(0,), (1,)]" in capsys.readouterr().err
 
 
 def test_sweep_force_nan_rows(tmp_path, two_loops):
@@ -494,12 +503,16 @@ def test_bad_beta_grid_exits_2(tmp_path, fixa, capsys):
     # inf * v warned before the range check
     path = _dump(tmp_path, "fixa.json", fixa)
     for command in ("sweep", "ldp"):
-        for grid in ("nan", "inf", "10,nan", "-1", "0", ","):
+        # 1 / beta, which scales every rescaled output, overflows below
+        # about 5.56e-309
+        for grid in ("nan", "inf", "10,nan", "-1", "0", ",", "1e-310", "10,1e-320"):
             assert cli.main([command, "--input", path, f"--grid={grid}"]) == cli.EXIT_INPUT, (command, grid)
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, grid, err)
     assert cli.main(["ldp", "--input", path, "--grid", "100,10"]) == 0  # any order
     assert json.loads(capsys.readouterr().out)["grid"] == [100.0, 10.0]
+    assert cli.main(["sweep", "--input", path, "--grid", "1e-300"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):
@@ -574,9 +587,13 @@ def test_oracle_mismatch_exit(tmp_path, fixa, capsys, monkeypatch):
 
 
 def test_format_guards(tmp_path, fixa):
+    # each command writes one format, and there is no --format option:
+    # argparse refuses it, the value a command writes included
     path = _dump(tmp_path, "fixa.json", fixa)
-    assert cli.main(["analyze", "--input", path, "--format", "csv"]) == cli.EXIT_INPUT
-    assert cli.main(["sweep", "--input", path, "--format", "json"]) == cli.EXIT_INPUT
+    for command, fmt in (("analyze", "csv"), ("analyze", "json"), ("sweep", "json"), ("sweep", "csv")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--input", path, "--format", fmt])
+        assert exc.value.code == 2, (command, fmt)
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--input", path, "--grid", "abc"])
 

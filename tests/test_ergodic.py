@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import troptherm.ergodic_opt as ergodic_opt
@@ -15,7 +16,6 @@ from troptherm.ergodic_opt import (
     eigen_density_spectral,
     eigenfunction_spectral,
     is_subaction,
-    is_uniquely_calibrated,
     mane_potential,
     max_potential_energy,
     normalize,
@@ -156,6 +156,39 @@ def test_unique_calibration_flags(fixa, fixb, fixc):
     assert ergodic_report(fixa).uniquely_calibrated
     assert ergodic_report(fixb).uniquely_calibrated
     assert ergodic_report(fixc).uniquely_calibrated
+    # the two-cycle 0 -> 1 -> 0 is 7e-10 short of zero, within tol: one
+    # class with the loop at 1, though phi(0, 0) + phi(0, 0) is beyond tol
+    tie = TransitionSystem(2, [(0, 1, 1.0), (1, 0, -1.0000000007), (1, 1, 0.0)])
+    report = ergodic_report(tie)
+    assert report.mane.critical_classes == [(0, 1)]
+    assert report.uniquely_calibrated
+    # a loop 9e-10 short of zero is critical once, not 1.8e-9 short twice
+    selfloop = TransitionSystem(2, [(0, 0, 0.0), (1, 1, -9e-10), (0, 1, -5.0), (1, 0, -5.0)])
+    report = ergodic_report(selfloop)
+    assert report.mane.aubry == (0, 1)
+    assert report.mane.critical_classes == [(0,), (1,)]
+    assert not report.uniquely_calibrated
+
+
+def _perturbed(sys, eps, rng):
+    src, tgt, w = sys.arc_arrays
+    noisy = w + rng.uniform(-eps, eps, len(w))
+    return TransitionSystem(sys.n, list(zip(src.tolist(), tgt.tolist(), noisy.tolist())))
+
+
+def test_classes_cover_aubry_seeded():
+    # one test decides unique calibration, so the critical classes must
+    # cover the Aubry set, also within tol of the boundary
+    rng = np.random.default_rng(5)
+    systems = [discretize_doubling(k, lambda t: math.cos(2 * math.pi * t)) for k in range(3, 10)]
+    for seed in range(200):
+        gen = _gen_system(seed, 12, False)
+        systems += [gen, _perturbed(gen, 1e-9, rng)]
+    for sys in systems:
+        report = ergodic_report(sys)
+        covered = sorted(x for c in report.mane.critical_classes for x in c)
+        assert tuple(covered) == report.mane.aubry
+        assert report.uniquely_calibrated == (len(report.mane.critical_classes) == 1)
 
 
 def test_representation_check(fixa):

@@ -115,11 +115,9 @@ def test_is_ergodic_examples():
 def test_densities_equivalent():
     b1, b2 = dens(0, -1), dens(0, -2)
     assert densities_equivalent(b1, dens(0, -1))
-    probe = TropVector([NEG_INF, as_trop(0)])
-    assert not densities_equivalent(b1, b2, probes=[probe])
-    assert not densities_equivalent(b1, b2)  # default singleton basis
-    # functional-level agreement of two top densities on a finite probe
-    assert densities_equivalent(Density.top(2), Density.top(2), probes=[tv(0, 0)])
+    assert not densities_equivalent(b1, b2)  # the singleton basis
+    # functional-level agreement of two top densities
+    assert densities_equivalent(Density.top(2), Density.top(2))
 
 
 def test_singleton_probes_distinguish():

@@ -215,9 +215,13 @@ def test_reducible_and_beta_guards(one_state):
             spectral_data(swap, 1.0, start_log_u=bad)
         with pytest.raises(ValueError):
             spectral_data(swap, 1.0, start_log_m=bad)
-    # explicit opt-in raises the ceiling
-    data = spectral_data(one_state, BETA_MAX_DEFAULT * 2, beta_max=BETA_MAX_DEFAULT * 4)
-    assert abs(data.pressure - 1.5 * BETA_MAX_DEFAULT * 2) <= 1e-9
+    # the ceiling is fixed and itself in range
+    data = spectral_data(one_state, BETA_MAX_DEFAULT)
+    assert abs(data.pressure - 1.5 * BETA_MAX_DEFAULT) <= 1e-9
+    # a beta whose reciprocal overflows is refused; 1e-300 still solves
+    with pytest.raises(BetaRangeError, match="1 / beta overflows"):
+        spectral_data(one_state, 1e-310)
+    assert abs(spectral_data(one_state, 1e-300).pressure - 1.5e-300) <= 1e-12 * 1.5e-300
 
 
 def test_log_moment():

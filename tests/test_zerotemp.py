@@ -179,15 +179,15 @@ def test_ldp_residual_examples(fixa):
     rate, spectral = _ldp_inputs(fixa, DEFAULT_GRID)
     # constant observables give a zero gap at every beta
     for beta in DEFAULT_GRID:
-        assert ldp_residual(fixa, [2.0, 2.0], beta, rate=rate, spectral=spectral[beta]) <= 1e-9
-    r10 = ldp_residual(fixa, [0.0, 5.0], 10.0, rate=rate, spectral=spectral[10.0])
-    r1000 = ldp_residual(fixa, [0.0, 5.0], 1000.0, rate=rate, spectral=spectral[1000.0])
+        assert ldp_residual([2.0, 2.0], rate=rate, spectral=spectral[beta]) <= 1e-9
+    r10 = ldp_residual([0.0, 5.0], rate=rate, spectral=spectral[10.0])
+    r1000 = ldp_residual([0.0, 5.0], rate=rate, spectral=spectral[1000.0])
     assert r1000 <= 0.05
     assert r1000 <= r10
     with pytest.raises(ValueError):
-        ldp_residual(fixa, [0.0], 10.0, rate=rate, spectral=spectral[10.0])
+        ldp_residual([0.0], rate=rate, spectral=spectral[10.0])
     with pytest.raises(ValueError):
-        ldp_residual(fixa, [0.0, math.inf], 10.0, rate=rate, spectral=spectral[10.0])
+        ldp_residual([0.0, math.inf], rate=rate, spectral=spectral[10.0])
 
 
 def test_ldp_residual_seeded_probes(fixa):
@@ -195,8 +195,8 @@ def test_ldp_residual_seeded_probes(fixa):
     rng = np.random.default_rng(83)
     for _ in range(10):
         f = rng.uniform(-5, 5, 2)
-        r10 = ldp_residual(fixa, f, 10.0, rate=rate, spectral=spectral[10.0])
-        r1000 = ldp_residual(fixa, f, 1000.0, rate=rate, spectral=spectral[1000.0])
+        r10 = ldp_residual(f, rate=rate, spectral=spectral[10.0])
+        r1000 = ldp_residual(f, rate=rate, spectral=spectral[1000.0])
         assert r1000 <= 0.05
         assert r1000 <= r10 + 1e-12
 
@@ -206,4 +206,4 @@ def test_ldp_residual_at_rate_minimizer(fixc):
     rate, spectral = _ldp_inputs(sys, (1000.0,))
     # f = -I makes the sup term 0 and the moment converge to 0
     f = -rate.values
-    assert ldp_residual(sys, f, 1000.0, rate=rate, spectral=spectral[1000.0]) <= 0.05
+    assert ldp_residual(f, rate=rate, spectral=spectral[1000.0]) <= 0.05
