@@ -1,11 +1,12 @@
 """Brute-force reference computations.
 
 Deliberately independent of the fast paths: cycle means come from
-exhaustive simple-cycle enumeration, path suprema from naive max-plus
-matrix powers over plain floats, calibrated sub-actions from iterating
-the Bousch operator, and the Ruelle operator is applied in linear space
-arc by arc. Sized for small systems (the CLI caps the oracle at 10
-states).
+exhaustive simple-cycle enumeration (a depth-first search rooted at each
+cycle's least state), path suprema from naive max-plus matrix powers
+over plain floats, calibrated sub-actions from iterating the Bousch
+operator, and the Ruelle operator is applied in linear space arc by arc.
+Standard library and numpy only. Sized for small systems (the CLI caps
+the oracle at 10 states).
 """
 
 from __future__ import annotations
@@ -17,28 +18,42 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dynamics import TransitionSystem, bousch_apply
-from .maxplus_linalg import DEFAULT_TOL, _karp_mean
+from .maxplus_linalg import DEFAULT_TOL
 from .tropical_core import TropVector, sup_distance, vec_add
 
 _NINF = -math.inf
 
 
 def enum_max_cycle_mean(sys: TransitionSystem) -> float:
-    """Maximum over all simple cycles of (total weight / length); -inf when acyclic."""
-    import networkx as nx  # imported here so the fast path never loads it
+    """Maximum over all simple cycles of (total weight / length); -inf when acyclic.
 
-    g = nx.DiGraph()
-    g.add_nodes_from(range(sys.n))
+    Each simple cycle is found once, from its least state: the search
+    rooted at a state walks only through greater states and closes a
+    cycle on an arc back to the root. Weights are summed in path order
+    from the root.
+    """
+    succ = [[] for _ in range(sys.n)]
     for s, t, w in sys.arcs:
-        g.add_edge(s, t, weight=w)
+        succ[s].append((t, w))
     best = _NINF
-    for cycle in nx.simple_cycles(g):
-        total = 0.0
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            total += g[a][b]["weight"]
-        mean = total / len(cycle)
-        if mean > best:
-            best = mean
+    on_path = [False] * sys.n
+    for root in range(sys.n):
+        # one (state, weight so far, arcs still to try) per path state; an
+        # explicit stack, so no recursion limit
+        stack = [(root, 0.0, iter(succ[root]))]
+        while stack:
+            _, total, arcs = stack[-1]
+            for t, w in arcs:
+                if t == root:
+                    mean = (total + w) / len(stack)
+                    if mean > best:
+                        best = mean
+                elif t > root and not on_path[t]:
+                    on_path[t] = True
+                    stack.append((t, total + w, iter(succ[t])))
+                    break
+            else:
+                on_path[stack.pop()[0]] = False
     return best
 
 
@@ -95,7 +110,7 @@ def enum_aubry(phi: List[List[float]], tol: float = 1e-9) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def subaction_limsup(sys: TransitionSystem, u0: TropVector, tol: float = DEFAULT_TOL) -> TropVector:
+def subaction_limsup(sys: TransitionSystem, u0: TropVector) -> TropVector:
     """The limsup of Bousch iterates of u0 on a normalized system.
 
     Iterates are eventually periodic, so the supremum over a sliding
@@ -103,15 +118,16 @@ def subaction_limsup(sys: TransitionSystem, u0: TropVector, tol: float = DEFAULT
     finite sups, a stationary window supremum is already a fixed point.
     Convergence is declared once the window supremum holds still across
     one full window. The window is the state count and the cap 4 n^2
-    iterations.
+    iterations. Normalization is checked by enumeration, and both it and
+    the limit's fixed-point residual must hold within DEFAULT_TOL.
     """
     n = sys.n
     if len(u0) != n:
         raise ValueError(f"length mismatch: system {n}, vector {len(u0)}")
     if not u0.is_finite:
         raise ValueError("start vector must be finite-valued")
-    mean = _karp_mean(n, *sys.arc_arrays)
-    if mean == _NINF or abs(mean) > tol:
+    mean = enum_max_cycle_mean(sys)
+    if mean == _NINF or abs(mean) > DEFAULT_TOL:
         raise ValueError("system is not normalized (max cycle mean must be 0)")
     w, limit = n, 4 * n * n
     recent = deque(maxlen=w)
@@ -134,9 +150,9 @@ def subaction_limsup(sys: TransitionSystem, u0: TropVector, tol: float = DEFAULT
                 streak += 1
                 if streak >= w:
                     resid = sup_distance(bousch_apply(sys, cur), cur)
-                    if resid > tol:
+                    if resid > DEFAULT_TOL:
                         raise RuntimeError(
-                            f"window supremum stabilized but fixed-point residual {resid:.3e} exceeds {tol:.1e}"
+                            f"window supremum stabilized but fixed-point residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
                         )
                     return cur
             else:

@@ -371,7 +371,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     q_fast, mane = report.Q, report.mane
 
     q_enum = enum_max_cycle_mean(sys_)
-    phi_enum = enum_mane(sys_, q_enum, horizon=2 * sys_.n)
+    phi_enum = enum_mane(sys_, q_enum)
     aubry_enum = enum_aubry(phi_enum, tol=args.tol)
 
     q_dev = abs(q_fast - q_enum)
@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="functional-graph flavor: a random permutation, usually of several cycles",
     )
-    common(p)
+    p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("oracle", help="brute-force cross-check of the fast path")
@@ -460,7 +460,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # rounding, an eigenvector solve that hits its step cap, and a system
     # too large for memory all exit 2 with a message
     try:
-        check_tol(args.tol)
+        if "tol" in args:  # gen takes no tol
+            check_tol(args.tol)
         return args.func(args)
     except MultiClassError as exc:
         return _fail(EXIT_MULTICLASS, str(exc))

@@ -56,37 +56,37 @@ def _mane(p: _TropicalPass) -> ManeMatrix:
     return ManeMatrix(phi=TropMatrix.from_floats(p.plus), aubry=p.aubry, critical_classes=p.classes)
 
 
-def max_potential_energy(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> Tuple[float, PathRecord]:
+def max_potential_energy(sys: TransitionSystem) -> Tuple[float, PathRecord]:
     """The maximum cycle mean of the weights, with one maximizing cycle.
 
     On a finite system every invariant measure is carried by cycles, so
     the maximum time-average of the potential is attained on a cycle and
     the witness cycle's uniform measure is maximizing.
     """
-    return _q_and_cycle(_TropicalPass(sys.n, *sys.arc_arrays, tol))
+    return _q_and_cycle(_TropicalPass(sys.n, *sys.arc_arrays, DEFAULT_TOL))
 
 
-def normalize(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> TransitionSystem:
+def normalize(sys: TransitionSystem) -> TransitionSystem:
     """Shift every weight by -Q so the maximum cycle mean becomes 0."""
-    q, _ = max_potential_energy(sys, tol=tol)
+    q, _ = max_potential_energy(sys)
     return sys.shifted(-q)
 
 
-def mane_potential(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ManeMatrix:
+def mane_potential(sys: TransitionSystem) -> ManeMatrix:
     """All-pairs maximum normalized path weight, Aubry set, critical classes.
 
     Requires a normalized system: a positive cycle mean makes the path
     supremum diverge (reported with a maximizing cycle), a negative one
-    empties the Aubry set. A mean within tol of 0 is shifted away.
+    empties the Aubry set. A mean within DEFAULT_TOL of 0 is shifted away.
     """
-    p = _TropicalPass(sys.n, *sys.arc_arrays, tol)
+    p = _TropicalPass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
     if p.mean == _NINF:
         raise ValueError("acyclic system has no normalized potential")
-    if p.mean < -tol:
+    if p.mean < -DEFAULT_TOL:
         raise ValueError(
             f"system is not normalized (max cycle mean {p.mean:.6g} < 0 would empty the Aubry set)"
         )
-    if p.mean > tol:
+    if p.mean > DEFAULT_TOL:
         raise PositiveCycleError(p.mean, p.witness)
     return _mane(p)
 
@@ -130,15 +130,15 @@ def representation_check(
     return sup_distance(vec, TropVector(terms.max(axis=0, initial=_NINF)))
 
 
-def is_subaction(sys: TransitionSystem, u: TropVector, tol: float = DEFAULT_TOL) -> bool:
+def is_subaction(sys: TransitionSystem, u: TropVector) -> bool:
     """Whether the Bousch image of u stays below u shifted by the maximal
-    potential energy."""
+    potential energy, within DEFAULT_TOL."""
     if not u.is_finite:
         raise ValueError("sub-action candidates must be finite-valued")
     q = _karp_mean(sys.n, *sys.arc_arrays)  # the mean alone: no witness, no closure
     if q == _NINF:
         raise ValueError("acyclic system carries no invariant measure")
-    return not np.any(bousch_apply(sys, u).array > u.array + q + tol)
+    return not np.any(bousch_apply(sys, u).array > u.array + q + DEFAULT_TOL)
 
 
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:

@@ -334,15 +334,18 @@ def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_skips_networkx(tmp_path):
     # neither the import nor gen's default, strongly connected flavour
-    # loads networkx
+    # loads networkx, and the oracle runs where it cannot be imported
     src = pathlib.Path(troptherm.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = str(tmp_path / "gen.json")
+    report = str(tmp_path / "oracle.json")
     code = (
         "import sys, troptherm.cli as cli\n"
         "assert 'networkx' not in sys.modules, 'networkx imported'\n"
         f"assert cli.main(['gen', '--seed', '1', '--n', '6', '--output', {out!r}]) == 0\n"
         "assert 'networkx' not in sys.modules, 'networkx imported by gen'\n"
+        "sys.modules['networkx'] = None\n"
+        f"sys.exit(cli.main(['oracle', '--input', {out!r}, '--output', {report!r}]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -352,6 +355,7 @@ def test_cli_import_skips_networkx(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(pathlib.Path(report).read_text())["ok"] is True
 
 
 def test_lost_critical_cycle_exits_2(tmp_path, capsys):
@@ -496,6 +500,22 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
         assert proc.stderr.startswith("error: tol must be") and proc.stderr.count("\n") == 1, proc.stderr
     assert cli.main(["analyze", "--input", path, "--tol", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["Q"] == ergodic_report(system_from_json(json.loads(pathlib.Path(path).read_text()))).Q
+    # the check comes before any input is read
+    missing = str(tmp_path / "missing.json")
+    for command in ("analyze", "sweep", "ldp", "oracle"):
+        assert cli.main([command, "--input", missing, "--tol", "nan"]) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: tol must be a finite number >= 0: nan\n", (command, err)
+
+
+def test_gen_takes_no_tol(tmp_path, capsys):
+    # gen reads no tolerance, so argparse refuses one
+    for tol in ("1e-9", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--seed", "1", "--output", str(tmp_path / "g.json"), "--tol", tol])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_bad_beta_grid_exits_2(tmp_path, fixa, capsys):

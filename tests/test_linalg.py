@@ -136,6 +136,28 @@ def test_karp_vs_enumeration_seeded():
             assert abs(max_potential_energy(sys_)[0] - slow) <= 1e-9
 
 
+def test_enum_max_cycle_mean_closed_forms():
+    # complete 8-state digraph, loops included: the successor arcs weigh 1
+    # and form the one Hamiltonian cycle, every other arc weighs 0, so
+    # every shorter cycle has a 0 arc and mean below 1
+    n = 8
+    complete = [(s, t, 1.0 if t == (s + 1) % n else 0.0) for s in range(n) for t in range(n)]
+    assert enum_max_cycle_mean(TransitionSystem(n, complete)) == 1.0
+    # the best cycle 1 -> 2 -> 1 (mean 2) avoids state 0 and its loop (1)
+    avoid = [(0, 0, 1.0), (0, 1, 0.0), (1, 2, 4.0), (2, 1, 0.0), (2, 0, 0.0)]
+    assert enum_max_cycle_mean(TransitionSystem(3, avoid)) == 2.0
+    # the best cycle is the loop at the largest state
+    loops = [(s, t, 5.0 if s == t == 2 else -1.0) for s in range(3) for t in range(3)]
+    assert enum_max_cycle_mean(TransitionSystem(3, loops)) == 5.0
+    # no cycle at all: a chain, and one state without arcs
+    assert enum_max_cycle_mean(TransitionSystem(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])) == NI
+    assert enum_max_cycle_mean(TransitionSystem(1, [])) == NI
+    # a cycle longer than the recursion limit (the search walks from each
+    # root to state n - 1, so this is n^2 / 2 steps)
+    n = 1200
+    assert enum_max_cycle_mean(TransitionSystem(n, [(i, (i + 1) % n, 3.0) for i in range(n)])) == 3.0
+
+
 def test_kleene_plus_examples():
     phi = mane_potential(_matrix_system(FIXA)).phi
     assert phi.to_floats() == [[0.0, -1.0], [-1.0, -2.0]]
@@ -242,20 +264,27 @@ def test_critical_classes_two_loops():
     assert ergodic_report(_matrix_system(FIXA)).mane.critical_classes == [(0,)]
 
 
-def test_strongly_connected_matches_networkx_seeded():
-    import networkx as nx
+def _mutual_reachability_components(n, arcs):
+    """Components as classes of mutual reachability, from a closure of the
+    reflexive reachability relation over plain sets."""
+    reach = [{x} for x in range(n)]
+    for s, t in arcs:
+        reach[s].add(t)
+    for k in range(n):
+        for x in range(n):
+            if k in reach[x]:
+                reach[x] |= reach[k]
+    return sorted({tuple(sorted(y for y in reach[x] if x in reach[y])) for x in range(n)})
 
+
+def test_strongly_connected_matches_reachability_seeded():
     rng = random.Random(89)
     for _ in range(200):
         n = rng.randint(1, 30)
         density = rng.choice((0.02, 0.08, 0.2, 0.5))
         # self-loops included; low densities leave isolated nodes
         arcs = [(s, t) for s in range(n) for t in range(n) if rng.random() < density]
-        g = nx.DiGraph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(arcs)
-        want = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(g))
-        assert strongly_connected(range(n), arcs) == want
+        assert strongly_connected(range(n), arcs) == _mutual_reachability_components(n, arcs)
     # a 5000-node path and cycle stay clear of the recursion limit
     path = [(i, i + 1) for i in range(4999)]
     assert strongly_connected(range(5000), path) == [(i,) for i in range(5000)]
