@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import TransitionSystem, bousch_apply
 from .maxplus_linalg import DEFAULT_TOL
-from .tropical_core import TropVector, sup_distance, vec_add
+from .tropical_core import sup_distance, trop_vector
 
 _NINF = -math.inf
 
@@ -110,7 +110,7 @@ def enum_aubry(phi: List[List[float]], tol: float = 1e-9) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def subaction_limsup(sys: TransitionSystem, u0: TropVector) -> TropVector:
+def subaction_limsup(sys: TransitionSystem, u0: np.ndarray) -> np.ndarray:
     """The limsup of Bousch iterates of u0 on a normalized system.
 
     Iterates are eventually periodic, so the supremum over a sliding
@@ -122,9 +122,10 @@ def subaction_limsup(sys: TransitionSystem, u0: TropVector) -> TropVector:
     the limit's fixed-point residual must hold within DEFAULT_TOL.
     """
     n = sys.n
+    u0 = trop_vector(u0)
     if len(u0) != n:
         raise ValueError(f"length mismatch: system {n}, vector {len(u0)}")
-    if not u0.is_finite:
+    if not np.isfinite(u0).all():
         raise ValueError("start vector must be finite-valued")
     mean = enum_max_cycle_mean(sys)
     if mean == _NINF or abs(mean) > DEFAULT_TOL:
@@ -143,7 +144,7 @@ def subaction_limsup(sys: TransitionSystem, u0: TropVector) -> TropVector:
             continue
         cur = recent[0]
         for item in list(recent)[1:]:
-            cur = vec_add(cur, item)
+            cur = np.where(cur >= item, cur, item)  # the first operand wins ties, as t_add does
         if prev_sup is not None:
             last_change = sup_distance(cur, prev_sup)
             if last_change <= 1e-12:
@@ -154,7 +155,7 @@ def subaction_limsup(sys: TransitionSystem, u0: TropVector) -> TropVector:
                         raise RuntimeError(
                             f"window supremum stabilized but fixed-point residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
                         )
-                    return cur
+                    return trop_vector(cur)
             else:
                 streak = 0
         prev_sup = cur

@@ -206,10 +206,10 @@ def _grid_arg(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: expected comma-separated reals")
 
 
-def _probes(n: int, seed: int, count: int = PROBE_COUNT) -> List[np.ndarray]:
+def _probes(n: int, seed: int) -> List[np.ndarray]:
     rng = np.random.default_rng(seed)
     lo, hi = WEIGHT_RANGE
-    return [rng.uniform(lo, hi, n) for _ in range(count)]
+    return [rng.uniform(lo, hi, n) for _ in range(PROBE_COUNT)]
 
 
 def _echo(raw: str) -> str:
@@ -375,7 +375,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     aubry_enum = enum_aubry(phi_enum, tol=args.tol)
 
     q_dev = abs(q_fast - q_enum)
-    fast, slow = mane.phi.array, np.array(phi_enum)
+    fast, slow = mane.phi, np.array(phi_enum)
     with np.errstate(invalid="ignore"):  # -inf - -inf where both are -inf
         phi_dev = float(np.where(fast == slow, 0.0, np.abs(fast - slow)).max())
     aubry_dev = 0.0 if tuple(mane.aubry) == tuple(aubry_enum) else math.inf

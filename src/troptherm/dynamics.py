@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import TropVector, array_mul
+from .tropical_core import array_mul, trop_vector
 from .tropical_measures import Density
 from .maxplus_linalg import TropMatrix
 
@@ -246,15 +246,16 @@ def discretize_doubling(order: int, sample: Callable[[float], float]) -> Transit
     return TransitionSystem(n, arcs, labels=labels)
 
 
-def bousch_apply(sys: TransitionSystem, u: TropVector) -> TropVector:
+def bousch_apply(sys: TransitionSystem, u: np.ndarray) -> np.ndarray:
     """out(x) = ⊕ over arcs y -> x of u(y) ⊗ weight; sup over an empty
     preimage set is -inf."""
+    u = trop_vector(u)
     if len(u) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, vector {len(u)}")
     src, tgt, w = sys.arc_arrays
     out = np.full(sys.n, -math.inf)
-    np.maximum.at(out, tgt, array_mul(u.array[src], w))
-    return TropVector(out)
+    np.maximum.at(out, tgt, array_mul(u[src], w))
+    return trop_vector(out)
 
 
 def adjoint_apply(sys: TransitionSystem, b: Density) -> Density:
@@ -270,8 +271,8 @@ def adjoint_apply(sys: TransitionSystem, b: Density) -> Density:
         return b
     src, tgt, w = sys.arc_arrays
     out = np.full(sys.n, -math.inf)
-    np.maximum.at(out, src, array_mul(w, b.values.array[tgt]))
-    return Density(TropVector(out))
+    np.maximum.at(out, src, array_mul(w, b.values[tgt]))
+    return Density(out)
 
 
 def birkhoff_sum(sys: TransitionSystem, path: PathRecord) -> float:

@@ -17,8 +17,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_from_json, system_to_json
-from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, TropMatrix, _karp_mean, _TropicalPass
-from .tropical_core import TropVector, array_mul, floats_to_json, sup_distance
+from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, _karp_mean, _TropicalPass, _weight_array
+from .tropical_core import array_mul, floats_to_json, sup_distance, trop_vector, vector_from_json
 from .tropical_measures import Density
 
 _NINF = -math.inf
@@ -27,9 +27,10 @@ _NINF = -math.inf
 @dataclass
 class ManeMatrix:
     """phi(x, y) = maximum normalized weight of a path x -> y of length >= 1,
-    together with the Aubry states (zero diagonal) and their critical classes."""
+    together with the Aubry states (zero diagonal) and their critical classes;
+    phi is a read-only (n, n) float64 array with -inf where no path runs."""
 
-    phi: TropMatrix
+    phi: np.ndarray
     aubry: Tuple[int, ...]
     critical_classes: List[Tuple[int, ...]]
 
@@ -40,7 +41,7 @@ class ErgodicReport:
     maximizing_cycle: PathRecord
     normalized_system: TransitionSystem
     mane: ManeMatrix
-    eigenfunction_basis: List[TropVector]
+    eigenfunction_basis: List[np.ndarray]
     eigen_density_basis: List[Density]
     uniquely_calibrated: bool
 
@@ -53,7 +54,8 @@ def _q_and_cycle(p: _TropicalPass) -> Tuple[float, PathRecord]:
 
 
 def _mane(p: _TropicalPass) -> ManeMatrix:
-    return ManeMatrix(phi=TropMatrix.from_floats(p.plus), aubry=p.aubry, critical_classes=p.classes)
+    p.plus.flags.writeable = False
+    return ManeMatrix(phi=p.plus, aubry=p.aubry, critical_classes=p.classes)
 
 
 def max_potential_energy(sys: TransitionSystem) -> Tuple[float, PathRecord]:
@@ -91,9 +93,9 @@ def mane_potential(sys: TransitionSystem) -> ManeMatrix:
     return _mane(p)
 
 
-def eigenfunction_spectral(mane: ManeMatrix) -> List[TropVector]:
+def eigenfunction_spectral(mane: ManeMatrix) -> List[np.ndarray]:
     """One Bousch fixed point phi(x, ·) per critical class representative x."""
-    return [TropVector(mane.phi.array[cls[0]]) for cls in mane.critical_classes]
+    return [trop_vector(mane.phi[cls[0]]) for cls in mane.critical_classes]
 
 
 def eigen_density_spectral(mane: ManeMatrix) -> List[Density]:
@@ -102,12 +104,12 @@ def eigen_density_spectral(mane: ManeMatrix) -> List[Density]:
     Each column has a 0 at its own state, so it is never the constant
     -inf density, and path weights are +inf-free, so it is never top.
     """
-    return [Density(TropVector(mane.phi.array[:, cls[0]])) for cls in mane.critical_classes]
+    return [Density(mane.phi[:, cls[0]]) for cls in mane.critical_classes]
 
 
 def representation_check(
     report: ErgodicReport,
-    v: Optional[TropVector] = None,
+    v: Optional[np.ndarray] = None,
     b: Optional[Density] = None,
 ) -> float:
     """Residual of the Aubry-set representation of an eigenfunction or a
@@ -121,24 +123,25 @@ def representation_check(
     if (v is None) == (b is None):
         raise ValueError("pass exactly one of v or b")
     # rows x of phi weighted by v(x), or columns y weighted by b(y)
-    phi = report.mane.phi.array if v is not None else report.mane.phi.array.T
-    vec = v if v is not None else b.values
+    phi = report.mane.phi if v is not None else report.mane.phi.T
+    vec = trop_vector(v) if v is not None else b.values
     if len(vec) != phi.shape[0]:
         raise ValueError(f"length mismatch: {len(vec)} vs {phi.shape[0]}")
     aubry = list(report.mane.aubry)
-    terms = array_mul(vec.array[aubry, None], phi[aubry])
-    return sup_distance(vec, TropVector(terms.max(axis=0, initial=_NINF)))
+    terms = array_mul(vec[aubry, None], phi[aubry])
+    return sup_distance(vec, terms.max(axis=0, initial=_NINF))
 
 
-def is_subaction(sys: TransitionSystem, u: TropVector) -> bool:
+def is_subaction(sys: TransitionSystem, u: np.ndarray) -> bool:
     """Whether the Bousch image of u stays below u shifted by the maximal
     potential energy, within DEFAULT_TOL."""
-    if not u.is_finite:
+    u = trop_vector(u)
+    if not np.isfinite(u).all():
         raise ValueError("sub-action candidates must be finite-valued")
     q = _karp_mean(sys.n, *sys.arc_arrays)  # the mean alone: no witness, no closure
     if q == _NINF:
         raise ValueError("acyclic system carries no invariant measure")
-    return not np.any(bousch_apply(sys, u).array > u.array + q + DEFAULT_TOL)
+    return not np.any(bousch_apply(sys, u) > u + q + DEFAULT_TOL)
 
 
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:
@@ -169,11 +172,11 @@ def report_to_json(report: ErgodicReport) -> dict:
         "maximizing_cycle": list(report.maximizing_cycle.states),
         "normalized_system": system_to_json(report.normalized_system),
         "mane": {
-            "phi": floats_to_json(report.mane.phi.array),
+            "phi": floats_to_json(report.mane.phi),
             "aubry": list(report.mane.aubry),
             "critical_classes": [list(c) for c in report.mane.critical_classes],
         },
-        "eigenfunction_basis": [v.to_json() for v in report.eigenfunction_basis],
+        "eigenfunction_basis": [floats_to_json(v) for v in report.eigenfunction_basis],
         "eigen_density_basis": [d.to_json() for d in report.eigen_density_basis],
         "uniquely_calibrated": report.uniquely_calibrated,
     }
@@ -181,7 +184,7 @@ def report_to_json(report: ErgodicReport) -> dict:
 
 def report_from_json(data: dict) -> ErgodicReport:
     mane = ManeMatrix(
-        phi=TropMatrix.from_floats([TropVector.from_json(row).array for row in data["mane"]["phi"]]),
+        phi=_weight_array([vector_from_json(row) for row in data["mane"]["phi"]]),
         aubry=tuple(data["mane"]["aubry"]),
         critical_classes=[tuple(c) for c in data["mane"]["critical_classes"]],
     )
@@ -190,7 +193,7 @@ def report_from_json(data: dict) -> ErgodicReport:
         maximizing_cycle=PathRecord(tuple(data["maximizing_cycle"])),
         normalized_system=system_from_json(data["normalized_system"]),
         mane=mane,
-        eigenfunction_basis=[TropVector.from_json(v) for v in data["eigenfunction_basis"]],
+        eigenfunction_basis=[vector_from_json(v) for v in data["eigenfunction_basis"]],
         eigen_density_basis=[Density.from_json(d) for d in data["eigen_density_basis"]],
         uniquely_calibrated=bool(data["uniquely_calibrated"]),
     )

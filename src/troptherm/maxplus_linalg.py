@@ -20,8 +20,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import TropValue
-
 DEFAULT_TOL = 1e-9
 # cells of one gathered block in the closure: 256 KiB of float64
 _BLOCK_CELLS = 1 << 15
@@ -62,8 +60,7 @@ def _weight_array(grid) -> np.ndarray:
 class TropMatrix:
     """Square max-plus matrix; entry (i, j) weighs the arc i -> j.
 
-    Stored as a read-only float64 array with -inf for missing arcs;
-    TropValue views are built only when asked for.
+    Stored as a read-only float64 array with -inf for missing arcs.
     """
 
     __slots__ = ("_a",)
@@ -73,7 +70,7 @@ class TropMatrix:
 
     @classmethod
     def from_floats(cls, grid: Sequence[Sequence[float]]) -> "TropMatrix":
-        """From a float grid (-inf for missing arcs), copied without building TropValues."""
+        """From a float grid (-inf for missing arcs), copied as one array."""
         M = cls.__new__(cls)
         M._a = _weight_array(grid)
         return M
@@ -86,21 +83,6 @@ class TropMatrix:
     def array(self) -> np.ndarray:
         """The read-only float64 grid."""
         return self._a
-
-    def entry(self, i: int, j: int) -> TropValue:
-        return TropValue(self._a[i, j])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TropMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self._a, other._a))
-
-    def __repr__(self) -> str:
-        return f"TropMatrix(n={self.n})"
-
-    def to_floats(self) -> List[List[float]]:
-        """Plain float grid with -inf for missing arcs."""
-        return self._a.tolist()
 
 
 def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float:

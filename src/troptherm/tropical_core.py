@@ -1,20 +1,20 @@
-"""Scalar max-plus semiring and its pointwise vector extension.
+"""Scalar max-plus semiring and its pointwise extension to vectors.
 
 Elements live in R ∪ {-inf, +inf} with ⊕ = max and ⊗ = +. A scalar
 TropValue holds one IEEE float, whose order already is the tropical
 order; t_mul enforces the convention (-inf) ⊗ (+inf) = -inf with one
-explicit test. A TropVector holds one read-only float64 array with IEEE
-±inf; its arithmetic applies the same convention by turning the NaN of
--inf + inf into -inf (array_mul), and ⊕ keeps the first operand on ties
-as t_add does. Comparisons between finite values are exact; no
-tolerance enters at this level.
+explicit test. A vector is a plain read-only float64 array with IEEE
+±inf, checked once where it enters (trop_vector); array_mul applies the
+same convention by turning the NaN of -inf + inf into -inf, and
+array_sup keeps the first of tied entries as a t_add fold does.
+Comparisons between finite values are exact; no tolerance enters at
+this level.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -147,100 +147,25 @@ def array_sup(a: np.ndarray) -> float:
     return float(a[np.argmax(a)]) if a.size else -math.inf
 
 
-class TropVector:
-    """State-indexed table of tropical values (a function on a finite state set).
-
-    Stored as one read-only float64 array with ±inf; TropValue views are
-    built only when entries are asked for. An array argument is copied
-    without building them.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, entries: Iterable[Union[TropValue, Number]]):
-        if not isinstance(entries, np.ndarray):
-            entries = [float(e) for e in entries]
-        a = np.array(entries, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("a tropical vector needs at least one entry, in one dimension")
-        if np.isnan(a).any():
-            raise ValueError("NaN has no tropical meaning")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def constant(cls, n: int, value: Union[TropValue, Number]) -> "TropVector":
-        return cls(np.full(n, float(value)))
-
-    @property
-    def array(self) -> np.ndarray:
-        """The read-only float64 entries."""
-        return self._a
-
-    @property
-    def entries(self) -> tuple:
-        return tuple(self)
-
-    def __len__(self) -> int:
-        return len(self._a)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.entries[i]
-        return TropValue(self._a[operator.index(i)])
-
-    def __iter__(self):
-        return map(TropValue, self._a.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TropVector):
-            return NotImplemented
-        return bool(np.array_equal(self._a, other._a))
-
-    def __hash__(self):
-        # float hashing maps -0.0 and 0.0 alike, as == does; the array
-        # bytes would not
-        return hash(tuple(self._a.tolist()))
-
-    def __repr__(self) -> str:
-        return f"TropVector({self.to_json()})"
-
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self._a).all())
-
-    def sup(self) -> TropValue:
-        """⊕ over all entries."""
-        return TropValue(array_sup(self._a))
-
-    def to_json(self) -> list:
-        return floats_to_json(self._a)
-
-    @classmethod
-    def from_json(cls, data: list) -> "TropVector":
-        return cls([_float_from_json(x) for x in data])
+def trop_vector(entries) -> np.ndarray:
+    """A tropical vector (a function on a finite state set) as a read-only
+    float64 copy; ValueError unless it is one-dimensional, non-empty and
+    NaN-free."""
+    a = np.array(entries, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("a tropical vector needs at least one entry, in one dimension")
+    if np.isnan(a).any():
+        raise ValueError("NaN has no tropical meaning")
+    a.flags.writeable = False
+    return a
 
 
-def vec_add(u: TropVector, v: TropVector) -> TropVector:
-    """Pointwise ⊕."""
-    _check_len(u, v)
-    # u wins ties, as in t_add, so -0.0 survives against 0.0 (np.maximum
-    # would take the second operand)
-    return TropVector(np.where(u.array >= v.array, u.array, v.array))
+def vector_from_json(data: list) -> np.ndarray:
+    """The inverse of floats_to_json on a vector."""
+    return trop_vector([_float_from_json(x) for x in data])
 
 
-def vec_scale(lam: TropValue, u: TropVector) -> TropVector:
-    """Pointwise λ ⊗ u."""
-    return TropVector(array_mul(float(lam), u.array))
-
-
-def vec_leq(u: TropVector, v: TropVector) -> bool:
-    """Pointwise order u ≼ v."""
-    _check_len(u, v)
-    return bool(np.all(u.array <= v.array))
-
-
-def residual(u: TropVector, v: TropVector) -> TropValue:
+def residual(u: np.ndarray, v: np.ndarray) -> TropValue:
     """The residuation u ⊘ v = sup{λ : λ ⊗ v ≼ u}.
 
     Computed as the inf over states of u(x) - v(x) with the conventions:
@@ -249,27 +174,29 @@ def residual(u: TropVector, v: TropVector) -> TropValue:
     -inf ⊗ +inf = -inf convention), and an empty constraint set yields
     the top element.
     """
-    _check_len(u, v)
+    u, v = _pair(u, v)
     with np.errstate(invalid="ignore", over="ignore"):
-        terms = u.array - v.array
+        terms = u - v
     # the NaNs are inf - inf and -inf - -inf: no constraint
     terms[np.isnan(terms)] = math.inf
     return TropValue(terms[np.argmin(terms)])
 
 
-def sup_distance(u: TropVector, v: TropVector) -> float:
+def sup_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Sup-norm distance as a plain float.
 
     Entries that are the same infinity contribute 0; a mismatch involving
     an infinity contributes +inf.
     """
-    _check_len(u, v)
+    u, v = _pair(u, v)
     with np.errstate(invalid="ignore", over="ignore"):
-        gaps = np.abs(u.array - v.array)
+        gaps = np.abs(u - v)
     # NaN is the same infinity on both sides
     return float(np.where(np.isnan(gaps), 0.0, gaps).max())
 
 
-def _check_len(u: TropVector, v: TropVector) -> None:
+def _pair(u, v):
+    u, v = trop_vector(u), trop_vector(v)
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    return u, v

@@ -2,10 +2,9 @@
 
 Every subset of a finite discrete space is open, so a tropical measure
 is determined by its values on singletons: the density is the stored
-object and the measure view is derived. A density wraps a TropVector,
-so its masses are one read-only float64 array. The distinguished top
-density (constant +inf) is kept behind an explicit flag; every other
-density is +inf-free.
+object and the measure view is derived. A density wraps one read-only
+float64 array of masses. The distinguished top density (constant +inf)
+is kept behind an explicit flag; every other density is +inf-free.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, List
 
 import numpy as np
 
-from .tropical_core import POS_INF, TropValue, TropVector, array_mul, array_sup
+from .tropical_core import TropValue, array_mul, array_sup, floats_to_json, trop_vector, vector_from_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TransitionSystem
@@ -25,24 +24,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Density:
     """A tropical density: the state-wise masses of a tropical measure,
-    held as a TropVector, with the top density flagged explicitly."""
+    held as a read-only float64 array, with the top density flagged
+    explicitly."""
 
     __slots__ = ("_values", "_is_top")
 
-    def __init__(self, values: TropVector, is_top: bool = False):
+    def __init__(self, values, is_top: bool = False):
+        values = trop_vector(values)
         if is_top:
-            values = TropVector.constant(len(values), POS_INF)
-        elif np.isposinf(values.array).any():
+            values = trop_vector(np.full(len(values), math.inf))
+        elif np.isposinf(values).any():
             raise ValueError("only the top density may carry +inf entries")
         self._values = values
         self._is_top = is_top
 
     @classmethod
     def top(cls, n: int) -> "Density":
-        return cls(TropVector.constant(n, POS_INF), is_top=True)
+        return cls(np.full(n, math.inf), is_top=True)
 
     @property
-    def values(self) -> TropVector:
+    def values(self) -> np.ndarray:
+        """The read-only float64 masses."""
         return self._values
 
     @property
@@ -52,31 +54,28 @@ class Density:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __getitem__(self, i: int) -> TropValue:
-        return self._values[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Density):
             return NotImplemented
-        return self._is_top == other._is_top and self._values == other._values
+        return self._is_top == other._is_top and bool(np.array_equal(self._values, other._values))
 
     def __repr__(self) -> str:
         if self._is_top:
             return f"Density.top({len(self._values)})"
-        return f"Density({self._values.to_json()})"
+        return f"Density({self.to_json()})"
 
     def to_json(self) -> list:
-        return self._values.to_json()
+        return floats_to_json(self._values)
 
     @classmethod
     def from_json(cls, data: list) -> "Density":
-        vec = TropVector.from_json(data)
-        top = np.isposinf(vec.array)
+        values = vector_from_json(data)
+        top = np.isposinf(values)
         if top.any():
             if not top.all():
                 raise ValueError("+inf entries only occur in the constant top density")
-            return cls.top(len(vec))
-        return cls(vec)
+            return cls.top(len(values))
+        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class TropicalFunctional:
     density: Density
 
 
-def functional_eval(l: TropicalFunctional, f: TropVector) -> TropValue:
+def functional_eval(l: TropicalFunctional, f: np.ndarray) -> TropValue:
     """⊕_x (f(x) ⊗ b(x)). The -inf ⊗ +inf = -inf convention makes the top
     functional return +inf except on the constant -inf input."""
     return tropical_integral(l.density, f, range(len(l.density)))
@@ -102,15 +101,16 @@ def _states(b: Density, S: Iterable[int]) -> np.ndarray:
 
 def measure_of(b: Density, S: Iterable[int]) -> TropValue:
     """Mass of a state subset: ⊕ over S of b; the empty set has mass -inf."""
-    return TropValue(array_sup(b.values.array[_states(b, S)]))
+    return TropValue(array_sup(b.values[_states(b, S)]))
 
 
-def tropical_integral(b: Density, f: TropVector, S: Iterable[int]) -> TropValue:
+def tropical_integral(b: Density, f: np.ndarray, S: Iterable[int]) -> TropValue:
     """⊕ over S of f(x) ⊗ b(x); over the full set this is the functional."""
+    f = trop_vector(f)
     if len(f) != len(b):
         raise ValueError(f"length mismatch: {len(f)} vs {len(b)}")
     idx = _states(b, S)
-    return TropValue(array_sup(array_mul(f.array[idx], b.values.array[idx])))
+    return TropValue(array_sup(array_mul(f[idx], b.values[idx])))
 
 
 def is_invariant(sys: "TransitionSystem", b: Density) -> bool:
@@ -126,8 +126,8 @@ def is_invariant(sys: "TransitionSystem", b: Density) -> bool:
         raise ValueError(f"length mismatch: system {sys.n}, density {len(b)}")
     src, tgt, _ = sys.arc_arrays
     image = np.full(sys.n, -math.inf)
-    np.maximum.at(image, tgt, b.values.array[src])
-    return bool(np.array_equal(image, b.values.array))
+    np.maximum.at(image, tgt, b.values[src])
+    return bool(np.array_equal(image, b.values))
 
 
 def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
@@ -142,7 +142,8 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
         raise ValueError("ergodicity is defined for deterministic systems")
     if not is_invariant(sys, b):
         raise ValueError("ergodicity presupposes an invariant density")
-    total = b.values.sup()
+    values = b.values.tolist()
+    total = array_sup(b.values)
     src, tgt, _ = sys.arc_arrays
     image = dict(zip(src.tolist(), tgt.tolist()))  # one arc per source
     for x in range(sys.n):
@@ -151,18 +152,15 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
         while y not in seen:
             seen.add(y)
             y = image[y]
-        limit = b[y]  # constant on the terminal cycle
-        if b[x].is_neg_inf:
-            if not limit.is_neg_inf:
-                return False
-        elif limit != total:
+        expected = -math.inf if values[x] == -math.inf else total
+        if values[y] != expected:  # b is constant on the terminal cycle
             return False
     return True
 
 
-def singleton_probes(n: int) -> List[TropVector]:
+def singleton_probes(n: int) -> List[np.ndarray]:
     """The exact probe basis: 0 at one state, -inf elsewhere."""
-    return [TropVector(np.where(np.arange(n) == s, 0.0, -math.inf)) for s in range(n)]
+    return [trop_vector(np.where(np.arange(n) == s, 0.0, -math.inf)) for s in range(n)]
 
 
 def densities_equivalent(b1: Density, b2: Density) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport
 from .thermo import SpectralData, check_beta, log_moment, normalized_potential, spectral_data
-from .tropical_core import TropVector, array_mul, array_sup, floats_to_json
+from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 from .tropical_measures import Density
 
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
@@ -61,13 +61,13 @@ class RateFunction:
     """
 
     values: np.ndarray
-    eigenfunction: TropVector
+    eigenfunction: np.ndarray
     density: Density
 
     def to_json(self) -> dict:
         return {
             "values": floats_to_json(self.values),
-            "eigenfunction": self.eigenfunction.to_json(),
+            "eigenfunction": floats_to_json(self.eigenfunction),
             "density": self.density.to_json(),
         }
 
@@ -121,8 +121,8 @@ def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> S
     """
     check_beta(beta)
     ref = min(report.mane.aubry)
-    v = report.eigenfunction_basis[0].array
-    b = report.eigen_density_basis[0].values.array
+    v = report.eigenfunction_basis[0]
+    b = report.eigen_density_basis[0].values
     data = spectral_data(sys, beta, start_log_u=beta * v, start_log_m=beta * b, q=report.Q)
     slu = data.log_u / beta
     slu = slu - slu[ref]
@@ -152,13 +152,13 @@ def beta_sweep(
 def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
     if not report.uniquely_calibrated:
         raise MultiClassError(report.mane.critical_classes)
-    b0 = report.eigen_density_basis[0].values.array
+    b0 = report.eigen_density_basis[0].values
     b_al = b0 - array_sup(b0)
-    v0 = report.eigenfunction_basis[0].array
+    v0 = report.eigenfunction_basis[0]
     v_al = v0 - array_sup(array_mul(v0, b_al))
     # + 0.0 turns the -0.0 produced by negating a zero into 0.0
     values = -array_mul(v_al, b_al) + 0.0
-    return RateFunction(values=values, eigenfunction=TropVector(v_al), density=Density(TropVector(b_al)))
+    return RateFunction(values=values, eigenfunction=trop_vector(v_al), density=Density(b_al))
 
 
 def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralData) -> float:
@@ -211,9 +211,9 @@ def limit_diagnostics(
                 f"sweep reference state {rec.ref_state} does not match the report's {ref}"
             )
 
-    v0 = report.eigenfunction_basis[0].array
+    v0 = report.eigenfunction_basis[0]
     v_f = v0 - v0[ref]
-    b0 = report.eigen_density_basis[0].values.array
+    b0 = report.eigen_density_basis[0].values
     b_f = b0 - array_sup(b0)
     finite_b = np.isfinite(b_f)
 

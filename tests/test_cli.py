@@ -87,7 +87,7 @@ def test_analyze_fixa(tmp_path, fixa, capsys):
     assert data["mane"]["aubry"] == [0]
     assert data["uniquely_calibrated"] is True
     report = report_from_json(data)  # round trip through the public schema
-    assert report.mane.phi.to_floats() == [[0.0, -1.0], [-1.0, -2.0]]
+    assert report.mane.phi.tolist() == [[0.0, -1.0], [-1.0, -2.0]]
 
 
 def test_analyze_one_state(tmp_path, one_state, capsys):

@@ -24,16 +24,15 @@ from troptherm.ergodic_opt import (
     representation_check,
 )
 from troptherm.maxplus_linalg import PositiveCycleError
-from troptherm.tropical_core import TropVector, as_trop, sup_distance
-from troptherm.tropical_measures import Density
+from troptherm.tropical_core import sup_distance, trop_vector
 
 
 def tv(*xs):
-    return TropVector([as_trop(x) for x in xs])
+    return trop_vector(xs)
 
 
 def _floats(vec):
-    return [x.to_float() for x in vec]
+    return vec.tolist()
 
 
 def test_max_potential_energy_examples(fixa, fixb, fixc):
@@ -57,7 +56,7 @@ def test_normalize(fixb, fixc):
 
 def test_mane_potential_fixa(fixa):
     mane = mane_potential(fixa)
-    assert mane.phi.to_floats() == [[0.0, -1.0], [-1.0, -2.0]]
+    assert mane.phi.tolist() == [[0.0, -1.0], [-1.0, -2.0]]
     assert mane.aubry == (0,)
     assert mane.critical_classes == [(0,)]
 
@@ -67,7 +66,7 @@ def test_mane_potential_fixc(fixc):
     assert mane.aubry == (0, 1, 2)
     assert mane.critical_classes == [(0, 1, 2)]
     # phi(x, x) = 0 on the Aubry set
-    assert all(mane.phi.entry(i, i).finite == 0.0 for i in range(3))
+    assert all(mane.phi[i, i] == 0.0 for i in range(3))
 
 
 def test_mane_potential_rejects_unnormalized(fixc, one_state):
@@ -85,15 +84,14 @@ def test_mane_potential_rejects_unnormalized(fixc, one_state):
         mane_potential(TransitionSystem(2, [(0, 1, 0.0)]))
     # within tol of 0 the mean is shifted away, as in ergodic_report
     near = fixc.shifted(-2.0 + 1e-12)
-    assert mane_potential(near).phi == ergodic_report(near).mane.phi
+    assert np.array_equal(mane_potential(near).phi, ergodic_report(near).mane.phi)
 
 
 def test_subaction_limsup_examples(fixa, fixc):
     u = subaction_limsup(fixa, tv(0, 0))
     assert _floats(u) == [0.0, -1.0]
     v = subaction_limsup(normalize(fixc), tv(0, 0, 0))
-    base = v[0].finite
-    assert [x.finite - base for x in v] == [0.0, -1.0, -1.0]
+    assert (v - v[0]).tolist() == [0.0, -1.0, -1.0]
     # an eigenfunction is already a fixed point
     again = subaction_limsup(fixa, tv(0, -1))
     assert _floats(again) == [0.0, -1.0]
@@ -105,7 +103,10 @@ def test_subaction_limsup_rejects_bad_input(fixa, fixc):
     with pytest.raises(ValueError):
         subaction_limsup(fixa, tv(0))
     with pytest.raises(ValueError):
-        subaction_limsup(fixa, TropVector([as_trop(0.0), as_trop(-math.inf)]))
+        subaction_limsup(fixa, tv(0.0, -math.inf))
+    for bad in ([0.0, math.nan], [[0.0, 0.0]], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            subaction_limsup(fixa, bad)
 
 
 def test_subaction_limsup_fixed_point_seeded():
@@ -113,10 +114,10 @@ def test_subaction_limsup_fixed_point_seeded():
     for _ in range(15):
         sys = normalize(_gen_system(rng.randrange(10**6), None, False))
         for _ in range(3):
-            u0 = TropVector([as_trop(float(rng.randint(-4, 4))) for _ in range(sys.n)])
+            u0 = tv(*[float(rng.randint(-4, 4)) for _ in range(sys.n)])
             u = subaction_limsup(sys, u0)
             assert sup_distance(bousch_apply(sys, u), u) <= 1e-9
-            assert is_subaction(sys, TropVector([as_trop(x.finite) for x in u]))
+            assert is_subaction(sys, u)
 
 
 def test_spectral_bases_fixtures(fixa, fixb, fixc):
@@ -195,7 +196,7 @@ def test_representation_check(fixa):
     report = ergodic_report(fixa)
     (v,) = report.eigenfunction_basis
     assert representation_check(report, v=v) == 0.0
-    shifted = TropVector([as_trop(x.finite + 2.5) for x in v])
+    shifted = v + 2.5
     assert representation_check(report, v=shifted) <= 1e-12
     (d,) = report.eigen_density_basis
     assert representation_check(report, b=d) == 0.0
@@ -210,7 +211,10 @@ def test_is_subaction(fixa):
     assert is_subaction(fixa, tv(0, -1))
     assert not is_subaction(fixa, tv(-5, 0))
     with pytest.raises(ValueError):
-        is_subaction(fixa, TropVector([as_trop(-math.inf), as_trop(0.0)]))
+        is_subaction(fixa, tv(-math.inf, 0.0))
+    for bad in ([0.0, math.nan], [[0.0, 0.0]], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            is_subaction(fixa, bad)
 
 
 def test_domination_inequalities(fixa, two_loops):
@@ -219,12 +223,12 @@ def test_domination_inequalities(fixa, two_loops):
         report = ergodic_report(sys)
         for v in report.eigenfunction_basis:
             for y, x, w in report.normalized_system.arcs:
-                lhs = v[y].to_float() + w
-                assert lhs <= v[x].to_float() + 1e-12 or lhs == -math.inf
+                lhs = v[y] + w
+                assert lhs <= v[x] + 1e-12 or lhs == -math.inf
         for d in report.eigen_density_basis:
             for y, x, w in report.normalized_system.arcs:
-                lhs = w + d.values[x].to_float()
-                assert lhs <= d.values[y].to_float() + 1e-12 or lhs == -math.inf
+                lhs = w + d.values[x]
+                assert lhs <= d.values[y] + 1e-12 or lhs == -math.inf
 
 
 def test_witness_cycle_inside_aubry_seeded():
@@ -249,13 +253,11 @@ def test_report_json_round_trip(fixa, two_loops):
         assert again.Q == report.Q
         assert again.maximizing_cycle.states == report.maximizing_cycle.states
         assert again.normalized_system == report.normalized_system
-        assert again.mane.phi.to_floats() == report.mane.phi.to_floats()
+        assert again.mane.phi.tolist() == report.mane.phi.tolist()
         assert again.mane.aubry == report.mane.aubry
         assert again.mane.critical_classes == report.mane.critical_classes
-        assert again.eigenfunction_basis == report.eigenfunction_basis
-        assert [d.values for d in again.eigen_density_basis] == [
-            d.values for d in report.eigen_density_basis
-        ]
+        assert [v.tolist() for v in again.eigenfunction_basis] == [v.tolist() for v in report.eigenfunction_basis]
+        assert again.eigen_density_basis == report.eigen_density_basis
         assert again.uniquely_calibrated == report.uniquely_calibrated
 
 
@@ -280,3 +282,15 @@ def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
             calls[key] = 0
         ergodic_report(sys)
         assert calls == {"karp": 1, "closure": 1, "to_matrix": 0}
+
+
+def test_report_holds_read_only_arrays(fixa, two_loops):
+    for report in (ergodic_report(fixa), ergodic_report(two_loops), report_from_json(report_to_json(ergodic_report(fixa)))):
+        n = report.normalized_system.n
+        phi = report.mane.phi
+        assert type(phi) is np.ndarray and phi.dtype == np.float64 and phi.shape == (n, n)
+        vectors = list(report.eigenfunction_basis) + [d.values for d in report.eigen_density_basis]
+        for a in [phi] + vectors:
+            assert type(a) is np.ndarray and a.dtype == np.float64
+            with pytest.raises(ValueError):
+                a[0] = 1.0

@@ -23,13 +23,13 @@ from troptherm.maxplus_linalg import (
     _karp_mean,
     strongly_connected,
 )
-from troptherm.tropical_core import NEG_INF, TropValue, TropVector, as_trop, sup_distance, t_add, t_mul
+from troptherm.tropical_core import TropValue, sup_distance, t_add, t_mul, trop_vector
 
 NI = -math.inf
 
 
 def tv(*xs):
-    return TropVector([as_trop(x) for x in xs])
+    return trop_vector(xs)
 
 
 FIXA = [[0.0, -1.0], [-1.0, -3.0]]
@@ -72,16 +72,16 @@ def test_matrix_rejects_pos_inf():
 def test_mat_vec_examples():
     ident = _matrix_system([[0.0, NI], [NI, 0.0]])
     v = tv(2, -1)
-    assert bousch_apply(ident, v) == v
-    assert bousch_apply(_matrix_system(FIXA), tv(0, -1)) == tv(0, -1)
+    assert np.array_equal(bousch_apply(ident, v), v)
+    assert bousch_apply(_matrix_system(FIXA), tv(0, -1)).tolist() == [0.0, -1.0]
     empty = TransitionSystem(2, [])
-    assert bousch_apply(empty, v) == TropVector([NEG_INF, NEG_INF])
+    assert bousch_apply(empty, v).tolist() == [NI, NI]
 
 
 def test_mat_vec_orientation():
     # single arc 0 -> 1, weight 7: mass moves from entry 0 to entry 1
     m = _matrix_system([[NI, 7.0], [NI, NI]])
-    assert bousch_apply(m, tv(1, 0)) == TropVector([NEG_INF, as_trop(8)])
+    assert bousch_apply(m, tv(1, 0)).tolist() == [NI, 8.0]
 
 
 def test_max_cycle_mean_examples():
@@ -160,9 +160,9 @@ def test_enum_max_cycle_mean_closed_forms():
 
 def test_kleene_plus_examples():
     phi = mane_potential(_matrix_system(FIXA)).phi
-    assert phi.to_floats() == [[0.0, -1.0], [-1.0, -2.0]]
+    assert phi.tolist() == [[0.0, -1.0], [-1.0, -2.0]]
     ident = [[0.0, NI], [NI, 0.0]]
-    assert mane_potential(_matrix_system(ident)).phi.to_floats() == ident
+    assert mane_potential(_matrix_system(ident)).phi.tolist() == ident
     # a negative mean: the closure itself, without the front end's refusal
     assert _closure(np.array([[NI, -1.0], [-2.0, NI]])).tolist() == [[-3.0, -1.0], [-2.0, -3.0]]
 
@@ -179,7 +179,7 @@ def test_kleene_fixed_point_seeded():
                 best = TropValue(grid[i][j])
                 for k in range(n):
                     best = t_add(best, t_mul(TropValue(grid[i][k]), TropValue(plus[k, j])))
-                assert sup_distance(TropVector([best]), TropVector([plus[i, j]])) <= 1e-9
+                assert sup_distance([float(best)], [plus[i, j]]) <= 1e-9
 
 
 def test_kleene_walk_oracle_exact():
@@ -227,7 +227,7 @@ def test_critical_nodes_nonempty_after_normalization():
 def test_eigenproblem_examples():
     report = ergodic_report(_matrix_system(FIXA))
     assert report.Q == 0.0
-    assert report.eigenfunction_basis == [tv(0, -1)]
+    assert [v.tolist() for v in report.eigenfunction_basis] == [[0.0, -1.0]]
     zero_cycle = _matrix_system([[NI, 0.0, NI], [NI, NI, 0.0], [0.0, NI, NI]])
     report = ergodic_report(zero_cycle)
     assert report.Q == 0.0 and len(report.eigenfunction_basis) == 1
@@ -252,7 +252,7 @@ def test_eigen_identity_seeded():
         assert abs(report.Q - slow) <= 1e-9
         assert len(report.eigenfunction_basis) == len(report.mane.critical_classes) >= 1
         for v in report.eigenfunction_basis:
-            assert sup_distance(bousch_apply(sys_, v), TropVector(v.array + report.Q)) <= 1e-9
+            assert sup_distance(bousch_apply(sys_, v), v + report.Q) <= 1e-9
         checked += 1
     assert checked > 40
 
@@ -329,7 +329,7 @@ def test_array_pass_matches_scalar_loops_bitwise():
     # between signed zeros resolve as in the scalar loops
     rng = random.Random(97)
     grids = [
-        discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)).to_matrix().to_floats()
+        discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)).to_matrix().array.tolist()
         for order in range(1, 6)
     ]
     for _ in range(150):

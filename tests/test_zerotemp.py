@@ -9,7 +9,6 @@ import pytest
 
 from troptherm.cli import _gen_system
 from troptherm.ergodic_opt import ergodic_report, normalize
-from troptherm.tropical_core import TropVector, as_trop
 from troptherm.tropical_measures import Density
 from troptherm.zerotemp import (
     DEFAULT_GRID,
@@ -124,8 +123,12 @@ def test_limit_diagnostics_guards(fixa, two_loops):
 def test_rate_function_fixa(fixa):
     rate = rate_function(fixa, report=ergodic_report(fixa))
     assert rate.values == pytest.approx([0.0, 2.0], abs=0)
-    assert [x.finite for x in rate.eigenfunction] == [0.0, -1.0]
-    assert [x.finite for x in rate.density.values] == [0.0, -1.0]
+    assert rate.eigenfunction.tolist() == [0.0, -1.0]
+    assert rate.density.values.tolist() == [0.0, -1.0]
+    for a in (rate.eigenfunction, rate.density.values):
+        assert type(a) is np.ndarray and a.dtype == np.float64
+        with pytest.raises(ValueError):
+            a[0] = 1.0
     # normalizations: sup b = 0, sup (v + b) = 0, min I = 0
     assert rate.values.min() == 0.0
 
@@ -161,8 +164,8 @@ def test_rate_function_multiclass(two_loops):
 def test_rate_function_json_sentinel():
     rate = RateFunction(
         values=np.array([0.0, math.inf]),
-        eigenfunction=TropVector([as_trop(0.0), as_trop(-math.inf)]),
-        density=Density(TropVector([as_trop(0.0), as_trop(-math.inf)])),
+        eigenfunction=np.array([0.0, -math.inf]),
+        density=Density([0.0, -math.inf]),
     )
     data = rate.to_json()
     assert data["values"] == [0.0, "+inf"]
