@@ -2,12 +2,16 @@
 
 Layers, bottom up: the scalar semiring, whose vectors are read-only
 float64 arrays with IEEE ±inf (tropical_core), densities and functionals
-(tropical_measures), the max-plus tropical pass (maxplus_linalg),
-weighted transition systems with the Bousch operator and its adjoint
-(dynamics), ergodic optimization (ergodic_opt, the one front end to the
-tropical pass), the classical Ruelle side (thermo), and zero-temperature
-diagnostics (zerotemp). The cli module exposes all of it as batch
-commands.
+(tropical_measures), the one eager tropical pass (maxplus_linalg:
+Karp, one Kleene closure, and the record read off it), weighted
+transition systems with the Bousch operator and its adjoint (dynamics),
+ergodic optimization (ergodic_opt, whose ergodic_report turns the pass
+into the report every consumer shares), the classical Ruelle side
+(thermo), and zero-temperature diagnostics (zerotemp). The cli module
+exposes all of it as batch commands. Reports are written, not read.
+TropValue, TropMatrix, TransitionSystem.to_matrix, max_potential_energy
+and mane_potential stay only until the benchmark stops rebinding them
+by name.
 """
 
 from .tropical_core import (

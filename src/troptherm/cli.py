@@ -39,11 +39,13 @@ from .dynamics import (
 from .ergodic_opt import ergodic_report, report_to_json
 from .maxplus_linalg import DEFAULT_TOL, check_tol, strongly_connected
 from .thermo import ConvergenceError
+from .tropical_core import sup_distance
 from .zerotemp import (
     DEFAULT_GRID,
     MultiClassError,
     beta_sweep,
     check_betas,
+    check_sweep_grid,
     ldp_residual,
     limit_diagnostics,
     rate_function,
@@ -206,6 +208,16 @@ def _grid_arg(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: expected comma-separated reals")
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return seed
+
+
 def _probes(n: int, seed: int) -> List[np.ndarray]:
     rng = np.random.default_rng(seed)
     lo, hi = WEIGHT_RANGE
@@ -233,7 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    check_betas(args.grid)
+    check_sweep_grid(args.grid)  # for --force too
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
     if not report.uniquely_calibrated and not args.force:
@@ -375,9 +387,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     aubry_enum = enum_aubry(phi_enum, tol=args.tol)
 
     q_dev = abs(q_fast - q_enum)
-    fast, slow = mane.phi, np.array(phi_enum)
-    with np.errstate(invalid="ignore"):  # -inf - -inf where both are -inf
-        phi_dev = float(np.where(fast == slow, 0.0, np.abs(fast - slow)).max())
+    phi_dev = sup_distance(mane.phi.ravel(), np.ravel(phi_enum))
     aubry_dev = 0.0 if tuple(mane.aubry) == tuple(aubry_enum) else math.inf
 
     ok = q_dev <= args.tol and phi_dev <= args.tol and aubry_dev <= args.tol
@@ -417,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="beta sweep with limit diagnostics, CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--grid", type=_grid_arg, default=list(DEFAULT_GRID))
-    p.add_argument("--seed", type=int, default=0, help="seed for the LDP probe vectors")
+    p.add_argument("--seed", type=_seed_arg, default=0, help="seed for the LDP probe vectors")
     p.add_argument("--force", action="store_true", help="sweep multi-class systems without diagnostics")
     common(p)
     p.set_defaults(func=cmd_sweep)
@@ -425,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ldp", help="rate function and LDP residuals")
     p.add_argument("--input", required=True)
     p.add_argument("--grid", type=_grid_arg, default=list(DEFAULT_GRID))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument(
         "observables",
         nargs="*",
@@ -435,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ldp)
 
     p = sub.add_parser("gen", help="random system, strongly connected unless --deterministic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--n", type=int, help=f"state count in [{GEN_N_MIN}, {GEN_N_MAX}]")
     p.add_argument(
         "--deterministic",

@@ -16,9 +16,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_from_json, system_to_json
-from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, _karp_mean, _TropicalPass, _weight_array
-from .tropical_core import array_mul, floats_to_json, sup_distance, trop_vector, vector_from_json
+from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_to_json
+from .maxplus_linalg import DEFAULT_TOL, AcyclicError, PositiveCycleError, _karp_mean, tropical_pass
+from .tropical_core import array_mul, floats_to_json, sup_distance, trop_vector
 from .tropical_measures import Density
 
 _NINF = -math.inf
@@ -46,18 +46,6 @@ class ErgodicReport:
     uniquely_calibrated: bool
 
 
-def _q_and_cycle(p: _TropicalPass) -> Tuple[float, PathRecord]:
-    if p.mean == _NINF:
-        raise ValueError("acyclic system carries no invariant measure")
-    cycle = p.witness
-    return p.mean, PathRecord(tuple(cycle) + (cycle[0],))
-
-
-def _mane(p: _TropicalPass) -> ManeMatrix:
-    p.plus.flags.writeable = False
-    return ManeMatrix(phi=p.plus, aubry=p.aubry, critical_classes=p.classes)
-
-
 def max_potential_energy(sys: TransitionSystem) -> Tuple[float, PathRecord]:
     """The maximum cycle mean of the weights, with one maximizing cycle.
 
@@ -65,7 +53,8 @@ def max_potential_energy(sys: TransitionSystem) -> Tuple[float, PathRecord]:
     the maximum time-average of the potential is attained on a cycle and
     the witness cycle's uniform measure is maximizing.
     """
-    return _q_and_cycle(_TropicalPass(sys.n, *sys.arc_arrays, DEFAULT_TOL))
+    p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
+    return p.mean, PathRecord(p.witness + p.witness[:1])
 
 
 def normalize(sys: TransitionSystem) -> TransitionSystem:
@@ -80,17 +69,20 @@ def mane_potential(sys: TransitionSystem) -> ManeMatrix:
     Requires a normalized system: a positive cycle mean makes the path
     supremum diverge (reported with a maximizing cycle), a negative one
     empties the Aubry set. A mean within DEFAULT_TOL of 0 is shifted away.
+    Like ergodic_report, it refuses a system whose critical cycle is lost
+    to rounding.
     """
-    p = _TropicalPass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
-    if p.mean == _NINF:
-        raise ValueError("acyclic system has no normalized potential")
+    try:
+        p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
+    except AcyclicError:
+        raise ValueError("acyclic system has no normalized potential") from None
     if p.mean < -DEFAULT_TOL:
         raise ValueError(
             f"system is not normalized (max cycle mean {p.mean:.6g} < 0 would empty the Aubry set)"
         )
     if p.mean > DEFAULT_TOL:
-        raise PositiveCycleError(p.mean, p.witness)
-    return _mane(p)
+        raise PositiveCycleError(p.mean, list(p.witness))
+    return ManeMatrix(phi=p.plus, aubry=p.aubry, critical_classes=p.classes)
 
 
 def eigenfunction_spectral(mane: ManeMatrix) -> List[np.ndarray]:
@@ -150,15 +142,14 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
 
     uniquely_calibrated is a single critical class: the eigenfunction and
     the fixed density are then unique up to one tropical constant each.
-    The classes cover the Aubry set (see _TropicalPass.critical_arcs), so
-    one class means every two Aubry states lie on one cycle of weight 0."""
-    p = _TropicalPass(sys.n, *sys.arc_arrays, tol)
-    q, witness = _q_and_cycle(p)
-    mane = _mane(p)
+    The classes cover the Aubry set (see tropical_pass), so one class
+    means every two Aubry states lie on one cycle of weight 0."""
+    p = tropical_pass(sys.n, *sys.arc_arrays, tol)
+    mane = ManeMatrix(phi=p.plus, aubry=p.aubry, critical_classes=p.classes)
     return ErgodicReport(
-        Q=q,
-        maximizing_cycle=witness,
-        normalized_system=sys.shifted(-q),
+        Q=p.mean,
+        maximizing_cycle=PathRecord(p.witness + p.witness[:1]),
+        normalized_system=sys.shifted(-p.mean),
         mane=mane,
         eigenfunction_basis=eigenfunction_spectral(mane),
         eigen_density_basis=eigen_density_spectral(mane),
@@ -180,20 +171,3 @@ def report_to_json(report: ErgodicReport) -> dict:
         "eigen_density_basis": [d.to_json() for d in report.eigen_density_basis],
         "uniquely_calibrated": report.uniquely_calibrated,
     }
-
-
-def report_from_json(data: dict) -> ErgodicReport:
-    mane = ManeMatrix(
-        phi=_weight_array([vector_from_json(row) for row in data["mane"]["phi"]]),
-        aubry=tuple(data["mane"]["aubry"]),
-        critical_classes=[tuple(c) for c in data["mane"]["critical_classes"]],
-    )
-    return ErgodicReport(
-        Q=float(data["Q"]),
-        maximizing_cycle=PathRecord(tuple(data["maximizing_cycle"])),
-        normalized_system=system_from_json(data["normalized_system"]),
-        mane=mane,
-        eigenfunction_basis=[vector_from_json(v) for v in data["eigenfunction_basis"]],
-        eigen_density_basis=[Density.from_json(d) for d in data["eigen_density_basis"]],
-        uniquely_calibrated=bool(data["uniquely_calibrated"]),
-    )

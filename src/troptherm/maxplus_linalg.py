@@ -4,19 +4,19 @@ closures, the critical graph.
 Matrix entry (i, j) is the weight of the arc i -> j; -inf marks a missing
 arc. Weights come from real potentials, so +inf never appears here and
 the arithmetic runs on float64 arrays (the only infinity in play is
--inf, which is safe under + and max). One tropical pass serves every
-question about a system (its front end is `ergodic_opt`): Karp's maximum
-cycle mean over the arcs, then one Kleene closure of the weights shifted
-by it, from which the critical arcs, a maximizing cycle, the Aubry set
-and the critical classes are all read.
+-inf, which is safe under + and max). One eager tropical pass serves
+every question about a system (tropical_pass, read by `ergodic_opt`):
+Karp's maximum cycle mean over the arcs, then one Kleene closure of the
+weights shifted by it, from which the critical arcs, a maximizing
+cycle, the Aubry set and the critical classes are all read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from functools import cached_property
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,10 @@ DEFAULT_TOL = 1e-9
 _BLOCK_CELLS = 1 << 15
 
 _NINF = -math.inf
+
+
+class AcyclicError(ValueError):
+    """A graph without cycles has no cycle mean to shift by."""
 
 
 class PositiveCycleError(ValueError):
@@ -207,89 +211,90 @@ def strongly_connected(
     return comps
 
 
-class _TropicalPass:
-    """One tropical analysis of a max-plus matrix given by its arcs.
+@dataclass(frozen=True)
+class TropicalPass:
+    """What one tropical pass reads off a max-plus matrix given by its arcs.
 
-    Karp runs once, on construction. The closure runs at most once, on
-    the weights shifted by the mean. Everything else is read off that
-    closure.
+    mean is Karp's maximum cycle mean and plus the read-only Kleene
+    closure of the weights shifted by it; witness is a maximizing cycle
+    (its states, first one not repeated), aubry the nodes on a
+    zero-weight cycle, classes the strongly connected classes of the
+    critical arcs that carry a cycle.
     """
 
-    def __init__(self, n, src, tgt, w, tol: float):
-        check_tol(tol)
-        self.n, self.tol = n, tol
-        self.mean = _karp_mean(n, src, tgt, w)
-        # the weights shifted by an acyclic graph's -inf mean are never read
-        self._arcs = (src, tgt, w - self.mean)
+    mean: float
+    witness: Tuple[int, ...]
+    plus: np.ndarray
+    aubry: Tuple[int, ...]
+    classes: List[Tuple[int, ...]]
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """The matrix the closure runs on."""
-        src, tgt, w = self._arcs
-        grid = np.full((self.n, self.n), _NINF)
-        grid[src, tgt] = w
-        return grid
 
-    @cached_property
-    def plus(self) -> np.ndarray:
-        """The Kleene closure of grid."""
-        return _closure(self.grid.copy())
+def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: float) -> TropicalPass:
+    """Karp once, then one Kleene closure of the weights shifted by the
+    mean, from which everything else is read.
 
-    @cached_property
-    def critical_arcs(self) -> List[Tuple[int, int]]:
-        """Arcs lying on some cycle of total weight 0, in row-major order:
-        |w(i, j) + star(j, i)| <= tol, the way back read from the Kleene
-        star, whose diagonal max(plus(i, i), 0) is the empty path. So a
-        self-loop is counted once, as the Aubry test counts it, and the
-        critical classes cover the Aubry set."""
-        cycle = self.grid + self.plus.T
-        np.fill_diagonal(cycle, np.diagonal(self.grid) + np.maximum(np.diagonal(self.plus), 0.0))
-        i, j = np.nonzero(np.abs(cycle) <= self.tol)
-        return list(zip(i.tolist(), j.tolist()))
-
-    @property
-    def aubry(self) -> Tuple[int, ...]:
-        """Nodes on a zero-weight cycle: |plus(i, i)| <= tol."""
-        return tuple(np.flatnonzero(np.abs(np.diagonal(self.plus)) <= self.tol).tolist())
-
-    @property
-    def classes(self) -> List[Tuple[int, ...]]:
-        """Strongly connected classes of the critical arcs that carry a cycle."""
-        arcs = self.critical_arcs
-        loops = {i for i, j in arcs if i == j}
-        return [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
-
-    @property
-    def witness(self) -> List[int]:
-        """Deterministic maximizing cycle: lowest-index critical node, then
-        shortest.
-
-        Every cycle inside the critical arc set has mean exactly the
-        maximum, so a BFS that closes back on the start node returns a
-        valid witness. When rounding at the weights' scale exceeds tol,
-        the critical arcs may close no cycle there; that is an error.
-        """
-        arcs = self.critical_arcs
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for i, j in arcs:  # row-major, so each list comes out sorted
-            adj[i].append(j)
-        if arcs:
-            # BFS from the lowest critical node until an arc closes back on it
-            start = min(min(arc) for arc in arcs)
-            parent: Dict[int, int] = {}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w == start:
-                        cycle = [u]
-                        while cycle[-1] != start:
-                            cycle.append(parent[cycle[-1]])
-                        return cycle[::-1]
-                    if w not in parent:
-                        parent[w] = u
-                        queue.append(w)
+    AcyclicError before any closure when no cycle exists. Critical arcs
+    lie on some cycle of total weight 0: |w(i, j) + star(j, i)| <= tol,
+    the way back read from the Kleene star, whose diagonal
+    max(plus(i, i), 0) is the empty path. So a self-loop is counted
+    once, as the Aubry test |plus(i, i)| <= tol counts it, and the
+    critical classes cover the Aubry set.
+    """
+    check_tol(tol)
+    mean = _karp_mean(n, src, tgt, w)
+    if mean == _NINF:
+        raise AcyclicError("acyclic system carries no invariant measure")
+    grid = np.full((n, n), _NINF)
+    grid[src, tgt] = w - mean
+    plus = _closure(grid.copy())
+    plus.flags.writeable = False
+    cycle = grid + plus.T
+    np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(plus), 0.0))
+    i, j = np.nonzero(np.abs(cycle) <= tol)
+    arcs = list(zip(i.tolist(), j.tolist()))  # row-major
+    witness = _witness(n, arcs)
+    if witness is None:
         raise ValueError(
-            f"no cycle is critical within tol {self.tol:g} at Q = {self.mean!r}: "
+            f"no cycle is critical within tol {tol:g} at Q = {mean!r}: "
             "rounding at this weight scale exceeds the tolerance"
         )
+    loops = {s for s, t in arcs if s == t}
+    return TropicalPass(
+        mean=mean,
+        witness=witness,
+        plus=plus,
+        aubry=tuple(np.flatnonzero(np.abs(np.diagonal(plus)) <= tol).tolist()),
+        classes=[c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops],
+    )
+
+
+def _witness(n: int, arcs: List[Tuple[int, int]]) -> Optional[Tuple[int, ...]]:
+    """Deterministic maximizing cycle: lowest-index critical node, then
+    shortest.
+
+    Every cycle inside the critical arc set has mean exactly the maximum,
+    so a BFS that closes back on the start node returns a valid witness.
+    When rounding at the weights' scale exceeds tol, the critical arcs
+    may close no cycle there: None.
+    """
+    if not arcs:
+        return None
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for i, j in arcs:  # row-major, so each list comes out sorted
+        adj[i].append(j)
+    # BFS from the lowest critical node until an arc closes back on it
+    start = min(min(arc) for arc in arcs)
+    parent: Dict[int, int] = {}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w == start:
+                cycle = [u]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                return tuple(cycle[::-1])
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return None

@@ -87,11 +87,6 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(m + math.log(np.sum(np.exp(a - m))))
 
 
-def strongly_connected_components(sys: TransitionSystem) -> List[Tuple[int, ...]]:
-    src, tgt, _ = sys.arc_arrays
-    return strongly_connected(range(sys.n), zip(src.tolist(), tgt.tolist()))
-
-
 def log_ruelle_apply(sys: TransitionSystem, log_u: Sequence[float], beta: float) -> np.ndarray:
     """log of the Ruelle image of e^{log_u}, computed stably."""
     log_u = np.asarray(log_u, dtype=float)
@@ -213,7 +208,7 @@ def spectral_data(
     src, tgt, w = sys.arc_arrays
     if len(w) == 0:
         raise ValueError("system has no arcs")
-    comps = strongly_connected_components(sys)
+    comps = strongly_connected(range(n), zip(src.tolist(), tgt.tolist()))
     if len(comps) > 1:
         raise ReducibleSystemError(comps)
 

@@ -89,10 +89,6 @@ NEG_INF = TropValue(-math.inf)
 POS_INF = TropValue(math.inf)
 
 
-def as_trop(x: Union[TropValue, Number]) -> TropValue:
-    return x if isinstance(x, TropValue) else TropValue(x)
-
-
 def t_add(a: TropValue, b: TropValue) -> TropValue:
     """Tropical addition: max under the order -inf < reals < +inf."""
     return a if a >= b else b
@@ -113,25 +109,6 @@ def floats_to_json(a):
     out[a == -math.inf] = "-inf"
     out[a == math.inf] = "+inf"
     return out.tolist()
-
-
-def _float_from_json(x) -> float:
-    if x == "-inf":
-        return -math.inf
-    if x == "+inf":
-        return math.inf
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
-        return float(x)
-    raise ValueError(f"not a tropical JSON value: {x!r}")
-
-
-def trop_to_json(a: TropValue):
-    """A number, or the sentinel strings \"-inf\" / \"+inf\"."""
-    return floats_to_json(float(a))
-
-
-def trop_from_json(x) -> TropValue:
-    return TropValue(_float_from_json(x))
 
 
 def array_mul(a, b) -> np.ndarray:
@@ -158,11 +135,6 @@ def trop_vector(entries) -> np.ndarray:
         raise ValueError("NaN has no tropical meaning")
     a.flags.writeable = False
     return a
-
-
-def vector_from_json(data: list) -> np.ndarray:
-    """The inverse of floats_to_json on a vector."""
-    return trop_vector([_float_from_json(x) for x in data])
 
 
 def residual(u: np.ndarray, v: np.ndarray) -> TropValue:

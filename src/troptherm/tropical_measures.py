@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, List
 
 import numpy as np
 
-from .tropical_core import TropValue, array_mul, array_sup, floats_to_json, trop_vector, vector_from_json
+from .tropical_core import TropValue, array_mul, array_sup, floats_to_json, trop_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TransitionSystem
@@ -66,16 +66,6 @@ class Density:
 
     def to_json(self) -> list:
         return floats_to_json(self._values)
-
-    @classmethod
-    def from_json(cls, data: list) -> "Density":
-        values = vector_from_json(data)
-        top = np.isposinf(values)
-        if top.any():
-            if not top.all():
-                raise ValueError("+inf entries only occur in the constant top density")
-            return cls.top(len(values))
-        return cls(values)
 
 
 @dataclass(frozen=True)

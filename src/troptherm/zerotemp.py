@@ -99,7 +99,9 @@ def check_betas(grid: Sequence[float]) -> Tuple[float, ...]:
     return grid
 
 
-def _check_grid(grid: Sequence[float]) -> Tuple[float, ...]:
+def check_sweep_grid(grid: Sequence[float]) -> Tuple[float, ...]:
+    """check_betas, and the grid must be strictly increasing, as a
+    sweep walks it."""
     grid = check_betas(grid)
     if any(b1 >= b2 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
@@ -145,7 +147,7 @@ def beta_sweep(
 ) -> List[SweepRecord]:
     """sweep_record at each point of an increasing beta grid, so every
     beta depends only on the report."""
-    grid = _check_grid(grid)
+    grid = check_sweep_grid(grid)
     return [sweep_record(sys, beta, report) for beta in grid]
 
 

@@ -16,7 +16,7 @@ import troptherm.cli as cli
 import troptherm.maxplus_linalg as maxplus_linalg
 import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
-from troptherm.ergodic_opt import ergodic_report, report_from_json, report_to_json
+from troptherm.ergodic_opt import ergodic_report, report_to_json
 from troptherm.thermo import ConvergenceError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -86,8 +86,7 @@ def test_analyze_fixa(tmp_path, fixa, capsys):
     assert data["maximizing_cycle"] == [0, 0]
     assert data["mane"]["aubry"] == [0]
     assert data["uniquely_calibrated"] is True
-    report = report_from_json(data)  # round trip through the public schema
-    assert report.mane.phi.tolist() == [[0.0, -1.0], [-1.0, -2.0]]
+    assert data["mane"]["phi"] == [[0.0, -1.0], [-1.0, -2.0]]
 
 
 def test_analyze_one_state(tmp_path, one_state, capsys):
@@ -171,6 +170,32 @@ def test_sweep_force_nan_rows(tmp_path, two_loops):
         cells = line.split(",")
         assert abs(float(cells[1])) <= 1e-9  # pressure/beta near Q = 0
         assert all(math.isnan(float(c)) for c in cells[2:])
+
+
+def test_sweep_grid_order_checked_before_input(tmp_path, fixa, two_loops, capsys):
+    # sweep --force on several critical classes skipped the order check
+    # and printed one row per beta, repeats included; the check now runs
+    # once, before the input is read, whichever branch follows
+    paths = [_dump(tmp_path, "two.json", two_loops), _dump(tmp_path, "fixa.json", fixa), str(tmp_path / "nope.json")]
+    for path in paths:
+        for force in ([], ["--force"]):
+            for grid in ("100,10", "10,10"):
+                assert cli.main(["sweep", "--input", path, *force, "--grid", grid]) == cli.EXIT_INPUT
+                assert capsys.readouterr() == ("", "error: beta grid must be strictly increasing\n")
+
+
+def test_negative_seed_refused_up_front(tmp_path, capsys):
+    # numpy refused a negative seed only after the report was built, with
+    # a message that named no flag; argparse now refuses it first
+    missing = str(tmp_path / "nope.json")
+    for argv in (["gen"], ["sweep", "--input", missing], ["ldp", "--input", missing]):
+        for seed, message in (("-1", "must be a non-negative integer: '-1'"), ("abc", "invalid int value: 'abc'")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--seed", seed])
+            assert exc.value.code == cli.EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(f"error: argument --seed: {message}\n"), err
+    assert cli.main(["gen", "--seed", "0", "--output", str(tmp_path / "g.json")]) == cli.EXIT_OK
 
 
 def test_sweep_force_reports_stall(tmp_path, two_loops, monkeypatch):

@@ -1,16 +1,27 @@
 """Ergodic optimization layer: Q, normalization, Mañé data, sub-actions."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+import troptherm.cli as cli
 import troptherm.ergodic_opt as ergodic_opt
 import troptherm.maxplus_linalg as maxplus_linalg
 from troptherm.bruteforce import subaction_limsup
 from troptherm.cli import _gen_system
-from troptherm.dynamics import PathRecord, TransitionSystem, adjoint_apply, bousch_apply, discretize_doubling
+from troptherm.dynamics import (
+    PathRecord,
+    TransitionSystem,
+    adjoint_apply,
+    bousch_apply,
+    discretize_doubling,
+    from_map,
+    system_from_json,
+    system_to_json,
+)
 from troptherm.ergodic_opt import (
     ergodic_report,
     eigen_density_spectral,
@@ -19,8 +30,6 @@ from troptherm.ergodic_opt import (
     mane_potential,
     max_potential_energy,
     normalize,
-    report_from_json,
-    report_to_json,
     representation_check,
 )
 from troptherm.maxplus_linalg import PositiveCycleError
@@ -85,6 +94,20 @@ def test_mane_potential_rejects_unnormalized(fixc, one_state):
     # within tol of 0 the mean is shifted away, as in ergodic_report
     near = fixc.shifted(-2.0 + 1e-12)
     assert np.array_equal(mane_potential(near).phi, ergodic_report(near).mane.phi)
+
+
+def test_mane_potential_refuses_lost_critical_cycle():
+    # gen seed 1 --deterministic, every weight scaled by 1e7 and moved by
+    # 0.1, then shifted by its Karp mean: the mean is 0.0, but at this
+    # scale rounding leaves no cycle critical within the default tol.
+    # mane_potential returned Aubry states with no critical class here;
+    # it now refuses the system as ergodic_report does
+    base = _gen_system(1, None, True)
+    scaled = TransitionSystem(base.n, [(s, t, w * 1e7 + 0.1) for s, t, w in base.arcs])
+    system = scaled.shifted(-maxplus_linalg._karp_mean(scaled.n, *scaled.arc_arrays))
+    for front_end in (mane_potential, ergodic_report):
+        with pytest.raises(ValueError, match="no cycle is critical within tol 1e-09 at Q = 0.0"):
+            front_end(system)
 
 
 def test_subaction_limsup_examples(fixa, fixc):
@@ -246,19 +269,36 @@ def test_witness_cycle_inside_aubry_seeded():
         assert abs(total / report.maximizing_cycle.length - report.Q) <= 1e-9
 
 
-def test_report_json_round_trip(fixa, two_loops):
-    for sys in (fixa, two_loops):
+def test_report_json_round_trip(tmp_path, fixa, two_loops):
+    # no command reads a report back: the test decodes analyze's JSON
+    # itself, so the "-inf" / "+inf" sentinels are checked against the
+    # report bit for bit; the two fixed points of split reach each other
+    # by no path, so phi, the eigenfunction and the density hold -inf
+    sentinels = {"-inf": -math.inf, "+inf": math.inf}
+
+    def floats(rows):
+        return np.array([[sentinels.get(x, x) for x in row] for row in rows], dtype=float)
+
+    doubling = discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))
+    split = from_map([0, 1], [1.0, 0.0])
+    for sys in (fixa, two_loops, doubling, split):
+        path, out = tmp_path / "system.json", tmp_path / "report.json"
+        path.write_text(json.dumps(system_to_json(sys)))
+        assert cli.main(["analyze", "--input", str(path), "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
         report = ergodic_report(sys)
-        again = report_from_json(report_to_json(report))
-        assert again.Q == report.Q
-        assert again.maximizing_cycle.states == report.maximizing_cycle.states
-        assert again.normalized_system == report.normalized_system
-        assert again.mane.phi.tolist() == report.mane.phi.tolist()
-        assert again.mane.aubry == report.mane.aubry
-        assert again.mane.critical_classes == report.mane.critical_classes
-        assert [v.tolist() for v in again.eigenfunction_basis] == [v.tolist() for v in report.eigenfunction_basis]
-        assert again.eigen_density_basis == report.eigen_density_basis
-        assert again.uniquely_calibrated == report.uniquely_calibrated
+        assert np.float64(data["Q"]).tobytes() == np.float64(report.Q).tobytes()
+        assert floats(data["mane"]["phi"]).tobytes() == report.mane.phi.tobytes()
+        assert floats(data["eigenfunction_basis"]).tobytes() == np.array(report.eigenfunction_basis).tobytes()
+        densities = np.array([d.values for d in report.eigen_density_basis])
+        assert floats(data["eigen_density_basis"]).tobytes() == densities.tobytes()
+        assert tuple(data["maximizing_cycle"]) == report.maximizing_cycle.states
+        assert system_from_json(data["normalized_system"]) == report.normalized_system
+        assert tuple(data["mane"]["aubry"]) == report.mane.aubry
+        assert [tuple(c) for c in data["mane"]["critical_classes"]] == report.mane.critical_classes
+        assert data["uniquely_calibrated"] is report.uniquely_calibrated
+    assert data["mane"]["phi"] == [[0.0, "-inf"], ["-inf", -1.0]]
+    assert data["eigenfunction_basis"] == data["eigen_density_basis"] == [[0.0, "-inf"]]
 
 
 def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
@@ -278,14 +318,24 @@ def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
     monkeypatch.setattr(TransitionSystem, "to_matrix", counted("to_matrix", TransitionSystem.to_matrix))
     doubling = discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))
     for sys in (fixa, two_loops, doubling):
+        normalized = ergodic_report(sys).normalized_system
+        for front_end, system in ((ergodic_report, sys), (max_potential_energy, sys), (mane_potential, normalized)):
+            for key in calls:
+                calls[key] = 0
+            front_end(system)
+            assert calls == {"karp": 1, "closure": 1, "to_matrix": 0}, front_end.__name__
+    # an acyclic system is refused before any closure
+    chain = TransitionSystem(2, [(0, 1, 0.0)])
+    for front_end in (ergodic_report, max_potential_energy, mane_potential):
         for key in calls:
             calls[key] = 0
-        ergodic_report(sys)
-        assert calls == {"karp": 1, "closure": 1, "to_matrix": 0}
+        with pytest.raises(ValueError, match="acyclic"):
+            front_end(chain)
+        assert calls == {"karp": 1, "closure": 0, "to_matrix": 0}, front_end.__name__
 
 
 def test_report_holds_read_only_arrays(fixa, two_loops):
-    for report in (ergodic_report(fixa), ergodic_report(two_loops), report_from_json(report_to_json(ergodic_report(fixa)))):
+    for report in (ergodic_report(fixa), ergodic_report(two_loops)):
         n = report.normalized_system.n
         phi = report.mane.phi
         assert type(phi) is np.ndarray and phi.dtype == np.float64 and phi.shape == (n, n)

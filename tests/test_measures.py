@@ -41,6 +41,7 @@ def test_density_rejects_pos_inf_entries():
         Density([0.0, INF])
     top = Density.top(3)
     assert top.is_top and top.values.tolist() == [INF] * 3
+    assert top.to_json() == ["+inf"] * 3
     for bad in ([0.0, math.nan], [[0.0, -1.0]], []):  # not a tropical vector
         with pytest.raises(ValueError):
             Density(bad)
@@ -169,12 +170,3 @@ def test_functional_lipschitz_seeded():
         gap = float(np.max(np.abs(f - g)))
         lf, lg = functional_eval(l, f), functional_eval(l, g)
         assert abs(lf.finite - lg.finite) <= gap + 1e-12
-
-
-def test_density_json_round_trip():
-    b = dens(-INF, 0.5)
-    assert Density.from_json(b.to_json()) == b
-    top = Density.top(2)
-    assert Density.from_json(top.to_json()).is_top
-    with pytest.raises(ValueError):
-        Density.from_json([0.0, "+inf"])  # mixed finite and top entries

@@ -10,6 +10,7 @@ from troptherm.bruteforce import ruelle_apply
 from troptherm.cli import _gen_system
 from troptherm.dynamics import TransitionSystem, discretize_doubling, from_sft
 from troptherm.ergodic_opt import ergodic_report
+from troptherm.maxplus_linalg import strongly_connected
 from troptherm.thermo import (
     BETA_MAX_DEFAULT,
     BetaRangeError,
@@ -18,7 +19,6 @@ from troptherm.thermo import (
     log_ruelle_apply,
     normalized_potential,
     spectral_data,
-    strongly_connected_components,
 )
 from troptherm.zerotemp import beta_sweep
 
@@ -198,7 +198,7 @@ def test_periodic_system_converges(fixc):
 
 def test_reducible_and_beta_guards(one_state):
     chain = TransitionSystem(2, [(0, 0, 0.0), (0, 1, 0.0), (1, 1, 0.0)])
-    assert strongly_connected_components(chain) == [(0,), (1,)]
+    assert strongly_connected(range(chain.n), [(s, t) for s, t, _ in chain.arcs]) == [(0,), (1,)]
     with pytest.raises(ReducibleSystemError) as err:
         spectral_data(chain, 1.0)
     assert err.value.components == [(0,), (1,)]

@@ -1,6 +1,5 @@
 """Semiring laws, residuation, and the vector layer (read-only float64 arrays)."""
 
-import json
 import math
 import random
 
@@ -14,15 +13,11 @@ from troptherm.tropical_core import (
     TropValue,
     array_mul,
     array_sup,
-    floats_to_json,
     residual,
     sup_distance,
     t_add,
     t_mul,
-    trop_from_json,
-    trop_to_json,
     trop_vector,
-    vector_from_json,
 )
 from troptherm.tropical_measures import Density, tropical_integral
 
@@ -205,26 +200,6 @@ def test_sup_distance():
     assert sup_distance(tv(-INF), tv(0)) == math.inf
     with pytest.raises(ValueError):
         sup_distance(tv(0), tv(0, 0))
-
-
-def test_scalar_json_round_trip():
-    for a in SMALL:
-        assert trop_from_json(trop_to_json(a)) == a
-    assert trop_to_json(NEG_INF) == "-inf"
-    assert trop_to_json(POS_INF) == "+inf"
-    assert trop_to_json(TropValue(2.0)) == 2.0
-    with pytest.raises(ValueError):
-        trop_from_json(True)
-    with pytest.raises(ValueError):
-        trop_from_json("nope")
-
-
-def test_vector_json_round_trip():
-    v = tv(-INF, 0.5, INF)
-    encoded = json.dumps(floats_to_json(v))
-    assert np.array_equal(vector_from_json(json.loads(encoded)), v)
-    with pytest.raises(ValueError):
-        vector_from_json([0.0, "nope"])
 
 
 # The scalar TropValue loops the vector layer used to run, kept here as
