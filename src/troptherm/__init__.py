@@ -1,17 +1,21 @@
 """Max-plus (tropical) thermodynamic formalism on finite transition systems.
 
 Layers, bottom up: the scalar semiring, whose vectors are read-only
-float64 arrays with IEEE ±inf (tropical_core), densities and functionals
-(tropical_measures), the one eager tropical pass (maxplus_linalg:
-Karp, one Kleene closure, and the record read off it), weighted
-transition systems with the Bousch operator and its adjoint (dynamics),
-ergodic optimization (ergodic_opt, whose ergodic_report turns the pass
-into the report every consumer shares), the classical Ruelle side
-(thermo), and zero-temperature diagnostics (zerotemp). The cli module
-exposes all of it as batch commands. Reports are written, not read.
-TropValue, TropMatrix, TransitionSystem.to_matrix, max_potential_energy
-and mane_potential stay only until the benchmark stops rebinding them
-by name.
+float64 arrays and whose scalars are floats, both with IEEE ±inf
+(tropical_core), densities with their measures, integrals and
+functionals (tropical_measures), the one eager tropical pass
+(maxplus_linalg: Karp, one Kleene closure, and the record read off it),
+weighted transition systems with the Bousch operator and its adjoint
+(dynamics), ergodic optimization (ergodic_opt, whose ergodic_report
+turns the pass into the report every consumer shares), the classical
+Ruelle side (thermo), and zero-temperature diagnostics (zerotemp). The
+cli module exposes all of it as batch commands, and bruteforce holds
+the independent reference computations. Reports are written, not read.
+Beyond what the commands reach, the library keeps only the paper's
+entry points (see the README's "Library surface"). TropValue, t_add,
+t_mul, TropMatrix, TransitionSystem.to_matrix, max_potential_energy and
+mane_potential stay only until the benchmark stops rebinding them by
+name.
 """
 
 from .tropical_core import (
@@ -22,7 +26,7 @@ from .tropical_core import (
     t_add,
     t_mul,
 )
-from .tropical_measures import Density, TropicalFunctional
+from .tropical_measures import Density
 from .maxplus_linalg import TropMatrix
 from .dynamics import PathRecord, TransitionSystem
 
@@ -34,7 +38,6 @@ __all__ = [
     "t_add",
     "t_mul",
     "Density",
-    "TropicalFunctional",
     "TropMatrix",
     "PathRecord",
     "TransitionSystem",

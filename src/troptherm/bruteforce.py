@@ -4,7 +4,8 @@ Deliberately independent of the fast paths: cycle means come from
 exhaustive simple-cycle enumeration (a depth-first search rooted at each
 cycle's least state), path suprema from naive max-plus matrix powers
 over plain floats, calibrated sub-actions from iterating the Bousch
-operator, and the Ruelle operator is applied in linear space arc by arc.
+operator, and the Ruelle operator is applied arc by arc, in linear space
+and in log space.
 Standard library and numpy only. Sized for small systems (the CLI caps
 the oracle at 10 states).
 """
@@ -179,4 +180,18 @@ def ruelle_apply(sys: TransitionSystem, u: Sequence[float], beta: float) -> np.n
     out = np.zeros(sys.n)
     for s, t, w in sys.arcs:
         out[t] += u[s] * math.exp(beta * w)
+    return out
+
+
+def log_ruelle_apply(sys: TransitionSystem, log_u: Sequence[float], beta: float) -> np.ndarray:
+    """log of the Ruelle image of e^{log_u}, arc by arc in arc order:
+    out(x) = log of the sum over arcs y -> x of e^{log_u(y) + beta * weight},
+    accumulated with logaddexp, so it does not overflow where ruelle_apply
+    does."""
+    log_u = np.asarray(log_u, dtype=float)
+    if len(log_u) != sys.n:
+        raise ValueError(f"length mismatch: system {sys.n}, vector {len(log_u)}")
+    out = np.full(sys.n, _NINF)
+    for s, t, w in sys.arcs:
+        out[t] = np.logaddexp(out[t], beta * w + log_u[s])
     return out

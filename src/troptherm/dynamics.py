@@ -42,10 +42,6 @@ class PathRecord:
         if len(self.states) == 0:
             raise ValueError("a path visits at least one state")
 
-    @property
-    def length(self) -> int:
-        return len(self.states) - 1
-
 
 class TransitionSystem:
     """Immutable weighted digraph with the potential charged at arc sources.
@@ -132,26 +128,8 @@ class TransitionSystem:
     def surjective_like(self) -> bool:
         return bool(np.all(np.bincount(self._arc_arrays[1], minlength=self._n) >= 1))
 
-    def predecessors(self, x: int) -> tuple:
-        """(source, weight) pairs of arcs into x, in arc order."""
-        src, tgt, w = self._arc_arrays
-        hit = tgt == x
-        return tuple(zip(src[hit].tolist(), w[hit].tolist()))
-
-    def successors(self, y: int) -> tuple:
-        """(target, weight) pairs of arcs out of y, in arc order."""
-        src, tgt, w = self._arc_arrays
-        hit = src == y
-        return tuple(zip(tgt[hit].tolist(), w[hit].tolist()))
-
     def arc_weight(self, s: int, t: int) -> float:
         return self._weight[(s, t)]
-
-    def image(self, y: int) -> int:
-        """The unique image of y; deterministic systems only."""
-        if not self.deterministic:
-            raise SystemValidationError("image map is defined only for deterministic systems")
-        return self.successors(y)[0][0]
 
     def max_in_degree(self) -> int:
         """The preimage-count bound N."""

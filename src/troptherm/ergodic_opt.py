@@ -10,18 +10,15 @@ operator and fixed densities of its tropical adjoint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .dynamics import PathRecord, TransitionSystem, bousch_apply, system_to_json
-from .maxplus_linalg import DEFAULT_TOL, AcyclicError, PositiveCycleError, _karp_mean, tropical_pass
-from .tropical_core import array_mul, floats_to_json, sup_distance, trop_vector
+from .dynamics import PathRecord, TransitionSystem, system_to_json
+from .maxplus_linalg import DEFAULT_TOL, AcyclicError, PositiveCycleError, tropical_pass
+from .tropical_core import floats_to_json, trop_vector
 from .tropical_measures import Density
-
-_NINF = -math.inf
 
 
 @dataclass
@@ -55,12 +52,6 @@ def max_potential_energy(sys: TransitionSystem) -> Tuple[float, PathRecord]:
     """
     p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
     return p.mean, PathRecord(p.witness + p.witness[:1])
-
-
-def normalize(sys: TransitionSystem) -> TransitionSystem:
-    """Shift every weight by -Q so the maximum cycle mean becomes 0."""
-    q, _ = max_potential_energy(sys)
-    return sys.shifted(-q)
 
 
 def mane_potential(sys: TransitionSystem) -> ManeMatrix:
@@ -97,43 +88,6 @@ def eigen_density_spectral(mane: ManeMatrix) -> List[Density]:
     -inf density, and path weights are +inf-free, so it is never top.
     """
     return [Density(mane.phi[:, cls[0]]) for cls in mane.critical_classes]
-
-
-def representation_check(
-    report: ErgodicReport,
-    v: Optional[np.ndarray] = None,
-    b: Optional[Density] = None,
-) -> float:
-    """Residual of the Aubry-set representation of an eigenfunction or a
-    fixed density.
-
-    For v: sup over y of the gap between v(y) and
-    ⊕_{x in aubry} (v(x) ⊗ phi(x, y)). For b: sup over singleton probes
-    of the functional gap between b and ⊕_{y in aubry} (phi(·, y) ⊗ b(y)),
-    which on singletons is the pointwise gap.
-    """
-    if (v is None) == (b is None):
-        raise ValueError("pass exactly one of v or b")
-    # rows x of phi weighted by v(x), or columns y weighted by b(y)
-    phi = report.mane.phi if v is not None else report.mane.phi.T
-    vec = trop_vector(v) if v is not None else b.values
-    if len(vec) != phi.shape[0]:
-        raise ValueError(f"length mismatch: {len(vec)} vs {phi.shape[0]}")
-    aubry = list(report.mane.aubry)
-    terms = array_mul(vec[aubry, None], phi[aubry])
-    return sup_distance(vec, terms.max(axis=0, initial=_NINF))
-
-
-def is_subaction(sys: TransitionSystem, u: np.ndarray) -> bool:
-    """Whether the Bousch image of u stays below u shifted by the maximal
-    potential energy, within DEFAULT_TOL."""
-    u = trop_vector(u)
-    if not np.isfinite(u).all():
-        raise ValueError("sub-action candidates must be finite-valued")
-    q = _karp_mean(sys.n, *sys.arc_arrays)  # the mean alone: no witness, no closure
-    if q == _NINF:
-        raise ValueError("acyclic system carries no invariant measure")
-    return not np.any(bousch_apply(sys, u) > u + q + DEFAULT_TOL)
 
 
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:

@@ -31,6 +31,11 @@ STEP_TOL = 1e-12
 # step: beyond it the smallest row sum of the scaled matrix, e^-36 times
 # the largest, is lost to rounding beside the shift
 NODA_BRACKET = -math.log(np.finfo(float).eps)
+# most that a pressure may leave its bracket [0, log N] by: within it the
+# allowance is the rounding of beta * w and of the start vectors, but where
+# that rounding alone spans the bracket (weights 1e15 at beta 10) a
+# pressure that leaves it by more than this is refused, not excused
+BRACKET_SLACK_MAX = 0.05
 
 
 class ReducibleSystemError(ValueError):
@@ -49,13 +54,16 @@ class BetaRangeError(ValueError):
 
 def check_beta(beta: float) -> None:
     """Refuse a beta that is not a finite positive number, before any
-    arithmetic on it (nan <= 0 is False, and inf * v warns), and one so
+    arithmetic on it (nan <= 0 is False, and inf * v warns), one so
     small (below about 5.56e-309) that 1 / beta, by which every rescaled
-    quantity is multiplied, overflows."""
+    quantity is multiplied, overflows, and one above the overflow guard
+    BETA_MAX_DEFAULT."""
     if not 0 < beta < math.inf:
         raise BetaRangeError(f"beta must be a finite positive number: {beta!r}")
     if not math.isfinite(1.0 / beta):  # a Python float quotient: no numpy warning
         raise BetaRangeError(f"beta is too small: 1 / beta overflows float64: {beta!r}")
+    if beta > BETA_MAX_DEFAULT:
+        raise BetaRangeError(f"beta {beta} exceeds the overflow guard {BETA_MAX_DEFAULT}")
 
 
 class ConvergenceError(RuntimeError):
@@ -85,15 +93,6 @@ def _logsumexp(a: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + math.log(np.sum(np.exp(a - m))))
-
-
-def log_ruelle_apply(sys: TransitionSystem, log_u: Sequence[float], beta: float) -> np.ndarray:
-    """log of the Ruelle image of e^{log_u}, computed stably."""
-    log_u = np.asarray(log_u, dtype=float)
-    if len(log_u) != sys.n:
-        raise ValueError(f"length mismatch: system {sys.n}, vector {len(log_u)}")
-    src, tgt, w = sys.arc_arrays
-    return _log_image(log_u, tgt, src, beta * w)
 
 
 def _log_image(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -199,11 +198,13 @@ def spectral_data(
     that hits the step cap; it never truncates quietly.
 
     The pressure is the Rayleigh quotient of the undamped operator at
-    the converged right vector, weighted by the left one.
+    the converged right vector, weighted by the left one. ValueError when
+    P - beta * Q leaves [0, log N], N the largest in-degree, by more than
+    1e-12 + 4 eps (beta max|w| + max|start_log_u| + max|start_log_m|), the
+    rounding at the weights' scale, or by more than BRACKET_SLACK_MAX:
+    rounding has then spoilt it.
     """
     check_beta(beta)
-    if beta > BETA_MAX_DEFAULT:
-        raise BetaRangeError(f"beta {beta} exceeds the overflow guard {BETA_MAX_DEFAULT}")
     n = sys.n
     src, tgt, w = sys.arc_arrays
     if len(w) == 0:
@@ -218,6 +219,12 @@ def spectral_data(
 
     log_u = _start_vector(start_log_u, n)
     log_m = _start_vector(start_log_m, n)
+    # rounding of lw and of the offsets below is about eps times these
+    # magnitudes; P - beta * Q strayed from its bracket by up to 1.4 times
+    # it on scaled gen, doubling and single-cycle systems
+    magnitude = beta * float(np.max(np.abs(w)))
+    magnitude += float(np.max(np.abs(log_u))) + float(np.max(np.abs(log_m)))
+    slack = min(1e-12 + 4 * np.finfo(float).eps * magnitude, BRACKET_SLACK_MAX)
     # offsets y from the start vectors: near a tropical start they stay of
     # order 1, so the 1e-12 tests are not lost to the float spacing at
     # |log u|, about beta * range(v)
@@ -254,6 +261,13 @@ def spectral_data(
     np.logaddexp.at(gap, tgt, lw_u + y_u[src] - y_u[tgt])
     weights = np.exp(log_m + log_u - _logsumexp(log_m + log_u))
     p_shifted = math.log1p(float(np.dot(weights, np.expm1(gap))))
+    top = math.log(sys.max_in_degree())
+    if not -slack <= p_shifted <= top + slack:
+        raise ValueError(
+            f"pressure at beta {beta:g} leaves its bracket: P - beta * Q = {p_shifted:.6g} "
+            f"is outside [0, log N] = [0, {top:.6g}] by more than {slack:.3g}; "
+            "rounding at this weight scale spoils it"
+        )
     pressure = p_shifted + beta * q
 
     log_m = log_m - _logsumexp(log_m)  # sum m = 1

@@ -7,8 +7,10 @@ explicit test. A vector is a plain read-only float64 array with IEEE
 ±inf, checked once where it enters (trop_vector); array_mul applies the
 same convention by turning the NaN of -inf + inf into -inf, and
 array_sup keeps the first of tied entries as a t_add fold does.
-Comparisons between finite values are exact; no tolerance enters at
-this level.
+Scalar results (residual, sup_distance) are plain floats with IEEE
+±inf; TropValue, t_add and t_mul stay only while the benchmark rebinds
+them by name. Comparisons between finite values are exact; no tolerance
+enters at this level.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def trop_vector(entries) -> np.ndarray:
     return a
 
 
-def residual(u: np.ndarray, v: np.ndarray) -> TropValue:
+def residual(u: np.ndarray, v: np.ndarray) -> float:
     """The residuation u ⊘ v = sup{λ : λ ⊗ v ≼ u}.
 
     Computed as the inf over states of u(x) - v(x) with the conventions:
@@ -151,7 +153,7 @@ def residual(u: np.ndarray, v: np.ndarray) -> TropValue:
         terms = u - v
     # the NaNs are inf - inf and -inf - -inf: no constraint
     terms[np.isnan(terms)] = math.inf
-    return TropValue(terms[np.argmin(terms)])
+    return float(terms[np.argmin(terms)])
 
 
 def sup_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .tropical_core import TropValue, array_mul, array_sup, floats_to_json, trop_vector
+from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TransitionSystem
@@ -25,22 +24,23 @@ if TYPE_CHECKING:  # pragma: no cover
 class Density:
     """A tropical density: the state-wise masses of a tropical measure,
     held as a read-only float64 array, with the top density flagged
-    explicitly."""
+    explicitly; Density.top(n) is the only way to build it."""
 
     __slots__ = ("_values", "_is_top")
 
-    def __init__(self, values, is_top: bool = False):
+    def __init__(self, values):
         values = trop_vector(values)
-        if is_top:
-            values = trop_vector(np.full(len(values), math.inf))
-        elif np.isposinf(values).any():
+        if np.isposinf(values).any():
             raise ValueError("only the top density may carry +inf entries")
         self._values = values
-        self._is_top = is_top
+        self._is_top = False
 
     @classmethod
     def top(cls, n: int) -> "Density":
-        return cls(np.full(n, math.inf), is_top=True)
+        b = cls.__new__(cls)
+        b._values = trop_vector(np.full(n, math.inf))
+        b._is_top = True
+        return b
 
     @property
     def values(self) -> np.ndarray:
@@ -68,17 +68,11 @@ class Density:
         return floats_to_json(self._values)
 
 
-@dataclass(frozen=True)
-class TropicalFunctional:
-    """The tropical linear functional f ↦ ⊕_x (f(x) ⊗ b(x))."""
-
-    density: Density
-
-
-def functional_eval(l: TropicalFunctional, f: np.ndarray) -> TropValue:
-    """⊕_x (f(x) ⊗ b(x)). The -inf ⊗ +inf = -inf convention makes the top
-    functional return +inf except on the constant -inf input."""
-    return tropical_integral(l.density, f, range(len(l.density)))
+def functional_eval(b: Density, f: np.ndarray) -> float:
+    """The tropical linear functional of b at f: ⊕_x (f(x) ⊗ b(x)). The
+    -inf ⊗ +inf = -inf convention makes the top density return +inf
+    except on the constant -inf input."""
+    return tropical_integral(b, f, range(len(b)))
 
 
 def _states(b: Density, S: Iterable[int]) -> np.ndarray:
@@ -89,18 +83,18 @@ def _states(b: Density, S: Iterable[int]) -> np.ndarray:
     return idx
 
 
-def measure_of(b: Density, S: Iterable[int]) -> TropValue:
+def measure_of(b: Density, S: Iterable[int]) -> float:
     """Mass of a state subset: ⊕ over S of b; the empty set has mass -inf."""
-    return TropValue(array_sup(b.values[_states(b, S)]))
+    return array_sup(b.values[_states(b, S)])
 
 
-def tropical_integral(b: Density, f: np.ndarray, S: Iterable[int]) -> TropValue:
+def tropical_integral(b: Density, f: np.ndarray, S: Iterable[int]) -> float:
     """⊕ over S of f(x) ⊗ b(x); over the full set this is the functional."""
     f = trop_vector(f)
     if len(f) != len(b):
         raise ValueError(f"length mismatch: {len(f)} vs {len(b)}")
     idx = _states(b, S)
-    return TropValue(array_sup(array_mul(f[idx], b.values[idx])))
+    return array_sup(array_mul(f[idx], b.values[idx]))
 
 
 def is_invariant(sys: "TransitionSystem", b: Density) -> bool:
@@ -147,16 +141,3 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
             return False
     return True
 
-
-def singleton_probes(n: int) -> List[np.ndarray]:
-    """The exact probe basis: 0 at one state, -inf elsewhere."""
-    return [trop_vector(np.where(np.arange(n) == s, 0.0, -math.inf)) for s in range(n)]
-
-
-def densities_equivalent(b1: Density, b2: Density) -> bool:
-    """Whether two densities induce the same functional on the singleton
-    probe basis, which is exact on a finite state set."""
-    if len(b1) != len(b2):
-        raise ValueError(f"length mismatch: {len(b1)} vs {len(b2)}")
-    l1, l2 = TropicalFunctional(b1), TropicalFunctional(b2)
-    return all(functional_eval(l1, f) == functional_eval(l2, f) for f in singleton_probes(len(b1)))

@@ -90,7 +90,7 @@ class LimitDiagnostics:
 
 def check_betas(grid: Sequence[float]) -> Tuple[float, ...]:
     """The grid as floats; ValueError when it is empty or holds a beta
-    that is not a finite positive number."""
+    that check_beta refuses."""
     grid = tuple(float(b) for b in grid)
     if not grid:
         raise ValueError("empty beta grid")

@@ -329,7 +329,6 @@ def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
 def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
     # every consumer takes the command's one report: Karp and the closure
     # run once per run, whatever the command
-    import troptherm.ergodic_opt as ergodic_opt
     import troptherm.thermo as thermo
 
     calls = {"karp": 0, "closure": 0}
@@ -342,7 +341,7 @@ def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
         return wrapper
 
     karp = counted("karp", maxplus_linalg._karp_mean)
-    for module in (maxplus_linalg, ergodic_opt, thermo):
+    for module in (maxplus_linalg, thermo):
         monkeypatch.setattr(module, "_karp_mean", karp)
     monkeypatch.setattr(maxplus_linalg, "_closure", counted("closure", maxplus_linalg._closure))
     gen17 = str(tmp_path / "gen17.json")
@@ -558,6 +557,59 @@ def test_bad_beta_grid_exits_2(tmp_path, fixa, capsys):
     assert json.loads(capsys.readouterr().out)["grid"] == [100.0, 10.0]
     assert cli.main(["sweep", "--input", path, "--grid", "1e-300"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_beta_guard_checked_before_input(tmp_path, fixa, capsys):
+    # a beta above the overflow guard was refused only by the solve, after
+    # the input was read, the report built and the betas before it solved;
+    # with a missing input the error named the file
+    fixa_path = _dump(tmp_path, "fixa.json", fixa)
+    for path in (str(tmp_path / "nope.json"), fixa_path):
+        for command in ("sweep", "ldp"):
+            assert cli.main([command, "--input", path, "--grid", "10,3000"]) == cli.EXIT_INPUT
+            assert capsys.readouterr() == ("", "error: beta 3000.0 exceeds the overflow guard 2000.0\n")
+    assert cli.main(["sweep", "--input", fixa_path, "--grid", "2000"]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+def test_pressure_outside_bracket_exits_2(tmp_path, capsys):
+    # at weights 1e17 (and 1e15) the two-cycle's rounding gave
+    # pressure_over_beta = log 3 / 10 at beta 10, beyond Q + log 2 / 10; the
+    # same system with 1 in place of 1e17 gives the true 0.0481220
+    for scale in (1e17, 1e15):
+        arcs = [(0, 1, scale), (1, 0, -scale), (0, 0, 0.0), (1, 1, -1.0)]
+        path = _dump(tmp_path, "big.json", TransitionSystem(2, arcs))
+        for command in ("sweep", "ldp"):
+            assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: pressure at beta 10 leaves its bracket"), err
+            assert err.count("\n") == 1
+    path = _dump(tmp_path, "one.json", TransitionSystem(2, [(0, 1, 1.0), (1, 0, -1.0), (0, 0, 0.0), (1, 1, -1.0)]))
+    assert cli.main(["sweep", "--input", path]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("10,0.0481219")
+
+
+def test_pressure_at_moderate_weight_scale_is_accepted(tmp_path, capsys):
+    # rounding of beta * w moves P - beta * Q off its bracket by about
+    # eps * beta * max|w|, which the check allows: the 3-cycles land
+    # 7.6e-11 below and 4.7e-12 above their bracket [0, 0] at beta 1000 and
+    # 100, gen seed 2 with weights x1e6 lands 9.3e-9 below [0, log 6] at
+    # beta 10, and all three pressures are right to rounding
+    cycle = TransitionSystem(3, [(0, 1, 1000.1), (1, 2, 999.7), (2, 0, 1000.3)])
+    mixed = TransitionSystem(3, [(0, 1, 321.7), (1, 2, -876.3), (2, 0, 555.1)])
+    gen = cli._gen_system(2, None, False)
+    scaled = TransitionSystem(gen.n, [(a, b, w * 1e6 + 0.1) for a, b, w in gen.arcs])
+    for name, sys_ in (("cycle", cycle), ("mixed", mixed), ("scaled", scaled)):
+        path = _dump(tmp_path, f"{name}.json", sys_)
+        for command in ("sweep", "ldp"):
+            assert cli.main([command, "--input", path]) == cli.EXIT_OK, name
+            out, err = capsys.readouterr()
+            assert err == "" and out
+    # on a single cycle P / beta is the cycle mean at every beta
+    for sys_, mean in ((cycle, (1000.1 + 999.7 + 1000.3) / 3), (mixed, (321.7 - 876.3 + 555.1) / 3)):
+        report = ergodic_report(sys_)
+        for beta in zerotemp.DEFAULT_GRID:
+            assert abs(zerotemp.sweep_record(sys_, beta, report).pressure_over_beta - mean) <= 1e-12 * 1000
 
 
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):

@@ -84,7 +84,7 @@ def test_constructor_flags_and_errors():
 def test_from_map_flags(fixc):
     assert fixc.deterministic
     assert fixc.surjective_like
-    assert fixc.image(0) == 1 and fixc.image(2) == 0
+    assert [(s, t) for s, t, _ in fixc.arcs] == [(0, 1), (1, 2), (2, 0)]
     squash = from_map([0, 0], [1.0, 1.0])
     assert squash.deterministic
     assert not squash.surjective_like
@@ -101,7 +101,7 @@ def test_discretize_doubling_order2(fixb):
     assert abs(fixb.arc_weight(2, 0) + 1.0) <= 1e-12
     assert abs(fixb.arc_weight(3, 2)) <= 1e-12
     # shift structure: word s goes to (2s mod 4) and (2s mod 4)+1
-    assert sorted(t for t, _ in fixb.successors(1)) == [2, 3]
+    assert sorted(t for s, t, _ in fixb.arcs if s == 1) == [2, 3]
     assert fixb.max_in_degree() == 2
 
 

@@ -14,7 +14,7 @@ import pytest
 from troptherm.bruteforce import enum_max_cycle_mean
 from troptherm.cli import _gen_system
 from troptherm.dynamics import PathRecord, TransitionSystem, bousch_apply, discretize_doubling
-from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy, normalize
+from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy
 from troptherm.maxplus_linalg import (
     TropMatrix,
     _closure,
@@ -22,6 +22,8 @@ from troptherm.maxplus_linalg import (
     strongly_connected,
 )
 from troptherm.tropical_core import TropValue, sup_distance, t_add, t_mul, trop_vector
+
+from helpers import normalize
 
 NI = -math.inf
 

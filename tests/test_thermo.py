@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from troptherm.bruteforce import ruelle_apply
+from troptherm.bruteforce import log_ruelle_apply, ruelle_apply
 from troptherm.cli import _gen_system
 from troptherm.dynamics import TransitionSystem, discretize_doubling, from_sft
 from troptherm.ergodic_opt import ergodic_report
@@ -15,12 +15,12 @@ from troptherm.thermo import (
     BETA_MAX_DEFAULT,
     BetaRangeError,
     ReducibleSystemError,
+    _log_image,
     log_moment,
-    log_ruelle_apply,
     normalized_potential,
     spectral_data,
 )
-from troptherm.zerotemp import beta_sweep
+from troptherm.zerotemp import beta_sweep, sweep_record
 
 
 def full_shift():
@@ -57,6 +57,20 @@ def test_log_ruelle_matches_linear(fixa):
         log_u = rng.uniform(-2, 2, 2)
         lin = ruelle_apply(fixa, np.exp(log_u), beta)
         assert np.allclose(log_ruelle_apply(fixa, log_u, beta), np.log(lin), atol=1e-12)
+
+
+def test_log_ruelle_apply_matches_the_solver_bit_for_bit():
+    # the oracle's arc-by-arc logaddexp and the solver's np.logaddexp.at
+    # visit the arcs in the same order, so they agree to the last bit
+    rng = np.random.default_rng(41)
+    systems = [_gen_system(seed, None, False) for seed in range(20)]
+    systems.append(discretize_doubling(4, lambda t: math.cos(2 * math.pi * t)))
+    for sys in systems:
+        src, tgt, w = sys.arc_arrays
+        for beta in (0.5, 10.0, 1000.0):
+            log_u = rng.uniform(-50, 50, sys.n)
+            got = log_ruelle_apply(sys, log_u, beta)
+            assert got.tobytes() == _log_image(log_u, tgt, src, beta * w).tobytes()
 
 
 def test_spectral_full_shift():
@@ -206,8 +220,11 @@ def test_reducible_and_beta_guards(one_state):
         spectral_data(one_state, 0.0)
     with pytest.raises(BetaRangeError):
         spectral_data(one_state, -1.0)
-    with pytest.raises(BetaRangeError):
+    # one guard for every beta: the solve and the moment refuse alike
+    with pytest.raises(BetaRangeError, match="overflow guard"):
         spectral_data(one_state, BETA_MAX_DEFAULT * 2)
+    with pytest.raises(BetaRangeError, match="overflow guard"):
+        log_moment(np.zeros(2), np.zeros(2), BETA_MAX_DEFAULT * 2)
     # the loop runs on offsets from the start, which must be finite logs
     swap = TransitionSystem(2, [(0, 1, 0.0), (1, 0, 0.0)])
     for bad in ([0.0, -math.inf], [0.0, math.nan], [0.0]):
@@ -222,6 +239,20 @@ def test_reducible_and_beta_guards(one_state):
     with pytest.raises(BetaRangeError, match="1 / beta overflows"):
         spectral_data(one_state, 1e-310)
     assert abs(spectral_data(one_state, 1e-300).pressure - 1.5e-300) <= 1e-12 * 1.5e-300
+
+
+def test_pressure_outside_its_bracket_is_refused():
+    # at weights 1e17 the two-cycle's rounding leaves P - beta * Q at log 3,
+    # beyond log N = log 2; with 1 in place of 1e17 the pressure is right
+    # (the solves start where sweep starts them, at beta times the limit pair)
+    for scale in (1e17, 1e15, 1.0):
+        sys = TransitionSystem(2, [(0, 1, scale), (1, 0, -scale), (0, 0, 0.0), (1, 1, -1.0)])
+        report = ergodic_report(sys)
+        if scale == 1.0:
+            assert abs(sweep_record(sys, 10.0, report).pressure_over_beta - 0.0481220) <= 1e-7
+            continue
+        with pytest.raises(ValueError, match=r"pressure at beta 10 leaves its bracket"):
+            sweep_record(sys, 10.0, report)
 
 
 def test_log_moment():

@@ -103,19 +103,20 @@ def test_finite_accessor():
 
 
 def test_residual_examples():
-    assert residual(tv(0, 0), tv(0, -1)) == TropValue(0.0)
+    assert residual(tv(0, 0), tv(0, -1)) == 0.0
     u = tv(1.5, -2, 0)
-    assert residual(u, u) == TropValue(0.0)
-    assert residual(tv(0, 0), tv(-INF, 0)) == TropValue(0.0)
+    assert residual(u, u) == 0.0
+    assert residual(tv(0, 0), tv(-INF, 0)) == 0.0
+    assert type(residual(u, u)) is float
 
 
 def test_residual_conventions():
     # v = NEG_INF everywhere: every lambda is feasible
-    assert residual(tv(0, 0), tv(-INF, -INF)) == POS_INF
+    assert residual(tv(0, 0), tv(-INF, -INF)) == INF
     # v = POS_INF against finite u: nothing above NEG_INF is feasible
-    assert residual(tv(0, 0), tv(INF, 0)) == NEG_INF
+    assert residual(tv(0, 0), tv(INF, 0)) == -INF
     # matching tops contribute POS_INF terms
-    assert residual(tv(INF), tv(INF)) == POS_INF
+    assert residual(tv(INF), tv(INF)) == INF
     with pytest.raises(ValueError):
         residual(tv(0), tv(0, 0))
 
@@ -139,7 +140,7 @@ def test_galois_connection_exhaustive():
             r = residual(u, v)
             for lam in lambdas:
                 feasible = leq(array_mul(float(lam), v), u)
-                assert feasible == (lam <= r), (u, v, lam, r)
+                assert feasible == (float(lam) <= r), (u, v, lam, r)
 
 
 def _random_entry(rng):
@@ -159,12 +160,12 @@ def test_galois_connection_seeded():
         u = trop_vector([float(_random_entry(rng)) for _ in range(n)])
         v = trop_vector([float(_random_entry(rng)) for _ in range(n)])
         r = residual(u, v)
-        assert leq(array_mul(float(r), v), u)
-        if r.is_finite:
+        assert leq(array_mul(r, v), u)
+        if math.isfinite(r):
             # exact boundary: r feasible (above), r + 1 not
-            assert not leq(array_mul(r.finite + 1.0, v), u)
+            assert not leq(array_mul(r + 1.0, v), u)
         lam = _random_entry(rng)
-        assert leq(array_mul(float(lam), v), u) == (lam <= r)
+        assert leq(array_mul(float(lam), v), u) == (float(lam) <= r)
 
 
 def test_vec_ops():
@@ -257,14 +258,14 @@ def _fold(terms):
 
 
 def _bousch_loop(sys_, u):
-    return [_fold(t_mul(u[y], TropValue(w)) for y, w in sys_.predecessors(x)) for x in range(sys_.n)]
+    return [_fold(t_mul(u[y], TropValue(w)) for y, t, w in sys_.arcs if t == x) for x in range(sys_.n)]
 
 
 def _adjoint_loop(sys_, b):
     values = _tv(b.values)
     if b.is_top:  # the top density is returned unchanged
         return values
-    return [_fold(t_mul(TropValue(w), values[x]) for x, w in sys_.successors(y)) for y in range(sys_.n)]
+    return [_fold(t_mul(TropValue(w), values[x]) for s, x, w in sys_.arcs if s == y) for y in range(sys_.n)]
 
 
 def _integral_loop(b, f, states):
@@ -302,7 +303,7 @@ def test_vector_layer_matches_scalar_loops():
         # the arc reductions may return either zero of a tie, so by value
         assert _tv(bousch_apply(sys_, u)) == _bousch_loop(sys_, _tv(u))
         assert _tv(adjoint_apply(sys_, b).values) == _adjoint_loop(sys_, b)
-        assert tropical_integral(b, u, states) == _integral_loop(_tv(b.values), _tv(u), states)
+        assert tropical_integral(b, u, states) == _integral_loop(_tv(b.values), _tv(u), states).to_float()
 
 
 def test_signed_zeros_compare_alike():

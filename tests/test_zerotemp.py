@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from troptherm.cli import _gen_system
-from troptherm.ergodic_opt import ergodic_report, normalize
+from troptherm.ergodic_opt import ergodic_report
 from troptherm.tropical_measures import Density
 from troptherm.zerotemp import (
     DEFAULT_GRID,
@@ -20,6 +20,8 @@ from troptherm.zerotemp import (
     rate_function,
     sweep_record,
 )
+
+from helpers import normalize
 
 
 def test_grid_validation(one_state):
