@@ -101,7 +101,7 @@ def enum_mane(sys: TransitionSystem, q: float, horizon: int = None) -> List[List
     return phi
 
 
-def enum_aubry(phi: List[List[float]], tol: float = 1e-9) -> Tuple[int, ...]:
+def enum_aubry(phi: List[List[float]], tol: float = DEFAULT_TOL) -> Tuple[int, ...]:
     """States whose best return path has weight 0 (within tol)."""
     out = []
     for i, row in enumerate(phi):

@@ -29,13 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .bruteforce import enum_aubry, enum_mane, enum_max_cycle_mean
-from .dynamics import (
-    SystemValidationError,
-    TransitionSystem,
-    from_map,
-    system_from_json,
-    system_to_json,
-)
+from .dynamics import TransitionSystem, from_map, system_from_json, system_to_json
 from .ergodic_opt import ergodic_report, report_to_json
 from .maxplus_linalg import DEFAULT_TOL, check_tol, strongly_connected
 from .thermo import ConvergenceError

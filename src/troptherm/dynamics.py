@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,23 +31,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """An orbit segment z, T(z), ..., T^n(z); length n may be zero."""
-
-    states: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.states) == 0:
-            raise ValueError("a path visits at least one state")
-
-
 class TransitionSystem:
     """Immutable weighted digraph with the potential charged at arc sources.
 
-    The constructor is the one validator (`shifted` rechecks only the
-    moved weights). The store is the (source, target) -> weight dict in
-    arc order, plus read-only arc arrays; everything is read off these.
+    The constructor is the one validator. The store is the (source,
+    target) -> weight dict in arc order, plus read-only arc arrays;
+    everything is read off these.
     """
 
     __slots__ = ("_n", "_weight", "_arc_arrays", "_labels")
@@ -134,20 +122,6 @@ class TransitionSystem:
     def max_in_degree(self) -> int:
         """The preimage-count bound N."""
         return int(np.bincount(self._arc_arrays[1], minlength=self._n).max())
-
-    def shifted(self, delta: float) -> "TransitionSystem":
-        """Same arcs with every weight moved by delta, bit for bit what the
-        constructor would store; only the moved weights are checked again."""
-        src, tgt, w = self._arc_arrays
-        with np.errstate(over="ignore"):
-            w = w + delta
-        if not np.isfinite(w).all():
-            raise SystemValidationError(f"arc weight must be finite: shifted by {delta!r}")
-        w.flags.writeable = False
-        out = object.__new__(TransitionSystem)
-        out._n, out._labels, out._arc_arrays = self._n, self._labels, (src, tgt, w)
-        out._weight = dict(zip(self._weight, w.tolist()))
-        return out
 
     def to_matrix(self) -> TropMatrix:
         src, tgt, w = self._arc_arrays
@@ -253,10 +227,13 @@ def adjoint_apply(sys: TransitionSystem, b: Density) -> Density:
     return Density(out)
 
 
-def birkhoff_sum(sys: TransitionSystem, path: PathRecord) -> float:
-    """Total potential along an orbit segment; the empty segment sums to 0."""
+def birkhoff_sum(sys: TransitionSystem, states: Sequence[int]) -> float:
+    """Total potential along the orbit segment z, T(z), ..., T^n(z) given
+    by its states; a segment of one state (n = 0) sums to 0."""
+    if len(states) == 0:
+        raise ValueError("a path visits at least one state")
     total = 0.0
-    for a, b in zip(path.states, path.states[1:]):
+    for a, b in zip(states, states[1:]):
         try:
             total += sys.arc_weight(a, b)
         except KeyError:

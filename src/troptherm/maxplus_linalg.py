@@ -5,10 +5,11 @@ Matrix entry (i, j) is the weight of the arc i -> j; -inf marks a missing
 arc. Weights come from real potentials, so +inf never appears here and
 the arithmetic runs on float64 arrays (the only infinity in play is
 -inf, which is safe under + and max). One eager tropical pass serves
-every question about a system (tropical_pass, read by `ergodic_opt`):
-Karp's maximum cycle mean over the arcs, then one Kleene closure of the
-weights shifted by it, from which the critical arcs, a maximizing
-cycle, the Aubry set and the critical classes are all read.
+every question about a system (tropical_pass): Karp's maximum cycle
+mean over the arcs, then one Kleene closure of the weights shifted by
+it, from which the critical arcs, a maximizing cycle, the Aubry set and
+the critical classes are all read. Its record, TropicalPass, is the
+Mañé data that `ergodic_opt` hands out unchanged.
 """
 
 from __future__ import annotations
@@ -213,20 +214,21 @@ def strongly_connected(
 
 @dataclass(frozen=True)
 class TropicalPass:
-    """What one tropical pass reads off a max-plus matrix given by its arcs.
+    """The Mañé data one tropical pass reads off a max-plus matrix.
 
-    mean is Karp's maximum cycle mean and plus the read-only Kleene
-    closure of the weights shifted by it; witness is a maximizing cycle
-    (its states, first one not repeated), aubry the nodes on a
-    zero-weight cycle, classes the strongly connected classes of the
-    critical arcs that carry a cycle.
+    mean is Karp's maximum cycle mean and phi the read-only Kleene
+    closure of the weights shifted by it (paths of length >= 1, -inf
+    where none runs); witness is a maximizing cycle (its states, first
+    one not repeated), aubry the nodes on a zero-weight cycle,
+    critical_classes the strongly connected classes of the critical
+    arcs that carry a cycle.
     """
 
     mean: float
     witness: Tuple[int, ...]
-    plus: np.ndarray
+    phi: np.ndarray
     aubry: Tuple[int, ...]
-    classes: List[Tuple[int, ...]]
+    critical_classes: List[Tuple[int, ...]]
 
 
 def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: float) -> TropicalPass:
@@ -236,8 +238,8 @@ def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: 
     AcyclicError before any closure when no cycle exists. Critical arcs
     lie on some cycle of total weight 0: |w(i, j) + star(j, i)| <= tol,
     the way back read from the Kleene star, whose diagonal
-    max(plus(i, i), 0) is the empty path. So a self-loop is counted
-    once, as the Aubry test |plus(i, i)| <= tol counts it, and the
+    max(phi(i, i), 0) is the empty path. So a self-loop is counted
+    once, as the Aubry test |phi(i, i)| <= tol counts it, and the
     critical classes cover the Aubry set.
     """
     check_tol(tol)
@@ -246,10 +248,10 @@ def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: 
         raise AcyclicError("acyclic system carries no invariant measure")
     grid = np.full((n, n), _NINF)
     grid[src, tgt] = w - mean
-    plus = _closure(grid.copy())
-    plus.flags.writeable = False
-    cycle = grid + plus.T
-    np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(plus), 0.0))
+    phi = _closure(grid.copy())
+    phi.flags.writeable = False
+    cycle = grid + phi.T
+    np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(phi), 0.0))
     i, j = np.nonzero(np.abs(cycle) <= tol)
     arcs = list(zip(i.tolist(), j.tolist()))  # row-major
     witness = _witness(n, arcs)
@@ -262,9 +264,9 @@ def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: 
     return TropicalPass(
         mean=mean,
         witness=witness,
-        plus=plus,
-        aubry=tuple(np.flatnonzero(np.abs(np.diagonal(plus)) <= tol).tolist()),
-        classes=[c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops],
+        phi=phi,
+        aubry=tuple(np.flatnonzero(np.abs(np.diagonal(phi)) <= tol).tolist()),
+        critical_classes=[c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops],
     )
 
 

@@ -8,8 +8,9 @@ explicit test. A vector is a plain read-only float64 array with IEEE
 same convention by turning the NaN of -inf + inf into -inf, and
 array_sup keeps the first of tied entries as a t_add fold does.
 Scalar results (residual, sup_distance) are plain floats with IEEE
-±inf; TropValue, t_add and t_mul stay only while the benchmark rebinds
-them by name. Comparisons between finite values are exact; no tolerance
+±inf. TropValue, t_add, t_mul, NEG_INF and POS_INF are the scalar
+reference the tests compare the array layer against; the benchmark
+also rebinds TropValue by name. Comparisons between finite values are exact; no tolerance
 enters at this level.
 """
 

@@ -17,9 +17,14 @@ from troptherm.tropical_core import array_mul, sup_distance, trop_vector
 from troptherm.tropical_measures import Density
 
 
+def shift(sys: TransitionSystem, delta: float) -> TransitionSystem:
+    """sys with every weight moved by delta, built through the constructor."""
+    return TransitionSystem(sys.n, [(s, t, w + delta) for s, t, w in sys.arcs], sys.labels)
+
+
 def normalize(sys: TransitionSystem) -> TransitionSystem:
-    """sys with every weight shifted by -Q, as ergodic_report returns it."""
-    return ergodic_report(sys).normalized_system
+    """sys with every weight shifted by -Q, as analyze writes it."""
+    return shift(sys, -ergodic_report(sys).Q)
 
 
 def representation_check(

@@ -10,7 +10,6 @@ import pytest
 from troptherm.cli import _gen_system
 from troptherm.dynamics import (
     N_MAX,
-    PathRecord,
     SystemValidationError,
     TransitionSystem,
     adjoint_apply,
@@ -147,35 +146,17 @@ def test_adjoint_fixes_top(fixa):
 
 
 def test_birkhoff_sum(fixa, fixc):
-    assert birkhoff_sum(fixc, PathRecord([0, 1, 2])) == 3.0
-    assert birkhoff_sum(fixc, PathRecord([2])) == 0.0
-    assert birkhoff_sum(fixa, PathRecord([0, 1, 0])) == -2.0
-    with pytest.raises(ValueError):
-        birkhoff_sum(fixc, PathRecord([0, 2]))
-
-
-def test_shifted_equals_constructor():
-    # shifted builds its store from the validated one: the same arcs,
-    # weights bit for bit (signed zeros included) and labels as the
-    # constructor gives on the moved arcs
-    systems = [discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)) for order in range(3, 9)]
-    systems += [_gen_system(seed, None, False) for seed in range(50)]
-    for sys in systems:
-        mean = float(np.max(sys.arc_arrays[2]))
-        for delta in (-mean, 0.1, -0.0, np.float64(-2.5e-17), -3):
-            got = sys.shifted(delta)
-            want = TransitionSystem(sys.n, [(s, t, w + delta) for s, t, w in sys.arcs], sys.labels)
-            assert got == want
-            assert repr(got.arcs) == repr(want.arcs)
-            assert all(type(w) is float for _, _, w in got.arcs)
-            for a, b in zip(got.arc_arrays, want.arc_arrays):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
-            assert got.labels == want.labels
-    # the moved weights are checked again: overflow and nan are refused
-    with pytest.raises(SystemValidationError):
-        TransitionSystem(1, [(0, 0, 1e308)]).shifted(1e308)
-    with pytest.raises(SystemValidationError):
-        TransitionSystem(1, [(0, 0, 1.0)]).shifted(math.nan)
+    # a list and a tuple of states are both accepted
+    assert birkhoff_sum(fixc, [0, 1, 2]) == 3.0
+    assert birkhoff_sum(fixc, (0, 1, 2)) == 3.0
+    assert birkhoff_sum(fixc, (2,)) == 0.0
+    assert birkhoff_sum(fixa, [0, 1, 0]) == -2.0
+    with pytest.raises(ValueError, match="not an arc"):
+        birkhoff_sum(fixc, [0, 2])
+    # a path visits at least one state
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one state"):
+            birkhoff_sum(fixc, empty)
 
 
 def test_json_round_trip(fixb):

@@ -12,7 +12,6 @@ import troptherm.maxplus_linalg as maxplus_linalg
 from troptherm.bruteforce import subaction_limsup
 from troptherm.cli import _gen_system
 from troptherm.dynamics import (
-    PathRecord,
     TransitionSystem,
     adjoint_apply,
     bousch_apply,
@@ -21,17 +20,11 @@ from troptherm.dynamics import (
     system_from_json,
     system_to_json,
 )
-from troptherm.ergodic_opt import (
-    ergodic_report,
-    eigen_density_spectral,
-    eigenfunction_spectral,
-    mane_potential,
-    max_potential_energy,
-)
+from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy
 from troptherm.maxplus_linalg import PositiveCycleError
 from troptherm.tropical_core import sup_distance, trop_vector
 
-from helpers import is_subaction, normalize, representation_check
+from helpers import is_subaction, normalize, representation_check, shift
 
 
 def tv(*xs):
@@ -43,12 +36,10 @@ def _floats(vec):
 
 
 def test_max_potential_energy_examples(fixa, fixb, fixc):
-    q, cycle = max_potential_energy(fixa)
-    assert q == 0.0 and cycle.states == (0, 0)
-    q, cycle = max_potential_energy(fixc)
-    assert q == 2.0 and cycle.states == (0, 1, 2, 0)
+    assert max_potential_energy(fixa) == (0.0, (0, 0))
+    assert max_potential_energy(fixc) == (2.0, (0, 1, 2, 0))
     q, cycle = max_potential_energy(fixb)
-    assert abs(q - 1.0) <= 1e-12 and cycle.states == (0, 0)
+    assert abs(q - 1.0) <= 1e-12 and cycle == (0, 0)
     with pytest.raises(ValueError):
         max_potential_energy(TransitionSystem(2, [(0, 1, 1.0)]))
 
@@ -86,11 +77,11 @@ def test_mane_potential_rejects_unnormalized(fixc, one_state):
         mane_potential(one_state)  # Q = 1.5
     assert err.value.mean == 1.5 and err.value.cycle == [0]
     with pytest.raises(ValueError, match="not normalized"):
-        mane_potential(fixc.shifted(-3.0))  # mean -1
+        mane_potential(shift(fixc, -3.0))  # mean -1
     with pytest.raises(ValueError, match="acyclic"):
         mane_potential(TransitionSystem(2, [(0, 1, 0.0)]))
     # within tol of 0 the mean is shifted away, as in ergodic_report
-    near = fixc.shifted(-2.0 + 1e-12)
+    near = shift(fixc, -2.0 + 1e-12)
     assert np.array_equal(mane_potential(near).phi, ergodic_report(near).mane.phi)
 
 
@@ -102,7 +93,7 @@ def test_mane_potential_refuses_lost_critical_cycle():
     # it now refuses the system as ergodic_report does
     base = _gen_system(1, None, True)
     scaled = TransitionSystem(base.n, [(s, t, w * 1e7 + 0.1) for s, t, w in base.arcs])
-    system = scaled.shifted(-maxplus_linalg._karp_mean(scaled.n, *scaled.arc_arrays))
+    system = shift(scaled, -maxplus_linalg._karp_mean(scaled.n, *scaled.arc_arrays))
     for front_end in (mane_potential, ergodic_report):
         with pytest.raises(ValueError, match="no cycle is critical within tol 1e-09 at Q = 0.0"):
             front_end(system)
@@ -142,25 +133,25 @@ def test_subaction_limsup_fixed_point_seeded():
 
 
 def test_spectral_bases_fixtures(fixa, fixb, fixc):
-    amane = mane_potential(fixa)
-    assert [_floats(v) for v in eigenfunction_spectral(amane)] == [[0.0, -1.0]]
-    assert [_floats(d.values) for d in eigen_density_spectral(amane)] == [[0.0, -1.0]]
-    cmane = mane_potential(normalize(fixc))
-    assert [_floats(v) for v in eigenfunction_spectral(cmane)] == [[0.0, -1.0, -1.0]]
-    assert [_floats(d.values) for d in eigen_density_spectral(cmane)] == [[0.0, 1.0, 1.0]]
-    bmane = mane_potential(normalize(fixb))
-    (v,) = eigenfunction_spectral(bmane)
-    (d,) = eigen_density_spectral(bmane)
+    areport = ergodic_report(fixa)
+    assert [_floats(v) for v in areport.eigenfunction_basis] == [[0.0, -1.0]]
+    assert [_floats(d.values) for d in areport.eigen_density_basis] == [[0.0, -1.0]]
+    creport = ergodic_report(normalize(fixc))
+    assert [_floats(v) for v in creport.eigenfunction_basis] == [[0.0, -1.0, -1.0]]
+    assert [_floats(d.values) for d in creport.eigen_density_basis] == [[0.0, 1.0, 1.0]]
+    breport = ergodic_report(normalize(fixb))
+    (v,) = breport.eigenfunction_basis
+    (d,) = breport.eigen_density_basis
     assert max(abs(a - b) for a, b in zip(_floats(v), [0.0, 0.0, -1.0, -1.0])) <= 1e-12
     assert max(abs(a - b) for a, b in zip(_floats(d.values), [0.0, -3.0, -2.0, -3.0])) <= 1e-12
 
 
 def test_spectral_bases_are_fixed_points(fixa, fixb, fixc, two_loops):
     for sys in (fixa, normalize(fixb), normalize(fixc), two_loops):
-        mane = mane_potential(sys)
-        for v in eigenfunction_spectral(mane):
+        report = ergodic_report(sys)
+        for v in report.eigenfunction_basis:
             assert sup_distance(bousch_apply(sys, v), v) <= 1e-12
-        for d in eigen_density_spectral(mane):
+        for d in report.eigen_density_basis:
             assert sup_distance(adjoint_apply(sys, d).values, d.values) <= 1e-12
 
 
@@ -241,13 +232,13 @@ def test_is_subaction(fixa):
 def test_domination_inequalities(fixa, two_loops):
     # eigenfunction: u(y) + w(y -> x) <= u(x); density: w(y -> x) + b(x) <= b(y)
     for sys in (fixa, two_loops):
-        report = ergodic_report(sys)
+        report, arcs = ergodic_report(sys), normalize(sys).arcs
         for v in report.eigenfunction_basis:
-            for y, x, w in report.normalized_system.arcs:
+            for y, x, w in arcs:
                 lhs = v[y] + w
                 assert lhs <= v[x] + 1e-12 or lhs == -math.inf
         for d in report.eigen_density_basis:
-            for y, x, w in report.normalized_system.arcs:
+            for y, x, w in arcs:
                 lhs = w + d.values[x]
                 assert lhs <= d.values[y] + 1e-12 or lhs == -math.inf
 
@@ -257,14 +248,11 @@ def test_witness_cycle_inside_aubry_seeded():
     for _ in range(25):
         sys = _gen_system(rng.randrange(10**6), None, False)
         report = ergodic_report(sys)
-        cycle_states = set(report.maximizing_cycle.states)
-        assert cycle_states <= set(report.mane.aubry)
+        cycle = report.maximizing_cycle
+        assert set(cycle) <= set(report.mane.aubry)
         # the maximizing cycle realizes Q exactly on the original weights
-        total = sum(
-            sys.arc_weight(a, b)
-            for a, b in zip(report.maximizing_cycle.states, report.maximizing_cycle.states[1:])
-        )
-        assert abs(total / (len(report.maximizing_cycle.states) - 1) - report.Q) <= 1e-9
+        total = sum(sys.arc_weight(a, b) for a, b in zip(cycle, cycle[1:]))
+        assert abs(total / (len(cycle) - 1) - report.Q) <= 1e-9
 
 
 def test_report_json_round_trip(tmp_path, fixa, two_loops):
@@ -277,9 +265,9 @@ def test_report_json_round_trip(tmp_path, fixa, two_loops):
     def floats(rows):
         return np.array([[sentinels.get(x, x) for x in row] for row in rows], dtype=float)
 
-    doubling = discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))
+    doublings = [discretize_doubling(k, lambda t: math.cos(2 * math.pi * t)) for k in (3, 4, 5)]
     split = from_map([0, 1], [1.0, 0.0])
-    for sys in (fixa, two_loops, doubling, split):
+    for sys in (fixa, two_loops, *doublings, split):
         path, out = tmp_path / "system.json", tmp_path / "report.json"
         path.write_text(json.dumps(system_to_json(sys)))
         assert cli.main(["analyze", "--input", str(path), "--output", str(out)]) == 0
@@ -290,8 +278,12 @@ def test_report_json_round_trip(tmp_path, fixa, two_loops):
         assert floats(data["eigenfunction_basis"]).tobytes() == np.array(report.eigenfunction_basis).tobytes()
         densities = np.array([d.values for d in report.eigen_density_basis])
         assert floats(data["eigen_density_basis"]).tobytes() == densities.tobytes()
-        assert tuple(data["maximizing_cycle"]) == report.maximizing_cycle.states
-        assert system_from_json(data["normalized_system"]) == report.normalized_system
+        assert tuple(data["maximizing_cycle"]) == report.maximizing_cycle
+        # the normalized arcs are w - Q, bit for bit the constructor's w + (-Q)
+        norm, want = system_from_json(data["normalized_system"]), normalize(sys)
+        assert norm == want and norm.labels == want.labels
+        for got, expected in zip(norm.arc_arrays, want.arc_arrays):
+            assert got.tobytes() == expected.tobytes()
         assert tuple(data["mane"]["aubry"]) == report.mane.aubry
         assert [tuple(c) for c in data["mane"]["critical_classes"]] == report.mane.critical_classes
         assert data["uniquely_calibrated"] is report.uniquely_calibrated
@@ -315,7 +307,7 @@ def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
     monkeypatch.setattr(TransitionSystem, "to_matrix", counted("to_matrix", TransitionSystem.to_matrix))
     doubling = discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))
     for sys in (fixa, two_loops, doubling):
-        normalized = ergodic_report(sys).normalized_system
+        normalized = normalize(sys)
         for front_end, system in ((ergodic_report, sys), (max_potential_energy, sys), (mane_potential, normalized)):
             for key in calls:
                 calls[key] = 0
@@ -333,7 +325,7 @@ def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
 
 def test_report_holds_read_only_arrays(fixa, two_loops):
     for report in (ergodic_report(fixa), ergodic_report(two_loops)):
-        n = report.normalized_system.n
+        n = report.system.n
         phi = report.mane.phi
         assert type(phi) is np.ndarray and phi.dtype == np.float64 and phi.shape == (n, n)
         vectors = list(report.eigenfunction_basis) + [d.values for d in report.eigen_density_basis]

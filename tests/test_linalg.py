@@ -13,7 +13,7 @@ import pytest
 
 from troptherm.bruteforce import enum_max_cycle_mean
 from troptherm.cli import _gen_system
-from troptherm.dynamics import PathRecord, TransitionSystem, bousch_apply, discretize_doubling
+from troptherm.dynamics import TransitionSystem, bousch_apply, discretize_doubling
 from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy
 from troptherm.maxplus_linalg import (
     TropMatrix,
@@ -85,7 +85,7 @@ def test_mat_vec_orientation():
 
 
 def test_max_cycle_mean_examples():
-    assert max_potential_energy(_matrix_system(FIXA)) == (0.0, PathRecord((0, 0)))
+    assert max_potential_energy(_matrix_system(FIXA)) == (0.0, (0, 0))
     cyc = _matrix_system([[NI, 1.0, NI], [NI, NI, 2.0], [3.0, NI, NI]])
     assert max_potential_energy(cyc)[0] == 2.0
     chain = _matrix_system([[NI, 1.0], [NI, NI]])
@@ -96,10 +96,10 @@ def test_max_cycle_mean_examples():
 def test_witness_tie_breaks():
     # zero self-loops at 0 and 2: lowest index wins
     rows = [[0.0, NI, NI], [NI, NI, 0.0], [NI, 0.0, 0.0]]
-    assert max_potential_energy(_matrix_system(rows))[1].states == (0, 0)
+    assert max_potential_energy(_matrix_system(rows))[1] == (0, 0)
     # at the lowest critical node, the self-loop beats the 2-cycle
     rows = [[0.0, 0.0], [0.0, NI]]
-    assert max_potential_energy(_matrix_system(rows))[1].states == (0, 0)
+    assert max_potential_energy(_matrix_system(rows))[1] == (0, 0)
 
 
 def test_witness_is_simple_cycle_seeded():
@@ -112,8 +112,8 @@ def test_witness_is_simple_cycle_seeded():
                 max_potential_energy(_matrix_system(grid))
             continue
         mean, cycle = max_potential_energy(_matrix_system(grid))
-        w = list(cycle.states[:-1])
-        assert cycle.states[-1] == w[0]
+        w = list(cycle[:-1])
+        assert cycle[-1] == w[0]
         assert len(set(w)) == len(w)
         total = 0.0
         for a, b in zip(w, w[1:] + [w[0]]):

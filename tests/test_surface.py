@@ -6,14 +6,17 @@ seeded and explicit observables and the refusals, runs under
 sys.setprofile; a function that none of them enters and that the list
 does not name fails the test. What only tests used has left the library:
 checks of the fast path's own outputs live in tests/helpers.py, and
-reference computations in bruteforce.
+reference computations in bruteforce. An ast scan also fails on any
+unused import in a library or test module.
 """
 
+import ast
 import importlib
 import inspect
 import json
 import pkgutil
 import sys
+from pathlib import Path
 
 import troptherm
 import troptherm.cli as cli
@@ -46,15 +49,20 @@ ORACLE = {"bruteforce"}
 # they call.
 BENCH_HELD = {
     "tropical_core.TropValue",
-    "tropical_core.t_add",
-    "tropical_core.t_mul",
     "maxplus_linalg.TropMatrix",
     "maxplus_linalg._weight_array",  # TropMatrix
     "dynamics.TransitionSystem.to_matrix",
     "ergodic_opt.max_potential_energy",
     "ergodic_opt.mane_potential",
 }
-DOCUMENTED = PAPER_ENTRY_POINTS | ENTRY_POINT_HELPERS | ORACLE | BENCH_HELD
+# The scalar reference that tests/test_tropical_core.py and acceptance 5
+# compare the array layer against, with TropValue, NEG_INF and POS_INF;
+# the benchmark does not rebind these.
+SCALAR_REFERENCE = {
+    "tropical_core.t_add",
+    "tropical_core.t_mul",
+}
+DOCUMENTED = PAPER_ENTRY_POINTS | ENTRY_POINT_HELPERS | ORACLE | BENCH_HELD | SCALAR_REFERENCE
 
 UNIQUE = {"n": 2, "arcs": [[0, 0, 0.0], [0, 1, -1.0], [1, 0, -1.0], [1, 1, -3.0]]}
 TWO_CLASSES = {"n": 2, "arcs": [[0, 0, 0.0], [0, 1, -2.0], [1, 0, -1.0], [1, 1, 0.0]]}
@@ -154,3 +162,37 @@ def test_documented_names_exist():
     functions = _library_functions()
     for entry in DOCUMENTED:
         assert any(name == entry or name.startswith(entry + ".") for name in functions), entry
+
+
+def _unused_imports(path):
+    """"file:line name" for each name an import binds that the module
+    never uses; names listed in __all__ and names in string annotations
+    count as used."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, used, annotations = {}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    tests = Path(__file__).parent
+    paths = sorted(Path(troptherm.__file__).parent.glob("*.py")) + sorted(tests.glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, f"unused imports: {unused}"

@@ -151,7 +151,7 @@ def test_rate_zero_exactly_on_witness_seeded():
             continue
         rate = rate_function(sys, report=report)
         # exact zeros need integer data; rational Q leaves sub-ulp noise
-        for x in set(report.maximizing_cycle.states):
+        for x in set(report.maximizing_cycle):
             assert abs(rate.values[x]) <= 1e-9
         assert np.all(rate.values >= -1e-12)
         assert str(rate.values[0]) != "-0.0"
