@@ -18,30 +18,12 @@ TransitionSystem.to_matrix, max_potential_energy and mane_potential
 stay only until the benchmark stops rebinding them by name. TropValue,
 which it also rebinds, is with t_add, t_mul, NEG_INF and POS_INF the
 scalar reference the tests compare the array layer against.
+
+The package itself imports nothing: each name is imported from the
+module that defines it (``from troptherm.dynamics import
+TransitionSystem``), so that ``python -m troptherm.cli`` reaches the cli
+module before numpy loads, and each command loads only the modules it
+runs.
 """
-
-from .tropical_core import (
-    NEG_INF,
-    POS_INF,
-    TropValue,
-    residual,
-    t_add,
-    t_mul,
-)
-from .tropical_measures import Density
-from .maxplus_linalg import TropMatrix
-from .dynamics import TransitionSystem
-
-__all__ = [
-    "NEG_INF",
-    "POS_INF",
-    "TropValue",
-    "residual",
-    "t_add",
-    "t_mul",
-    "Density",
-    "TropMatrix",
-    "TransitionSystem",
-]
 
 __version__ = "0.1.0"

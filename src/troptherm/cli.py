@@ -14,6 +14,12 @@ flags; CSV uses '.' decimals, '\\n' line endings and 17 significant
 digits. JSON is streamed to the output by one writer whose bytes equal
 json.dumps(payload, indent=2) followed by a newline; it formats each
 distinct float of a list of number lists (such as phi) once.
+
+Start-up loads only the tropical side (dynamics, ergodic_opt and what
+they import); sweep and ldp load the Ruelle side (thermo, zerotemp) and
+oracle loads bruteforce when they run. numpy loads with OpenBLAS's idle
+spin shortened (OPENBLAS_THREAD_TIMEOUT=4) unless the variable is set;
+os.environ is restored right after.
 """
 
 from __future__ import annotations
@@ -21,30 +27,31 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys as _sys
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
+# OpenBLAS reads this once, when numpy loads it: how long (2**k cycles) an
+# idle worker thread spins before it sleeps. The default, 28, lets a worker
+# that shares the main thread's CPU take it for a large part of start-up.
+# A short spin changes no result (the thread count stays), a value the user
+# set is kept, and the environment is restored once numpy has loaded.
+_BLAS_SPIN = "OPENBLAS_THREAD_TIMEOUT"
+_blas_spin_unset = _BLAS_SPIN not in os.environ
+if _blas_spin_unset:
+    os.environ[_BLAS_SPIN] = "4"
+try:
+    import numpy as np
 
-from .bruteforce import enum_aubry, enum_mane, enum_max_cycle_mean
-from .dynamics import TransitionSystem, from_map, system_from_json, system_to_json
-from .ergodic_opt import ergodic_report, report_to_json
-from .maxplus_linalg import DEFAULT_TOL, check_tol, strongly_connected
-from .thermo import ConvergenceError
-from .tropical_core import sup_distance
-from .zerotemp import (
-    DEFAULT_GRID,
-    MultiClassError,
-    beta_sweep,
-    check_betas,
-    check_sweep_grid,
-    ldp_residual,
-    limit_diagnostics,
-    rate_function,
-    sweep_record,
-)
+    from .dynamics import TransitionSystem, from_map, system_from_json, system_to_json
+    from .ergodic_opt import ergodic_report, report_to_json
+    from .maxplus_linalg import DEFAULT_TOL, ConvergenceError, MultiClassError, check_tol, strongly_connected
+    from .tropical_core import sup_distance
+finally:
+    if _blas_spin_unset:
+        os.environ.pop(_BLAS_SPIN, None)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -239,7 +246,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    check_sweep_grid(args.grid)  # for --force too
+    from .zerotemp import (
+        DEFAULT_GRID,
+        beta_sweep,
+        check_sweep_grid,
+        ldp_residual,
+        limit_diagnostics,
+        rate_function,
+        sweep_record,
+    )
+
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    check_sweep_grid(grid)  # for --force too
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
     if not report.uniquely_calibrated and not args.force:
@@ -251,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     probes = _probes(sys_.n, args.seed)
     if report.uniquely_calibrated:
-        records = beta_sweep(sys_, args.grid, report=report)
+        records = beta_sweep(sys_, grid, report=report)
         diag = limit_diagnostics(sys_, records, report=report)
         rate = rate_function(sys_, report=report)
         rows = []
@@ -267,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # hits the step cap keeps beta and goes out all-nan.
         nan = math.nan
         rows = []
-        for beta in args.grid:
+        for beta in grid:
             try:
                 pob = sweep_record(sys_, beta, report).pressure_over_beta
             except ConvergenceError:
@@ -286,7 +304,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ldp(args: argparse.Namespace) -> int:
-    check_betas(args.grid)  # in any order
+    from .zerotemp import DEFAULT_GRID, check_betas, ldp_residual, rate_function, sweep_record
+
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    check_betas(grid)  # in any order
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
     rate = rate_function(sys_, report=report)
@@ -315,14 +336,14 @@ def cmd_ldp(args: argparse.Namespace) -> int:
         observables = _probes(sys_.n, args.seed)
 
     residuals = []
-    for beta in args.grid:
+    for beta in grid:
         spectral = sweep_record(sys_, beta, report).spectral
         values = [ldp_residual(f, rate=rate, spectral=spectral) for f in observables]
         residuals.append({"beta": beta, "values": values})
 
     payload = {
         "rate_function": rate.to_json(),
-        "grid": list(args.grid),
+        "grid": list(grid),
         "observables": [list(map(float, f)) for f in observables],
         "residuals": residuals,
     }
@@ -370,6 +391,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .bruteforce import enum_aubry, enum_mane, enum_max_cycle_mean
+
     sys_ = _load_system(args.input)
     if sys_.n > ORACLE_N_MAX:
         return _fail(EXIT_INPUT, f"oracle is exhaustive, n capped at {ORACLE_N_MAX}")
@@ -420,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="beta sweep with limit diagnostics, CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--grid", type=_grid_arg, default=list(DEFAULT_GRID))
+    p.add_argument("--grid", type=_grid_arg)
     p.add_argument("--seed", type=_seed_arg, default=0, help="seed for the LDP probe vectors")
     p.add_argument("--force", action="store_true", help="sweep multi-class systems without diagnostics")
     common(p)
@@ -428,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ldp", help="rate function and LDP residuals")
     p.add_argument("--input", required=True)
-    p.add_argument("--grid", type=_grid_arg, default=list(DEFAULT_GRID))
+    p.add_argument("--grid", type=_grid_arg)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument(
         "observables",

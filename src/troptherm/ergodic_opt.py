@@ -24,17 +24,28 @@ from .tropical_measures import Density
 
 @dataclass
 class ErgodicReport:
-    """Q, a maximizing cycle (its states, the first one repeated at the
-    end), the system as given, its tropical pass as the Mañé data, and
-    one eigenfunction/density pair per critical class."""
+    """The system as given, its tropical pass as the Mañé data, and one
+    eigenfunction/density pair per critical class. Q, the maximizing
+    cycle and unique calibration are read off the Mañé data, so a report
+    cannot contradict its own pass."""
 
-    Q: float
-    maximizing_cycle: Tuple[int, ...]
     system: TransitionSystem
     mane: TropicalPass
     eigenfunction_basis: List[np.ndarray]
     eigen_density_basis: List[Density]
-    uniquely_calibrated: bool
+
+    @property
+    def Q(self) -> float:
+        return self.mane.mean
+
+    @property
+    def maximizing_cycle(self) -> Tuple[int, ...]:
+        """The witness cycle's states, the first one repeated at the end."""
+        return self.mane.witness + self.mane.witness[:1]
+
+    @property
+    def uniquely_calibrated(self) -> bool:
+        return len(self.mane.critical_classes) == 1
 
 
 def max_potential_energy(sys: TransitionSystem) -> Tuple[float, Tuple[int, ...]]:
@@ -84,13 +95,10 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
     lie on one cycle of weight 0."""
     p = tropical_pass(sys.n, *sys.arc_arrays, tol)
     return ErgodicReport(
-        Q=p.mean,
-        maximizing_cycle=p.witness + p.witness[:1],
         system=sys,
         mane=p,
         eigenfunction_basis=[trop_vector(p.phi[cls[0]]) for cls in p.critical_classes],
         eigen_density_basis=[Density(p.phi[:, cls[0]]) for cls in p.critical_classes],
-        uniquely_calibrated=len(p.critical_classes) == 1,
     )
 
 

@@ -32,6 +32,21 @@ class AcyclicError(ValueError):
     """A graph without cycles has no cycle mean to shift by."""
 
 
+class MultiClassError(ValueError):
+    """Several critical classes: no single zero-temperature selection."""
+
+    def __init__(self, classes: List[Tuple[int, ...]]):
+        self.classes = classes
+        super().__init__(
+            f"{len(classes)} critical classes {classes}: "
+            "the zero-temperature limit is not a single point"
+        )
+
+
+class ConvergenceError(RuntimeError):
+    """The eigenvector iteration hit its step cap."""
+
+
 class PositiveCycleError(ValueError):
     """A cycle of positive mean makes the Kleene closure diverge."""
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import TransitionSystem
-from .maxplus_linalg import _karp_mean, strongly_connected
+from .maxplus_linalg import ConvergenceError, _karp_mean, strongly_connected
 
 BETA_MAX_DEFAULT = 2000.0
 POWER_CAP_DEFAULT = 100000
@@ -64,10 +64,6 @@ def check_beta(beta: float) -> None:
         raise BetaRangeError(f"beta is too small: 1 / beta overflows float64: {beta!r}")
     if beta > BETA_MAX_DEFAULT:
         raise BetaRangeError(f"beta {beta} exceeds the overflow guard {BETA_MAX_DEFAULT}")
-
-
-class ConvergenceError(RuntimeError):
-    """The eigenvector iteration hit its step cap."""
 
 
 @dataclass

@@ -19,23 +19,13 @@ import numpy as np
 
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport
+from .maxplus_linalg import MultiClassError
 from .thermo import SpectralData, check_beta, log_moment, normalized_potential, spectral_data
 from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 from .tropical_measures import Density
 
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
 DIVERGENCE_FLOOR = -10.0
-
-
-class MultiClassError(ValueError):
-    """Several critical classes: no single zero-temperature selection."""
-
-    def __init__(self, classes: List[Tuple[int, ...]]):
-        self.classes = classes
-        super().__init__(
-            f"{len(classes)} critical classes {classes}: "
-            "the zero-temperature limit is not a single point"
-        )
 
 
 @dataclass

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import troptherm
+import troptherm.bruteforce as bruteforce
 import troptherm.cli as cli
 import troptherm.maxplus_linalg as maxplus_linalg
 import troptherm.zerotemp as zerotemp
@@ -202,14 +203,14 @@ def test_sweep_force_reports_stall(tmp_path, two_loops, monkeypatch):
     # a row whose solve hits the step cap goes out all-nan rather than as
     # a block mixture; the next beta starts from the report's pair and is
     # reported
-    solve = cli.sweep_record
+    solve = zerotemp.sweep_record
 
     def stalled(sys_, beta, report):
         if beta == 10.0:
             raise ConvergenceError("power iteration did not converge within 100000 steps")
         return solve(sys_, beta, report)
 
-    monkeypatch.setattr(cli, "sweep_record", stalled)
+    monkeypatch.setattr(zerotemp, "sweep_record", stalled)
     path = _dump(tmp_path, "two.json", two_loops)
     out = tmp_path / "stall.csv"
     assert (
@@ -380,6 +381,91 @@ def test_cli_import_skips_networkx(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(pathlib.Path(report).read_text())["ok"] is True
+
+
+def _child_env(blas_spin):
+    """os.environ with src on PYTHONPATH and OPENBLAS_THREAD_TIMEOUT set
+    to blas_spin, or unset when it is None."""
+    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if blas_spin is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = blas_spin
+    return env
+
+
+# records OPENBLAS_THREAD_TIMEOUT at numpy's first import, then reports
+# what each start-up step loaded
+_STARTUP_PROBE = """
+import json, os, sys
+
+class Spy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Spy())
+before = dict(os.environ)
+import troptherm
+bare = "numpy" in sys.modules
+import troptherm.cli as cli
+loaded = sorted(sys.modules)
+code = cli.main(["analyze", "--input", sys.argv[1], "--output", sys.argv[2]])
+print(json.dumps({
+    "package_loads_numpy": bare,
+    "spin_at_numpy_import": Spy.seen,
+    "environ_unchanged": dict(os.environ) == before,
+    "after_import": loaded,
+    "after_analyze": sorted(sys.modules),
+    "code": code,
+}))
+"""
+
+
+def test_cli_start_loads_only_its_command(tmp_path):
+    # the package loads no numpy; cli loads numpy with a short BLAS spin
+    # unless the user chose one, and leaves os.environ as it found it; the
+    # Ruelle side and the oracle load only with the commands that run them
+    path = _dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t)))
+    lazy = {"troptherm.thermo", "troptherm.zerotemp", "troptherm.bruteforce"}
+    for blas_spin, expected in ((None, "4"), ("28", "28")):
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, path, str(tmp_path / "report.json")],
+            env=_child_env(blas_spin),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["code"] == cli.EXIT_OK
+        assert probe["package_loads_numpy"] is False
+        assert probe["spin_at_numpy_import"] == [expected]
+        assert probe["environ_unchanged"] is True
+        assert "numpy" in probe["after_import"]
+        assert not lazy & set(probe["after_import"])
+        assert not lazy & set(probe["after_analyze"])
+
+
+def test_blas_spin_leaves_output_bytes(tmp_path):
+    # at n = 128 the Ruelle solves' LU factorizations run on OpenBLAS's
+    # threads; how long an idle one spins must not move a digit
+    path = _dump(tmp_path, "doubling7.json", discretize_doubling(7, lambda t: math.cos(2 * math.pi * t)))
+    for command in ("sweep", "ldp"):
+        outputs = []
+        for blas_spin in ("28", None):
+            proc = subprocess.run(
+                [sys.executable, "-m", "troptherm.cli", command, "--input", path],
+                env=_child_env(blas_spin),
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], command
 
 
 def test_lost_critical_cycle_exits_2(tmp_path, capsys):
@@ -677,7 +763,7 @@ def test_oracle_size_guard(tmp_path, capsys):
 
 def test_oracle_mismatch_exit(tmp_path, fixa, capsys, monkeypatch):
     path = _dump(tmp_path, "fixa.json", fixa)
-    monkeypatch.setattr(cli, "enum_max_cycle_mean", lambda s: 1.0)
+    monkeypatch.setattr(bruteforce, "enum_max_cycle_mean", lambda s: 1.0)
     assert cli.main(["oracle", "--input", path]) == cli.EXIT_ORACLE
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
