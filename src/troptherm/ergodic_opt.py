@@ -24,15 +24,22 @@ from .tropical_measures import Density
 
 @dataclass
 class ErgodicReport:
-    """The system as given, its tropical pass as the Mañé data, and one
-    eigenfunction/density pair per critical class. Q, the maximizing
-    cycle and unique calibration are read off the Mañé data, so a report
-    cannot contradict its own pass."""
+    """The system as given and its tropical pass as the Mañé data. Q,
+    the maximizing cycle, unique calibration and one eigenfunction/density
+    pair per critical class (phi's row and column at its least state) are
+    read off the Mañé data, so a report cannot contradict its own pass;
+    check_report refuses it beside another system."""
 
     system: TransitionSystem
     mane: TropicalPass
-    eigenfunction_basis: List[np.ndarray]
-    eigen_density_basis: List[Density]
+
+    @property
+    def eigenfunction_basis(self) -> List[np.ndarray]:
+        return [trop_vector(self.mane.phi[cls[0]]) for cls in self.mane.critical_classes]
+
+    @property
+    def eigen_density_basis(self) -> List[Density]:
+        return [Density(self.mane.phi[:, cls[0]]) for cls in self.mane.critical_classes]
 
     @property
     def Q(self) -> float:
@@ -46,6 +53,14 @@ class ErgodicReport:
     @property
     def uniquely_calibrated(self) -> bool:
         return len(self.mane.critical_classes) == 1
+
+
+def check_report(sys: TransitionSystem, report: ErgodicReport) -> None:
+    """ValueError unless report is the ergodic report of sys or of an equal system."""
+    other = report.system
+    if not (sys is other or sys == other):
+        what = "state counts" if sys.n != other.n else "arcs or weights" if sys.arcs != other.arcs else "labels"
+        raise ValueError(f"the report is of another system: the {what} differ")
 
 
 def max_potential_energy(sys: TransitionSystem) -> Tuple[float, Tuple[int, ...]]:
@@ -93,13 +108,7 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
     unique up to one tropical constant each. The classes cover the Aubry
     set (see tropical_pass), so one class means every two Aubry states
     lie on one cycle of weight 0."""
-    p = tropical_pass(sys.n, *sys.arc_arrays, tol)
-    return ErgodicReport(
-        system=sys,
-        mane=p,
-        eigenfunction_basis=[trop_vector(p.phi[cls[0]]) for cls in p.critical_classes],
-        eigen_density_basis=[Density(p.phi[:, cls[0]]) for cls in p.critical_classes],
-    )
+    return ErgodicReport(system=sys, mane=tropical_pass(sys.n, *sys.arc_arrays, tol))
 
 
 def report_to_json(report: ErgodicReport) -> dict:

@@ -3,7 +3,7 @@
 All spectral work runs in log space. Weights are shifted by the maximal
 potential energy before exponentiation (the pressure is shifted back by
 beta * Q exactly). The eigenvectors come from one loop that works in
-coordinates scaled by the start vectors and by the current iterate (the
+coordinates scaled by the start pair and by the current iterate (the
 diagonal scaling of Gaubert and Sharify, 2009): it takes Noda's shifted
 inverse step (Numer. Math. 17, 1971), which converges in a few steps
 whatever the spectral gap, whenever float64 resolves it, and a
@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import TransitionSystem
+from .ergodic_opt import ErgodicReport, check_report
 from .maxplus_linalg import ConvergenceError, _karp_mean, strongly_connected
 
 BETA_MAX_DEFAULT = 2000.0
@@ -32,7 +33,7 @@ STEP_TOL = 1e-12
 # the largest, is lost to rounding beside the shift
 NODA_BRACKET = -math.log(np.finfo(float).eps)
 # most that a pressure may leave its bracket [0, log N] by: within it the
-# allowance is the rounding of beta * w and of the start vectors, but where
+# allowance is the rounding of beta * w and of the start pair, but where
 # that rounding alone spans the bracket (weights 1e15 at beta 10) a
 # pressure that leaves it by more than this is refused, not excused
 BRACKET_SLACK_MAX = 0.05
@@ -148,31 +149,16 @@ def _solver_step(
     return np.logaddexp(image, x), bracket
 
 
-def _start_vector(start: Optional[Sequence[float]], n: int) -> np.ndarray:
-    if start is None:
-        return np.zeros(n)
-    x = np.asarray(start, dtype=float)
-    if x.shape != (n,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"a start vector must hold {n} finite logs")
-    return x
-
-
-def spectral_data(
-    sys: TransitionSystem,
-    beta: float,
-    start_log_u: Optional[Sequence[float]] = None,
-    start_log_m: Optional[Sequence[float]] = None,
-    q: Optional[float] = None,
-) -> SpectralData:
+def spectral_data(sys: TransitionSystem, beta: float, report: Optional[ErgodicReport] = None) -> SpectralData:
     """Simultaneous left/right eigenvector iteration for the Ruelle operator.
 
-    q is the maximal potential energy of sys (its maximum cycle mean);
-    callers holding an ergodic report pass report.Q, otherwise Karp
-    computes it. The start vectors default to 0; see
-    zerotemp.sweep_record for a start near the answer.
+    With report, the ergodic report of sys (check_report refuses another
+    system's), the weights are shifted by its Q and the solve starts from
+    beta times its first limit pair (v, b), which (1/beta) log u and
+    (1/beta) log m tend to; without one, Karp computes Q and the start is 0.
 
     The loop solves for the offsets of log u and log m from the start
-    vectors, that is for the eigenvectors of the operator scaled by the
+    pair, that is for the eigenvectors of the operator scaled by the
     start (the diagonal scaling of Gaubert and Sharify). Each step first
     takes the Collatz-Wielandt log bracket ptp(log R(e^y) - y) of each
     offset y. While the bracket lies between the float spacing at |y|,
@@ -196,9 +182,9 @@ def spectral_data(
     The pressure is the Rayleigh quotient of the undamped operator at
     the converged right vector, weighted by the left one. ValueError when
     P - beta * Q leaves [0, log N], N the largest in-degree, by more than
-    1e-12 + 4 eps (beta max|w| + max|start_log_u| + max|start_log_m|), the
-    rounding at the weights' scale, or by more than BRACKET_SLACK_MAX:
-    rounding has then spoilt it.
+    1e-12 + 4 eps beta (max|w| + max|v| + max|b|), the rounding at the
+    weights' scale (v = b = 0 on a cold start), or by more than
+    BRACKET_SLACK_MAX: rounding has then spoilt it.
     """
     check_beta(beta)
     n = sys.n
@@ -209,19 +195,23 @@ def spectral_data(
     if len(comps) > 1:
         raise ReducibleSystemError(comps)
 
-    if q is None:
-        q = _karp_mean(n, src, tgt, w)
+    if report is None:
+        q, log_u, log_m = _karp_mean(n, src, tgt, w), np.zeros(n), np.zeros(n)
+    else:
+        check_report(sys, report)
+        q, v, b = report.Q, report.eigenfunction_basis[0], report.eigen_density_basis[0].values
+        if not math.isfinite(beta * max(float(np.max(np.abs(v))), float(np.max(np.abs(b))))):
+            raise ValueError(f"beta {beta:g} times the report's limit pair overflows float64")
+        log_u, log_m = beta * v, beta * b
     lw = beta * (w - q)
 
-    log_u = _start_vector(start_log_u, n)
-    log_m = _start_vector(start_log_m, n)
     # rounding of lw and of the offsets below is about eps times these
     # magnitudes; P - beta * Q strayed from its bracket by up to 1.4 times
     # it on scaled gen, doubling and single-cycle systems
     magnitude = beta * float(np.max(np.abs(w)))
     magnitude += float(np.max(np.abs(log_u))) + float(np.max(np.abs(log_m)))
     slack = min(1e-12 + 4 * np.finfo(float).eps * magnitude, BRACKET_SLACK_MAX)
-    # offsets y from the start vectors: near a tropical start they stay of
+    # offsets y from the start pair: near a tropical start they stay of
     # order 1, so the 1e-12 tests are not lost to the float spacing at
     # |log u|, about beta * range(v)
     lw_u = lw + log_u[src] - log_u[tgt]

@@ -1,12 +1,12 @@
 """Zero-temperature limits: beta sweeps, rate functions, limit diagnostics.
 
 Everything here compares positive-temperature spectral data, rescaled by
-1/beta, against the tropical objects it converges to. Every Ruelle solve
-here goes through sweep_record, which starts it from beta times the
-report's limit pair. Scalings are fixed once per run: scaled log u is
-pinned to 0 at the reference state (the lowest-index Aubry state),
-scaled log m has sup 0, and the normalized potential is divided by beta
-arc by arc.
+1/beta, against the tropical objects it converges to, all read off an
+ergodic report that check_report pairs with the system. Every Ruelle
+solve here goes through sweep_record, which hands spectral_data the
+report. Scalings are fixed once per run: scaled log u is pinned to 0 at
+the reference state (the lowest-index Aubry state), scaled log m has
+sup 0, and the normalized potential is divided by beta arc by arc.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dynamics import TransitionSystem
-from .ergodic_opt import ErgodicReport
+from .ergodic_opt import ErgodicReport, check_report
 from .maxplus_linalg import MultiClassError
 from .thermo import SpectralData, check_beta, log_moment, normalized_potential, spectral_data
 from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
@@ -43,16 +43,21 @@ class SweepRecord:
 
 @dataclass
 class RateFunction:
-    """Large-deviation rate I = -(v + b), entries in [0, +inf].
+    """Large-deviation rate I = -(v + b), entries in [0, +inf], read off
+    the pair it is built from.
 
     v is the calibrated subaction and b the eigen-density, jointly
     normalized so that sup b = 0 and sup(v + b) = 0; the minimum of I
     is then 0 and is attained on the support of the maximizing measure.
     """
 
-    values: np.ndarray
     eigenfunction: np.ndarray
     density: Density
+
+    @property
+    def values(self) -> np.ndarray:
+        # + 0.0 turns the -0.0 produced by negating a zero into 0.0
+        return -array_mul(self.eigenfunction, self.density.values) + 0.0
 
     def to_json(self) -> dict:
         return {
@@ -99,23 +104,19 @@ def check_sweep_grid(grid: Sequence[float]) -> Tuple[float, ...]:
 
 
 def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> SweepRecord:
-    """One rescaled spectral record: the Ruelle solve at beta, started
-    from the report's limit pair and pinned to its reference state.
+    """One rescaled spectral record: the Ruelle solve at beta, given the
+    report of sys, pinned to the report's lowest-index Aubry state.
 
     (1/beta) log u and (1/beta) log m of the solve at beta tend to the
-    calibrated sub-action v and the eigen-density b, so beta * v and beta * b
-    start near the answer at every beta; a cold start instead climbs
-    beta * range(v) by about log 2 per damped step. v and b are the
-    report's first basis pair, finite on every irreducible system; on
-    several critical classes that pair is one class's limit. The report's
-    Q spares a Karp run, and the reference state is its lowest-index
-    Aubry state.
+    calibrated sub-action v and the eigen-density b, so spectral_data
+    starts from beta * v and beta * b, near the answer at every beta,
+    and shifts by the report's Q, sparing a Karp run; a cold start
+    climbs beta * range(v) by about log 2 per damped step. v and b are
+    the report's first basis pair, finite on every irreducible system;
+    on several critical classes that pair is one class's limit.
     """
-    check_beta(beta)
     ref = min(report.mane.aubry)
-    v = report.eigenfunction_basis[0]
-    b = report.eigen_density_basis[0].values
-    data = spectral_data(sys, beta, start_log_u=beta * v, start_log_m=beta * b, q=report.Q)
+    data = spectral_data(sys, beta, report=report)
     slu = data.log_u / beta
     slu = slu - slu[ref]
     slm = data.log_m / beta
@@ -142,15 +143,14 @@ def beta_sweep(
 
 
 def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
+    check_report(sys, report)
     if not report.uniquely_calibrated:
         raise MultiClassError(report.mane.critical_classes)
     b0 = report.eigen_density_basis[0].values
     b_al = b0 - array_sup(b0)
     v0 = report.eigenfunction_basis[0]
     v_al = v0 - array_sup(array_mul(v0, b_al))
-    # + 0.0 turns the -0.0 produced by negating a zero into 0.0
-    values = -array_mul(v_al, b_al) + 0.0
-    return RateFunction(values=values, eigenfunction=trop_vector(v_al), density=Density(b_al))
+    return RateFunction(eigenfunction=trop_vector(v_al), density=Density(b_al))
 
 
 def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralData) -> float:
@@ -165,13 +165,13 @@ def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralDa
     at that beta. The state count is the rate function's.
     """
     f = np.asarray(f, dtype=float)
-    n = len(rate.values)
-    if len(f) != n:
-        raise ValueError(f"length mismatch: system {n}, observable {len(f)}")
+    values = rate.values
+    if len(f) != len(values):
+        raise ValueError(f"length mismatch: system {len(values)}, observable {len(f)}")
     if not np.all(np.isfinite(f)):
         raise ValueError("observable must be finite")
     moment = log_moment(spectral.log_mu, f, spectral.beta)
-    sup_term = float(np.max(f - rate.values))
+    sup_term = float(np.max(f - values))
     return abs(moment - sup_term)
 
 
@@ -192,6 +192,7 @@ def limit_diagnostics(
     of distance: scaled log m must decrease strictly along the grid and
     end below DIVERGENCE_FLOOR.
     """
+    check_report(sys, report)
     if not records:
         raise ValueError("empty sweep")
     if not report.uniquely_calibrated:

@@ -281,7 +281,7 @@ def test_cli_solves_never_start_cold(tmp_path, two_loops, capsys, monkeypatch):
     solve = zerotemp.spectral_data
 
     def seeded_only(sys, beta, **kwargs):
-        assert kwargs.get("start_log_u") is not None and kwargs.get("start_log_m") is not None
+        assert kwargs.get("report") is not None
         calls.append(beta)
         return solve(sys, beta, **kwargs)
 

@@ -145,22 +145,6 @@ def test_normalized_potential_stochastic():
         checked += 1
 
 
-def test_restart_agreement():
-    rng = np.random.default_rng(41)
-    sys = _gen_system(4, 6, False)
-    base = spectral_data(sys, 5.0)
-    for _ in range(5):
-        data = spectral_data(
-            sys,
-            5.0,
-            start_log_u=rng.uniform(-3, 3, sys.n),
-            start_log_m=rng.uniform(-3, 3, sys.n),
-        )
-        assert np.max(np.abs(data.log_u - base.log_u)) <= 1e-9
-        assert np.max(np.abs(data.log_m - base.log_m)) <= 1e-9
-        assert abs(data.pressure - base.pressure) <= 1e-9
-
-
 def test_noda_steps_on_doubling():
     # the damped iteration needs 3,750 steps at beta 10 on order 7: it
     # converges at the mixing rate, however close the tropical seed is
@@ -225,13 +209,16 @@ def test_reducible_and_beta_guards(one_state):
         spectral_data(one_state, BETA_MAX_DEFAULT * 2)
     with pytest.raises(BetaRangeError, match="overflow guard"):
         log_moment(np.zeros(2), np.zeros(2), BETA_MAX_DEFAULT * 2)
-    # the loop runs on offsets from the start, which must be finite logs
+    # the start pair and the shift come only from a report of the same
+    # system: one of another system is refused, whatever its size
     swap = TransitionSystem(2, [(0, 1, 0.0), (1, 0, 0.0)])
-    for bad in ([0.0, -math.inf], [0.0, math.nan], [0.0]):
-        with pytest.raises(ValueError):
-            spectral_data(swap, 1.0, start_log_u=bad)
-        with pytest.raises(ValueError):
-            spectral_data(swap, 1.0, start_log_m=bad)
+    for other in (TransitionSystem(2, [(0, 1, 0.0), (1, 0, 1.0)]), one_state):
+        with pytest.raises(ValueError, match="report is of another system"):
+            spectral_data(swap, 1.0, report=ergodic_report(other))
+    # beta times that pair must stay in float range
+    wide = TransitionSystem(2, [(0, 1, 1e306), (1, 0, -1e306), (0, 0, 0.0), (1, 1, -1.0)])
+    with pytest.raises(ValueError, match="limit pair overflows float64"):
+        spectral_data(wide, 1999.9, report=ergodic_report(wide))
     # the ceiling is fixed and itself in range
     data = spectral_data(one_state, BETA_MAX_DEFAULT)
     assert abs(data.pressure - 1.5 * BETA_MAX_DEFAULT) <= 1e-9

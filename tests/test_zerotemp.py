@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from troptherm.cli import _gen_system
+from troptherm.dynamics import from_sft, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report
+from troptherm.thermo import spectral_data
 from troptherm.tropical_measures import Density
 from troptherm.zerotemp import (
     DEFAULT_GRID,
@@ -163,9 +165,47 @@ def test_rate_function_multiclass(two_loops):
         rate_function(two_loops, report=ergodic_report(two_loops))
 
 
+def test_report_of_another_system_is_refused(fixa):
+    # C has fixa's graph and Q = 0, so nothing but the pairing check tells
+    # them apart; B differs in Q, which the bracket check once misread as
+    # rounding at the weight scale
+    c = from_sft([[1, 1], [1, 1]], [[0.0, -2.0], [-1.5, -3.0]])
+    b = from_sft([[1, 1], [1, 1]], [[2.0, -1.0], [-1.0, -3.0]])
+    for other in (c, b):
+        report = ergodic_report(other)
+        assert report.system != fixa
+        calls = (
+            lambda: spectral_data(fixa, 10.0, report=report),
+            lambda: sweep_record(fixa, 10.0, report),
+            lambda: beta_sweep(fixa, report=report),
+            lambda: rate_function(fixa, report=report),
+            lambda: limit_diagnostics(fixa, beta_sweep(other, report=report), report=report),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="report is of another system: the arcs or weights differ"):
+                call()
+    with pytest.raises(ValueError, match="the state counts differ"):
+        rate_function(fixa, report=ergodic_report(from_sft([[1]], [[0.0]])))
+
+
+def test_report_of_an_equal_system_is_accepted(fixa):
+    twin = system_from_json(system_to_json(fixa))
+    assert twin is not fixa and twin == fixa
+    own, other = ergodic_report(fixa), ergodic_report(twin)
+    mine = beta_sweep(fixa, report=own)
+    theirs = beta_sweep(fixa, report=other)
+    for a, b in zip(mine, theirs):
+        assert a.pressure_over_beta == b.pressure_over_beta
+        for name in ("scaled_log_u", "scaled_log_m", "scaled_g"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert spectral_data(fixa, 10.0, report=other).log_mu.tobytes() == mine[0].spectral.log_mu.tobytes()
+    assert rate_function(fixa, report=other).to_json() == rate_function(fixa, report=own).to_json()
+    assert limit_diagnostics(fixa, theirs, report=other) == limit_diagnostics(fixa, mine, report=own)
+
+
 def test_rate_function_json_sentinel():
+    # the values are read off the pair: I = -(v + b)
     rate = RateFunction(
-        values=np.array([0.0, math.inf]),
         eigenfunction=np.array([0.0, -math.inf]),
         density=Density([0.0, -math.inf]),
     )
