@@ -12,8 +12,9 @@ Exit codes: 0 ok, 2 invalid input, 3 assumption violation under
 All output is deterministic byte-for-byte given the input bytes and
 flags; CSV uses '.' decimals, '\\n' line endings and 17 significant
 digits. JSON is streamed to the output by one writer whose bytes equal
-json.dumps(payload, indent=2) followed by a newline; it formats each
-distinct float of a list of number lists (such as phi) once.
+json.dumps(payload, indent=2) followed by a newline. json's own encoder
+writes every scalar, and an all-float list (such as phi) has each
+distinct float formatted once.
 
 Start-up loads only the tropical side (dynamics, ergodic_opt and what
 they import); sweep and ldp load the Ruelle side (thermo, zerotemp) and
@@ -29,7 +30,7 @@ import json
 import math
 import os
 import sys as _sys
-from itertools import chain, compress, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -79,104 +80,39 @@ def _write_text(path: Optional[str], pieces: Iterable[str]) -> None:
             fh.writelines(pieces)
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def _cell_texts(cells: list) -> Optional[List[str]]:
+    """json's own text for each cell, or None when one is a list, tuple or dict.
 
-
-def _json_scalar(x) -> str:
-    if isinstance(x, str):
-        return _json_str(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _json_float(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _leaf_kinds(items) -> Optional[set]:
-    """The types of items, or None when one is a list, tuple or dict."""
-    kinds = set(map(type, items))
-    return None if any(issubclass(kind, (list, tuple, dict)) for kind in kinds) else kinds
-
-
-def _json_cells(cells: list, kinds: set) -> List[str]:
-    """The JSON text of each scalar in `cells`, whose types are `kinds`.
-
-    Floats are keyed on their int64 bit pattern, so each distinct one is
-    formatted once, 0.0 and -0.0 stay apart, and an int or a bool never
-    shares a text with an equal float. When every cell is exactly a
-    float (phi, the eigen bases) the per-cell type mask is skipped.
+    All cells are encoded by one json.dumps call; json escapes every
+    newline inside a string, so a bare newline separates them. When every
+    cell is exactly a float (phi, the eigen bases) each distinct int64 bit
+    pattern is encoded once, so 0.0 and -0.0 stay apart.
     """
-    all_float = kinds <= {float}
+    kinds = set(map(type, cells))
+    if any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
+        return None
+    if not cells:
+        return []
+    all_float = kinds == {float}
     if all_float:
-        floats = cells
-    else:
-        is_float = np.fromiter(map(isinstance, cells, repeat(float)), bool, len(cells))
-        floats = list(compress(cells, is_float))
-    bits, inverse = np.unique(np.array(floats, dtype=np.float64).view(np.int64), return_inverse=True)
-    unique = bits.view(np.float64)
-    formatted = np.array(list(map(float.__repr__, unique.tolist())), dtype=object)
-    special = ~np.isfinite(unique)  # repr writes inf and nan
-    formatted[special] = list(map(_json_float, unique[special].tolist()))
-    if all_float:
-        return formatted[inverse].tolist()
-    texts = np.empty(len(cells), dtype=object)
-    texts[is_float] = formatted[inverse]
-    others = ~is_float
-    texts[others] = list(map(_json_scalar, compress(cells, others)))
-    return texts.tolist()
-
-
-def _leaf_text(texts, depth: int) -> str:
-    if len(texts) == 0:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
+        bits, inverse = np.unique(np.array(cells).view(np.int64), return_inverse=True)
+        cells = bits.view(np.float64).tolist()
+    texts = json.dumps(cells, separators=("\n", ": "))[1:-1].split("\n")
+    return np.array(texts, dtype=object)[inverse].tolist() if all_float else texts
 
 
 def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
     """The text of json.dumps(obj, indent=2), piece by piece.
 
     A list of scalars goes out as one piece. A list of such lists (phi,
-    the eigen bases, the observables, the arcs) has all its cells
-    formatted by one _json_cells call, then goes out one row per piece.
+    the eigen bases, the observables, the arcs) has all its cells encoded
+    by one _cell_texts call, then goes out one row per piece.
     """
-    if isinstance(obj, (list, tuple)):
-        kinds = _leaf_kinds(obj)
-        if kinds is not None:
-            yield _leaf_text(_json_cells(obj, kinds), depth)
-            return
-        inner = "\n" + "  " * (depth + 1)
-        sep = "[" + inner
-        rows = all(isinstance(row, (list, tuple)) for row in obj)
-        if rows and (kinds := _leaf_kinds(cells := list(chain.from_iterable(obj)))) is not None:
-            texts, start = _json_cells(cells, kinds), 0
-            for row in obj:
-                yield sep + _leaf_text(texts[start : start + len(row)], depth + 1)
-                start, sep = start + len(row), "," + inner
-        else:
-            for item in obj:
-                yield sep
-                yield from _json_pieces(item, depth + 1)
-                sep = "," + inner
-        yield "\n" + "  " * depth + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner = "\n" + "  " * (depth + 1)
+    if not isinstance(obj, (list, tuple, dict)) or not obj:  # a scalar, [] or {}
+        yield json.dumps(obj)
+        return
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
@@ -184,9 +120,27 @@ def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
             yield sep + _json_str(key) + ": "
             yield from _json_pieces(value, depth + 1)
             sep = "," + inner
-        yield "\n" + "  " * depth + "}"
+        yield close + "}"
+        return
+    texts = _cell_texts(obj)
+    if texts is not None:
+        yield "[" + inner + ("," + inner).join(texts) + close + "]"
+        return
+    if all(isinstance(row, (list, tuple)) for row in obj):
+        texts = _cell_texts(list(chain.from_iterable(obj)))
+    sep = "[" + inner
+    if texts is None:
+        for item in obj:
+            yield sep
+            yield from _json_pieces(item, depth + 1)
+            sep = "," + inner
     else:
-        yield _json_scalar(obj)
+        cells, row_inner = iter(texts), inner + "  "
+        for row in obj:
+            row_texts = [next(cells) for _ in row]
+            yield sep + ("[" + row_inner + ("," + row_inner).join(row_texts) + inner + "]" if row else "[]")
+            sep = "," + inner
+    yield close + "]"
 
 
 def _write_json(path: Optional[str], payload) -> None:

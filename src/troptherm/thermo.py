@@ -184,7 +184,9 @@ def spectral_data(sys: TransitionSystem, beta: float, report: Optional[ErgodicRe
     P - beta * Q leaves [0, log N], N the largest in-degree, by more than
     1e-12 + 4 eps beta (max|w| + max|v| + max|b|), the rounding at the
     weights' scale (v = b = 0 on a cold start), or by more than
-    BRACKET_SLACK_MAX: rounding has then spoilt it.
+    BRACKET_SLACK_MAX: rounding has then spoilt it. ValueError also
+    when beta * max|w| leaves float range: so would the pressure
+    beta * Q + (P - beta * Q), since |Q| <= max|w|.
     """
     check_beta(beta)
     n = sys.n
@@ -203,13 +205,16 @@ def spectral_data(sys: TransitionSystem, beta: float, report: Optional[ErgodicRe
         if not math.isfinite(beta * max(float(np.max(np.abs(v))), float(np.max(np.abs(b))))):
             raise ValueError(f"beta {beta:g} times the report's limit pair overflows float64")
         log_u, log_m = beta * v, beta * b
+    top = float(np.max(np.abs(w)))
+    scaled_top = beta * top
+    if not math.isfinite(scaled_top):  # a Python float product: no numpy warning
+        raise ValueError(f"beta * w overflows float64: beta * max |w| = {beta:g} * {top:.6g} is inf")
     lw = beta * (w - q)
 
     # rounding of lw and of the offsets below is about eps times these
     # magnitudes; P - beta * Q strayed from its bracket by up to 1.4 times
     # it on scaled gen, doubling and single-cycle systems
-    magnitude = beta * float(np.max(np.abs(w)))
-    magnitude += float(np.max(np.abs(log_u))) + float(np.max(np.abs(log_m)))
+    magnitude = scaled_top + float(np.max(np.abs(log_u))) + float(np.max(np.abs(log_m)))
     slack = min(1e-12 + 4 * np.finfo(float).eps * magnitude, BRACKET_SLACK_MAX)
     # offsets y from the start pair: near a tropical start they stay of
     # order 1, so the 1e-12 tests are not lost to the float spacing at

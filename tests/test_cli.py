@@ -18,7 +18,7 @@ import troptherm.maxplus_linalg as maxplus_linalg
 import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report, report_to_json
-from troptherm.thermo import ConvergenceError
+from troptherm.thermo import ConvergenceError, spectral_data
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -522,6 +522,27 @@ def test_karp_overflow_exits_2(tmp_path, capsys):
             ergodic_report(system)
 
 
+def test_ruelle_weight_overflow_exits_2(tmp_path):
+    # Karp's path sums of a 1e307 two-cycle stay in range, but beta * w
+    # leaves it at beta 100: sweep printed an inf pressure with nan
+    # diagnostics and ldp exited 0, both after numpy RuntimeWarnings
+    system = TransitionSystem(2, [(0, 1, 1e307), (1, 0, 1e307)])
+    path = _dump(tmp_path, "two.json", system)
+    for command in ("sweep", "ldp"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "troptherm.cli", command, "--input", path],
+            env=_child_env(None),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: beta * w overflows float64") and proc.stderr.count("\n") == 1
+    with pytest.raises(ValueError, match=r"beta \* w overflows"):
+        spectral_data(system, 100.0)
+
+
 def test_bad_system_json_exits_2(tmp_path):
     # a labels value that is not an array of strings, an integer weight
     # beyond float range, and state counts above N_MAX (rejected before
@@ -881,9 +902,11 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
 
 
 def test_json_writer_all_float_matrices(tmp_path):
-    # matrices whose cells are all exactly float take the path without a
-    # per-cell type mask; one np.float64 or int sends a matrix down the
-    # general path, and both paths give the same texts
+    # matrices whose cells are all exactly float format each distinct bit
+    # pattern once; one np.float64, int or str sends a matrix down the
+    # plain path. The last matrix holds strings with a newline, a comma and
+    # a space, so a writer that splits the encoded cells on any separator
+    # such a string can contain fails it
     out = tmp_path / "out.json"
     matrices = [
         [[0.0, -0.0], [-0.0, 0.0]],
@@ -893,13 +916,14 @@ def test_json_writer_all_float_matrices(tmp_path):
         [[0.25, -1e300, 5e-324]] * 3,
         [[1.0, np.float64(-0.0)], [0.0, 2.0]],
         [[1.0, 2], [2.0, -0.0]],
+        [[1.0, "a\nb", -0.0], ["x, y", 2.5, " "], [",", "\n", math.inf], ["a\n, b"]],
     ]
     for phi in matrices:
         payload = {"phi": phi, "row": phi[0]}
         cli._write_json(str(out), payload)
         assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode(), phi
-        cells = [x for row in phi for x in row]
-        assert cli._json_cells(cells, cli._leaf_kinds(cells)) == cli._json_cells(cells, {float, int}), phi
+    with pytest.raises(TypeError):  # json.dumps would write the key as "1"
+        cli._write_json(str(out), {1: [0.0]})
 
 
 def test_analyze_doubling8_equals_json_dumps(tmp_path):
