@@ -1,16 +1,17 @@
 """Positive-temperature transfer operators: pressure, eigendata, equilibria.
 
-All spectral work runs in log space. Weights are shifted by the maximal
-potential energy before exponentiation (the pressure is shifted back by
-beta * Q exactly). The eigenvectors come from one loop that works in
-coordinates scaled by the start pair and by the current iterate (the
-diagonal scaling of Gaubert and Sharify, 2009): it takes Noda's shifted
-inverse step (Numer. Math. 17, 1971), which converges in a few steps
-whatever the spectral gap, whenever float64 resolves it, and a
-+1-damped power step otherwise; the damping keeps the iteration
-convergent on periodic transition structures without moving the
-eigenvectors. Eigenvectors and measures are reported as logs only: at
-large beta their linear entries underflow or overflow.
+All spectral work runs in log space, from the system's ergodic report
+alone. Weights are shifted by its Q before exponentiation (the pressure
+is shifted back by beta * Q exactly). The eigenvectors come from one
+loop that starts at beta times its limit pair and works in coordinates
+scaled by that pair and by the current iterate (the diagonal scaling of
+Gaubert and Sharify, 2009): it takes Noda's shifted inverse step (Numer.
+Math. 17, 1971), which converges in a few steps whatever the spectral
+gap, whenever float64 resolves it, and a +1-damped power step
+otherwise; the damping keeps the iteration convergent on periodic
+transition structures without moving the eigenvectors. Eigenvectors
+and measures are reported as logs only: at large beta their linear
+entries underflow or overflow.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport, check_report
-from .maxplus_linalg import ConvergenceError, _karp_mean, strongly_connected
+from .maxplus_linalg import ConvergenceError, strongly_connected
 
 BETA_MAX_DEFAULT = 2000.0
 POWER_CAP_DEFAULT = 100000
@@ -149,13 +150,14 @@ def _solver_step(
     return np.logaddexp(image, x), bracket
 
 
-def spectral_data(sys: TransitionSystem, beta: float, report: Optional[ErgodicReport] = None) -> SpectralData:
+def spectral_data(sys: TransitionSystem, beta: float, report: ErgodicReport) -> SpectralData:
     """Simultaneous left/right eigenvector iteration for the Ruelle operator.
 
-    With report, the ergodic report of sys (check_report refuses another
-    system's), the weights are shifted by its Q and the solve starts from
+    report is the ergodic report of sys (check_report refuses another
+    system's): the weights are shifted by its Q, and the solve starts from
     beta times its first limit pair (v, b), which (1/beta) log u and
-    (1/beta) log m tend to; without one, Karp computes Q and the start is 0.
+    (1/beta) log m tend to. ReducibleSystemError, naming the components,
+    when phi is -inf somewhere, that is when sys is not strongly connected.
 
     The loop solves for the offsets of log u and log m from the start
     pair, that is for the eigenvectors of the operator scaled by the
@@ -183,46 +185,44 @@ def spectral_data(sys: TransitionSystem, beta: float, report: Optional[ErgodicRe
     the converged right vector, weighted by the left one. ValueError when
     P - beta * Q leaves [0, log N], N the largest in-degree, by more than
     1e-12 + 4 eps beta (max|w| + max|v| + max|b|), the rounding at the
-    weights' scale (v = b = 0 on a cold start), or by more than
-    BRACKET_SLACK_MAX: rounding has then spoilt it. ValueError also
-    when beta * max|w| leaves float range: so would the pressure
-    beta * Q + (P - beta * Q), since |Q| <= max|w|.
+    weights' scale, or by more than BRACKET_SLACK_MAX: rounding has then
+    spoilt it. ValueError, before any step, when a float that the solve
+    or normalized_potential forms would leave float range.
     """
     check_beta(beta)
-    n = sys.n
+    check_report(sys, report)
     src, tgt, w = sys.arc_arrays
-    if len(w) == 0:
-        raise ValueError("system has no arcs")
-    comps = strongly_connected(range(n), zip(src.tolist(), tgt.tolist()))
-    if len(comps) > 1:
-        raise ReducibleSystemError(comps)
+    if not np.isfinite(report.mane.phi).all():  # some state does not reach another
+        raise ReducibleSystemError(strongly_connected(range(sys.n), zip(src.tolist(), tgt.tolist())))
+    q, v, b = report.Q, report.eigenfunction_basis[0], report.eigen_density_basis[0].values
 
-    if report is None:
-        q, log_u, log_m = _karp_mean(n, src, tgt, w), np.zeros(n), np.zeros(n)
-    else:
-        check_report(sys, report)
-        q, v, b = report.Q, report.eigenfunction_basis[0], report.eigen_density_basis[0].values
-        if not math.isfinite(beta * max(float(np.max(np.abs(v))), float(np.max(np.abs(b))))):
-            raise ValueError(f"beta {beta:g} times the report's limit pair overflows float64")
-        log_u, log_m = beta * v, beta * b
-    top = float(np.max(np.abs(w)))
-    scaled_top = beta * top
-    if not math.isfinite(scaled_top):  # a Python float product: no numpy warning
-        raise ValueError(f"beta * w overflows float64: beta * max |w| = {beta:g} * {top:.6g} is inf")
+    # Up to the offsets from the start, every float that the solve and
+    # normalized_potential form is beta times a partial sum of |w - Q| +
+    # |x(s)| + |x(t)| on an arc s -> t (x = v or b), of |w| + |u(s)| + |u(t)|
+    # (u the normalized limit of (1/beta) log u) or of sup-normalized |v| +
+    # |b| on a state. In sixteenths none overflows where 2 n max|w| does not.
+    aw, v16, b16 = np.abs(w), v / 16, b / 16
+    vn, bn = v16 - v16.max(), b16 - b16.max()
+    u16 = vn - np.max(vn + bn)
+    sums = [np.abs(w - q) / 16 + np.abs(x[src]) + np.abs(x[tgt]) for x in (v16, b16)]
+    sums.append(aw / 16 + np.abs(u16[src]) + np.abs(u16[tgt]))
+    worst = max(float(x.max()) for x in sums + [np.abs(vn) + np.abs(bn)])
+    if not math.isfinite(beta * 16 * worst):  # Python floats: no numpy warning
+        raise ValueError(f"the Ruelle solve overflows float64: beta {beta:g} * {16 * worst:.6g} is inf")
+    log_u, log_m = beta * v, beta * b
     lw = beta * (w - q)
 
     # rounding of lw and of the offsets below is about eps times these
     # magnitudes; P - beta * Q strayed from its bracket by up to 1.4 times
     # it on scaled gen, doubling and single-cycle systems
-    magnitude = scaled_top + float(np.max(np.abs(log_u))) + float(np.max(np.abs(log_m)))
+    magnitude = beta * float(aw.max()) + float(np.max(np.abs(log_u))) + float(np.max(np.abs(log_m)))
     slack = min(1e-12 + 4 * np.finfo(float).eps * magnitude, BRACKET_SLACK_MAX)
     # offsets y from the start pair: near a tropical start they stay of
     # order 1, so the 1e-12 tests are not lost to the float spacing at
     # |log u|, about beta * range(v)
     lw_u = lw + log_u[src] - log_u[tgt]
     lw_m = lw + log_m[tgt] - log_m[src]
-    y_u = np.zeros(n)
-    y_m = np.zeros(n)
+    y_u, y_m = np.zeros(sys.n), np.zeros(sys.n)
 
     iterations = 0
     for iterations in range(1, POWER_CAP_DEFAULT + 1):
@@ -248,7 +248,7 @@ def spectral_data(sys: TransitionSystem, beta: float, report: Optional[ErgodicRe
     # with gap = log(R u) - log u summed in the scaled coordinates, so a
     # small pressure keeps its relative precision and is not the difference
     # of two logs of order |log u| + |log m|
-    gap = np.full(n, -math.inf)
+    gap = np.full(sys.n, -math.inf)
     np.logaddexp.at(gap, tgt, lw_u + y_u[src] - y_u[tgt])
     weights = np.exp(log_m + log_u - _logsumexp(log_m + log_u))
     p_shifted = math.log1p(float(np.dot(weights, np.expm1(gap))))

@@ -109,10 +109,8 @@ def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> S
 
     (1/beta) log u and (1/beta) log m of the solve at beta tend to the
     calibrated sub-action v and the eigen-density b, so spectral_data
-    starts from beta * v and beta * b, near the answer at every beta,
-    and shifts by the report's Q, sparing a Karp run; a cold start
-    climbs beta * range(v) by about log 2 per damped step. v and b are
-    the report's first basis pair, finite on every irreducible system;
+    starts from beta * v and beta * b, near the answer at every beta, and
+    shifts by the report's Q. v and b are the report's first basis pair;
     on several critical classes that pair is one class's limit.
     """
     ref = min(report.mane.aubry)

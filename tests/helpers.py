@@ -2,9 +2,12 @@
 
 They check what the fast path returns (an eigenfunction or density
 against its Aubry-set representation, a vector against the sub-action
-inequality), so they live with the tests, not in the library.
+inequality), so they live with the tests, not in the library. So does
+cold_report, the test double that gives the Ruelle solve a cold start
+as its reference.
 """
 
+import dataclasses
 import math
 from typing import Optional
 
@@ -25,6 +28,15 @@ def shift(sys: TransitionSystem, delta: float) -> TransitionSystem:
 def normalize(sys: TransitionSystem) -> TransitionSystem:
     """sys with every weight shifted by -Q, as analyze writes it."""
     return shift(sys, -ergodic_report(sys).Q)
+
+
+def cold_report(sys: TransitionSystem) -> ErgodicReport:
+    """The report of sys with phi zeroed: spectral_data then starts cold,
+    from log u = log m = 0, and shifts by the same Karp mean. For
+    irreducible systems only, since a finite phi reads as strongly
+    connected."""
+    report = ergodic_report(sys)
+    return ErgodicReport(sys, dataclasses.replace(report.mane, phi=np.zeros((sys.n, sys.n))))
 
 
 def representation_check(

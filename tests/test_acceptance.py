@@ -32,7 +32,7 @@ from troptherm.tropical_core import (
 from troptherm.tropical_measures import Density, functional_eval
 from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function, sweep_record
 
-from helpers import normalize, representation_check
+from helpers import cold_report, normalize, representation_check
 
 
 @contextlib.contextmanager
@@ -256,7 +256,7 @@ def test_tropical_seed_matches_cold_start():
 
     for sys_, report in _uniquely_calibrated_systems(10):
         for rec in beta_sweep(sys_, grid=(10.0, 100.0), report=report):
-            seeded, cold = rec.spectral, spectral_data(sys_, rec.beta)
+            seeded, cold = rec.spectral, spectral_data(sys_, rec.beta, cold_report(sys_))
             assert abs(seeded.pressure - cold.pressure) <= 1e-12 * max(1.0, abs(cold.pressure))
             for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):
                 assert np.max(np.abs(sup_normalized(a) - sup_normalized(b))) <= 1e-10
@@ -270,7 +270,7 @@ def test_cold_start_takes_damped_steps_at_beta_1000():
     beta = 1000.0
     assert np.ptp(log_ruelle_apply(sys_, np.zeros(sys_.n), beta)) > NODA_BRACKET
     (rec,) = beta_sweep(sys_, grid=(beta,), report=report)
-    seeded, cold = rec.spectral, spectral_data(sys_, beta)
+    seeded, cold = rec.spectral, spectral_data(sys_, beta, cold_report(sys_))
     assert cold.iterations > seeded.iterations
     assert abs(seeded.pressure - cold.pressure) <= 1e-10 * abs(cold.pressure)
     for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):

@@ -330,8 +330,6 @@ def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
 def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
     # every consumer takes the command's one report: Karp and the closure
     # run once per run, whatever the command
-    import troptherm.thermo as thermo
-
     calls = {"karp": 0, "closure": 0}
 
     def counted(name, fn):
@@ -341,9 +339,7 @@ def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
 
         return wrapper
 
-    karp = counted("karp", maxplus_linalg._karp_mean)
-    for module in (maxplus_linalg, thermo):
-        monkeypatch.setattr(module, "_karp_mean", karp)
+    monkeypatch.setattr(maxplus_linalg, "_karp_mean", counted("karp", maxplus_linalg._karp_mean))
     monkeypatch.setattr(maxplus_linalg, "_closure", counted("closure", maxplus_linalg._closure))
     gen17 = str(tmp_path / "gen17.json")
     assert cli.main(["gen", "--seed", "17", "--n", "12", "--output", gen17]) == 0
@@ -472,8 +468,7 @@ def test_lost_critical_cycle_exits_2(tmp_path, capsys):
     # gen seed 10 with every weight moved by 1e9 or scaled by 1e6: rounding
     # at that scale exceeds the default tol, and no cycle stays critical
     base = cli._gen_system(10, None, False)
-    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = _child_env(None)
     for name, move in (("shifted", lambda w: w + 1e9), ("scaled", lambda w: w * 1e6)):
         path = _dump(tmp_path, f"{name}.json", TransitionSystem(base.n, [(s, t, move(w)) for s, t, w in base.arcs]))
         proc = subprocess.run(
@@ -495,8 +490,7 @@ def test_karp_overflow_exits_2(tmp_path, capsys):
     # 2 * n * max |w| bounds Karp's walk sums and the closure's path sums:
     # a 1e308 two-cycle overflowed to inf (reported as lost to rounding,
     # after a RuntimeWarning), a 300-cycle of 1e306 gave Q = nan
-    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = _child_env(None)
     n = 300
     for name, system in (
         ("two.json", TransitionSystem(2, [(0, 1, 1e308), (1, 0, 1e308)])),
@@ -525,30 +519,35 @@ def test_karp_overflow_exits_2(tmp_path, capsys):
 def test_ruelle_weight_overflow_exits_2(tmp_path):
     # Karp's path sums of a 1e307 two-cycle stay in range, but beta * w
     # leaves it at beta 100: sweep printed an inf pressure with nan
-    # diagnostics and ldp exited 0, both after numpy RuntimeWarnings
-    system = TransitionSystem(2, [(0, 1, 1e307), (1, 0, 1e307)])
-    path = _dump(tmp_path, "two.json", system)
-    for command in ("sweep", "ldp"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "troptherm.cli", command, "--input", path],
-            env=_child_env(None),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: beta * w overflows float64") and proc.stderr.count("\n") == 1
-    with pytest.raises(ValueError, match=r"beta \* w overflows"):
-        spectral_data(system, 100.0)
+    # diagnostics and ldp exited 0, both after numpy RuntimeWarnings. With
+    # weights 1e306 beta * max|w| is in range at beta 100, but the loop's
+    # beta * (w - Q) = -2e308 is not: sweep printed d_g = inf, and ldp
+    # exited 0, after the same warnings
+    two = TransitionSystem(2, [(0, 1, 1e307), (1, 0, 1e307)])
+    loop = TransitionSystem(2, [(0, 1, 1e306), (1, 0, 1e306), (0, 0, -1e306)])
+    for name, system, grid in (("two.json", two, []), ("loop.json", loop, ["--grid", "100"])):
+        path = _dump(tmp_path, name, system)
+        for command in ("sweep", "ldp"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "troptherm.cli", command, "--input", path, *grid],
+                env=_child_env(None),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: the Ruelle solve overflows float64") and proc.stderr.count("\n") == 1
+            assert "Warning" not in proc.stderr
+    with pytest.raises(ValueError, match="the Ruelle solve overflows float64"):
+        spectral_data(two, 100.0, ergodic_report(two))
 
 
 def test_bad_system_json_exits_2(tmp_path):
     # a labels value that is not an array of strings, an integer weight
     # beyond float range, and state counts above N_MAX (rejected before
     # anything is sized: no allocation, no OverflowError traceback)
-    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = _child_env(None)
     arcs = [[0, 0, 0.0], [0, 1, -1.0], [1, 0, -1.0], [1, 1, -3.0]]
     cases = {
         "labels_int": {"n": 2, "arcs": arcs, "labels": 5},
@@ -616,8 +615,7 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
     # cycle [0, 0] over a missing arc); a negative or nan one, none
     path = str(tmp_path / "gen1.json")
     assert cli.main(["gen", "--seed", "1", "--output", path]) == 0
-    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = _child_env(None)
     for tol in ("inf", "-1", "nan"):
         proc = subprocess.run(
             [sys.executable, "-m", "troptherm.cli", "analyze", "--input", path, f"--tol={tol}"],

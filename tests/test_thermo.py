@@ -2,15 +2,17 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+import troptherm.thermo as thermo
 from troptherm.bruteforce import log_ruelle_apply, ruelle_apply
-from troptherm.cli import _gen_system
+from troptherm.cli import _gen_system, _probes
 from troptherm.dynamics import TransitionSystem, discretize_doubling, from_sft
 from troptherm.ergodic_opt import ergodic_report
-from troptherm.maxplus_linalg import strongly_connected
+from troptherm.maxplus_linalg import ConvergenceError, strongly_connected
 from troptherm.thermo import (
     BETA_MAX_DEFAULT,
     BetaRangeError,
@@ -20,7 +22,9 @@ from troptherm.thermo import (
     normalized_potential,
     spectral_data,
 )
-from troptherm.zerotemp import beta_sweep, sweep_record
+from troptherm.zerotemp import beta_sweep, ldp_residual, rate_function, sweep_record
+
+from helpers import cold_report
 
 
 def full_shift():
@@ -74,7 +78,7 @@ def test_log_ruelle_apply_matches_the_solver_bit_for_bit():
 
 
 def test_spectral_full_shift():
-    data = spectral_data(full_shift(), 1.0)
+    data = spectral_data(full_shift(), 1.0, cold_report(full_shift()))
     assert abs(data.pressure - math.log(2.0)) <= 1e-12
     assert np.allclose(np.exp(data.log_u), [1.0, 1.0], atol=1e-12)
     assert np.allclose(np.exp(data.log_m), [0.5, 0.5], atol=1e-12)
@@ -83,7 +87,7 @@ def test_spectral_full_shift():
 
 def test_spectral_one_state(one_state):
     for beta in (0.5, 2.0, 100.0):
-        data = spectral_data(one_state, beta)
+        data = spectral_data(one_state, beta, cold_report(one_state))
         assert abs(data.pressure - 1.5 * beta) <= 1e-12 * max(1.0, 1.5 * beta)
         assert np.allclose(np.exp(data.log_u), [1.0])
         assert np.allclose(np.exp(data.log_m), [1.0])
@@ -92,7 +96,7 @@ def test_spectral_one_state(one_state):
 
 def test_spectral_fixa_pressure_window(fixa):
     # Q = 0, N = 2: pressure/beta must sit in (0, log 2 / beta]
-    data = spectral_data(fixa, 2.0)
+    data = spectral_data(fixa, 2.0, cold_report(fixa))
     pob = data.pressure / 2.0
     assert 0.0 < pob <= math.log(2.0) / 2.0 + 1e-12
 
@@ -102,7 +106,7 @@ def test_spectral_matches_dense_oracle():
     for _ in range(25):
         sys = _gen_system(rng.randrange(10**6), 8, False)
         beta = rng.choice((0.5, 1.0, 2.0, 5.0))
-        data = spectral_data(sys, beta)
+        data = spectral_data(sys, beta, cold_report(sys))
         assert abs(data.pressure - _dense_pressure(sys, beta)) <= 1e-10 * max(
             1.0, abs(data.pressure)
         )
@@ -113,7 +117,7 @@ def test_spectral_eigen_identities():
     for _ in range(20):
         sys = _gen_system(rng.randrange(10**6), 8, False)
         beta = rng.choice((0.5, 1.0, 2.0))
-        data = spectral_data(sys, beta)
+        data = spectral_data(sys, beta, cold_report(sys))
         u, m, mu = np.exp(data.log_u), np.exp(data.log_m), np.exp(data.log_mu)
         scale = math.exp(data.pressure)
         ru = ruelle_apply(sys, u, beta)
@@ -137,7 +141,7 @@ def test_normalized_potential_stochastic():
         if not ergodic_report(sys).uniquely_calibrated:
             continue
         beta = rng.choice((1.0, 2.0, 10.0))
-        data = spectral_data(sys, beta)
+        data = spectral_data(sys, beta, cold_report(sys))
         g = normalized_potential(sys, data)
         mass = np.zeros(sys.n)
         np.add.at(mass, [t for _, t, _ in sys.arcs], np.exp(g))
@@ -180,14 +184,14 @@ def test_step_tests_survive_large_log_vectors():
     # finish the solve, which raises ConvergenceError at the step cap
     cold = _gen_system(39, None, False)
     q = ergodic_report(cold).Q
-    pob = spectral_data(cold, 1000.0).pressure / 1000.0
+    pob = spectral_data(cold, 1000.0, cold_report(cold)).pressure / 1000.0
     assert q - 1e-12 <= pob <= q + math.log(cold.max_in_degree()) / 1000.0 + 1e-12
 
 
 def test_periodic_system_converges(fixc):
     # a 3-cycle: the peripheral spectrum is rho times the cube roots of 1
     for beta in (0.5, 1.0, 10.0, 100.0, 1000.0):
-        data = spectral_data(fixc, beta)
+        data = spectral_data(fixc, beta, cold_report(fixc))
         assert abs(data.pressure - 2.0 * beta) <= 1e-12 * 2.0 * beta
         assert np.allclose(np.exp(data.log_mu), 1.0 / 3.0, rtol=1e-12)
         lu = log_ruelle_apply(fixc, data.log_u, beta)
@@ -198,15 +202,16 @@ def test_reducible_and_beta_guards(one_state):
     chain = TransitionSystem(2, [(0, 0, 0.0), (0, 1, 0.0), (1, 1, 0.0)])
     assert strongly_connected(range(chain.n), [(s, t) for s, t, _ in chain.arcs]) == [(0,), (1,)]
     with pytest.raises(ReducibleSystemError) as err:
-        spectral_data(chain, 1.0)
+        spectral_data(chain, 1.0, ergodic_report(chain))
     assert err.value.components == [(0,), (1,)]
+    cold = cold_report(one_state)
     with pytest.raises(BetaRangeError):
-        spectral_data(one_state, 0.0)
+        spectral_data(one_state, 0.0, cold)
     with pytest.raises(BetaRangeError):
-        spectral_data(one_state, -1.0)
+        spectral_data(one_state, -1.0, cold)
     # one guard for every beta: the solve and the moment refuse alike
     with pytest.raises(BetaRangeError, match="overflow guard"):
-        spectral_data(one_state, BETA_MAX_DEFAULT * 2)
+        spectral_data(one_state, BETA_MAX_DEFAULT * 2, cold)
     with pytest.raises(BetaRangeError, match="overflow guard"):
         log_moment(np.zeros(2), np.zeros(2), BETA_MAX_DEFAULT * 2)
     # the start pair and the shift come only from a report of the same
@@ -217,15 +222,69 @@ def test_reducible_and_beta_guards(one_state):
             spectral_data(swap, 1.0, report=ergodic_report(other))
     # beta times that pair must stay in float range
     wide = TransitionSystem(2, [(0, 1, 1e306), (1, 0, -1e306), (0, 0, 0.0), (1, 1, -1.0)])
-    with pytest.raises(ValueError, match="limit pair overflows float64"):
+    with pytest.raises(ValueError, match="the Ruelle solve overflows float64"):
         spectral_data(wide, 1999.9, report=ergodic_report(wide))
     # the ceiling is fixed and itself in range
-    data = spectral_data(one_state, BETA_MAX_DEFAULT)
+    data = spectral_data(one_state, BETA_MAX_DEFAULT, cold)
     assert abs(data.pressure - 1.5 * BETA_MAX_DEFAULT) <= 1e-9
     # a beta whose reciprocal overflows is refused; 1e-300 still solves
     with pytest.raises(BetaRangeError, match="1 / beta overflows"):
-        spectral_data(one_state, 1e-310)
-    assert abs(spectral_data(one_state, 1e-300).pressure - 1.5e-300) <= 1e-12 * 1.5e-300
+        spectral_data(one_state, 1e-310, cold)
+    assert abs(spectral_data(one_state, 1e-300, cold).pressure - 1.5e-300) <= 1e-12 * 1.5e-300
+
+
+def test_ruelle_overflow_is_refused_before_any_step():
+    # beta * max|w| = 1.5e308 is in range at beta 150, but beta * (w - Q)
+    # is not: a cold start warned, then ran to the step cap
+    cycle = TransitionSystem(3, [(0, 1, 1e306), (1, 2, -1e306), (2, 0, -1e306)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the Ruelle solve overflows float64: beta 150"):
+            spectral_data(cycle, 150.0, ergodic_report(cycle))
+    # the refusal bounds the sums the solve forms, arc by arc: here max|w - Q|
+    # = 1.8e305, max|v| = 4e305 and max|b| = 1.6e305, and 150 times 3 max|w|
+    # + 2 max|v| + 2 max|b| overflows, but the solve stays in range
+    base = _gen_system(12, 6, False)
+    sys = TransitionSystem(base.n, [(s, t, w * 10.0**305 / 5) for s, t, w in base.arcs])
+    data = spectral_data(sys, 150.0, ergodic_report(sys))
+    assert data.pressure == float.fromhex("0x1.116ac579aac1ep+1020") and data.iterations == 2
+
+
+def test_edge_weights_solve_finite_or_are_refused(monkeypatch):
+    # gen weights scaled toward the float64 limit: every record, normalized
+    # potential and LDP residual is finite, or the solve raises ValueError,
+    # and no numpy overflow warning is raised on the way. About one solve in
+    # twenty keeps to float range but runs to the step cap (3 s at the
+    # default cap), so the cap is lowered here and ConvergenceError counted
+    # as a refusal
+    monkeypatch.setattr(thermo, "POWER_CAP_DEFAULT", 1000)
+    rng = random.Random(0)
+    outcomes = {"solved": 0, ValueError: 0, ConvergenceError: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            base = _gen_system(rng.randrange(10**6), rng.choice((2, 3, 4)), False)
+            scale = 10.0 ** rng.choice((300, 303, 305, 306, 307)) / 5
+            sys = TransitionSystem(base.n, [(s, t, w * scale) for s, t, w in base.arcs])
+            try:
+                report = ergodic_report(sys)
+            except ValueError:  # Karp's path sums overflow
+                continue
+            beta = rng.choice((1e-300, 1.0, 10.0, 100.0, 150.0, 1000.0, 2000.0))
+            try:
+                rec = sweep_record(sys, beta, report)
+            except (ValueError, ConvergenceError) as exc:
+                outcomes[type(exc)] += 1
+                continue
+            outcomes["solved"] += 1
+            assert math.isfinite(rec.pressure_over_beta)
+            for x in (rec.scaled_log_u, rec.scaled_log_m, normalized_potential(sys, rec.spectral)):
+                assert np.isfinite(x).all()
+            if report.uniquely_calibrated:
+                rate = rate_function(sys, report=report)
+                for f in _probes(sys.n, 0):
+                    assert math.isfinite(ldp_residual(f, rate=rate, spectral=rec.spectral))
+    assert all(outcomes.values()), outcomes
 
 
 def test_pressure_outside_its_bracket_is_refused():
