@@ -272,20 +272,17 @@ def cmd_ldp(args: argparse.Namespace) -> int:
             try:
                 vec = json.loads(raw)
             except (json.JSONDecodeError, RecursionError) as exc:
-                return _fail(EXIT_INPUT, f"bad observable {_echo(raw)}: {exc}")
+                raise ValueError(f"bad observable {_echo(raw)}: {exc}") from None
             if (
                 not isinstance(vec, list)
                 or len(vec) != sys_.n
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
             ):
-                return _fail(
-                    EXIT_INPUT,
-                    f"observable must be a JSON array of {sys_.n} numbers: {_echo(raw)}",
-                )
+                raise ValueError(f"observable must be a JSON array of {sys_.n} numbers: {_echo(raw)}")
             try:
                 observables.append(np.array(vec, dtype=float))
             except OverflowError:  # an integer beyond float range
-                return _fail(EXIT_INPUT, f"observable must be finite: {_echo(raw)}")
+                raise ValueError(f"observable must be finite: {_echo(raw)}") from None
     else:
         observables = _probes(sys_.n, args.seed)
 
@@ -338,7 +335,7 @@ def _gen_system(seed: int, n: Optional[int], deterministic: bool) -> TransitionS
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.n is not None and not (GEN_N_MIN <= args.n <= GEN_N_MAX):
-        return _fail(EXIT_INPUT, f"--n must lie in [{GEN_N_MIN}, {GEN_N_MAX}]")
+        raise ValueError(f"--n must lie in [{GEN_N_MIN}, {GEN_N_MAX}]")
     sys_ = _gen_system(args.seed, args.n, args.deterministic)
     _write_json(args.output, system_to_json(sys_))
     return EXIT_OK
@@ -349,7 +346,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     sys_ = _load_system(args.input)
     if sys_.n > ORACLE_N_MAX:
-        return _fail(EXIT_INPUT, f"oracle is exhaustive, n capped at {ORACLE_N_MAX}")
+        raise ValueError(f"oracle is exhaustive, n capped at {ORACLE_N_MAX}")
     report = ergodic_report(sys_, tol=args.tol)
     q_fast, mane = report.Q, report.mane
 
@@ -436,10 +433,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    # one place maps errors to exit codes: unreadable or invalid input,
-    # library refusals such as an acyclic system or a critical graph lost to
-    # rounding, an eigenvector solve that hits its step cap, and a system
-    # too large for memory all exit 2 with a message
+    # one place maps errors to exit codes: unreadable or invalid input (a
+    # command raises ValueError for its own refusals), library refusals such
+    # as an acyclic system or a critical graph lost to rounding, an
+    # eigenvector solve that hits its step cap, and a system too large for
+    # memory all exit 2 with a message
     try:
         if "tol" in args:  # gen takes no tol
             check_tol(args.tol)

@@ -126,18 +126,12 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
         raise ValueError("ergodicity is defined for deterministic systems")
     if not is_invariant(sys, b):
         raise ValueError("ergodicity presupposes an invariant density")
-    values = b.values.tolist()
-    total = array_sup(b.values)
     src, tgt, _ = sys.arc_arrays
-    image = dict(zip(src.tolist(), tgt.tolist()))  # one arc per source
-    for x in range(sys.n):
-        seen = set()
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = image[y]
-        expected = -math.inf if values[x] == -math.inf else total
-        if values[y] != expected:  # b is constant on the terminal cycle
-            return False
-    return True
-
+    image = np.empty(sys.n, dtype=np.intp)
+    image[src] = tgt  # one arc per source
+    # squaring T n.bit_length() times gives T^k with k > n, which puts
+    # every orbit on its terminal cycle, where b is constant
+    for _ in range(sys.n.bit_length()):
+        image = image[image]
+    expected = np.where(b.values == -math.inf, -math.inf, array_sup(b.values))
+    return bool(np.array_equal(b.values[image], expected))

@@ -356,8 +356,6 @@ def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):
 def test_cli_import_skips_networkx(tmp_path):
     # neither the import nor gen's default, strongly connected flavour
     # loads networkx, and the oracle runs where it cannot be imported
-    src = pathlib.Path(troptherm.__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = str(tmp_path / "gen.json")
     report = str(tmp_path / "oracle.json")
     code = (
@@ -370,7 +368,7 @@ def test_cli_import_skips_networkx(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(None),
         capture_output=True,
         text=True,
         timeout=60,
@@ -448,9 +446,10 @@ def test_cli_start_loads_only_its_command(tmp_path):
 
 def test_blas_spin_leaves_output_bytes(tmp_path):
     # at n = 128 the Ruelle solves' LU factorizations run on OpenBLAS's
-    # threads; how long an idle one spins must not move a digit
+    # threads; how long an idle one spins must not move a digit, of the
+    # report either
     path = _dump(tmp_path, "doubling7.json", discretize_doubling(7, lambda t: math.cos(2 * math.pi * t)))
-    for command in ("sweep", "ldp"):
+    for command in ("analyze", "sweep", "ldp"):
         outputs = []
         for blas_spin in ("28", None):
             proc = subprocess.run(

@@ -138,6 +138,45 @@ def test_is_ergodic_examples():
         is_ergodic(cyc, dens(0, -1, 0))  # not invariant
 
 
+def test_is_ergodic_long_tail():
+    # a 2,000-state chain into a loop at its end, beside a second loop:
+    # every tail state has mass -inf, so ergodicity hangs on whether the
+    # chain's loop also has mass -inf
+    n = 2001
+    chain_loop = from_map(list(range(1, n - 1)) + [n - 2, n - 1], [0.0] * n)
+    assert is_ergodic(chain_loop, Density([-INF] * (n - 1) + [0.0]))
+    assert not is_ergodic(chain_loop, Density([-INF] * (n - 2) + [0.0, 0.0]))
+
+
+def _ergodic_by_orbit_walk(table, values):
+    """Reference for is_ergodic: walk each orbit until it repeats a state,
+    which lies on its terminal cycle."""
+    total = max(values)
+    for x in range(len(table)):
+        seen, y = set(), x
+        while y not in seen:
+            seen.add(y)
+            y = table[y]
+        if values[y] != (-INF if values[x] == -INF else total):
+            return False
+    return True
+
+
+def test_is_ergodic_matches_orbit_walk():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        table = [rng.randrange(n) for _ in range(n)]
+        sys = from_map(table, [0.0] * n)
+        values = [rng.choice([-INF, 0.0, -1.0]) for _ in range(n)]
+        if not is_invariant(sys, Density(values)):
+            continue
+        assert is_ergodic(sys, Density(values)) == _ergodic_by_orbit_walk(table, values), (table, values)
+        checked += 1
+    assert checked >= 200
+
+
 def test_densities_equivalent():
     # equal masses (either zero of a tie), or both top; on a finite state
     # set this is equality of the functionals on the singleton probes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from troptherm.cli import _gen_system
-from troptherm.dynamics import from_sft, system_from_json, system_to_json
+from troptherm.dynamics import TransitionSystem, from_sft, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report
 from troptherm.thermo import spectral_data
 from troptherm.tropical_measures import Density
@@ -16,6 +16,7 @@ from troptherm.zerotemp import (
     DEFAULT_GRID,
     MultiClassError,
     RateFunction,
+    SweepRecord,
     beta_sweep,
     ldp_residual,
     limit_diagnostics,
@@ -122,6 +123,34 @@ def test_limit_diagnostics_guards(fixa, two_loops):
     rec = dataclasses.replace(sweep_record(fixa, 10.0, report), ref_state=1)
     with pytest.raises(ValueError):
         limit_diagnostics(fixa, [rec], report=report)
+
+
+def test_limit_diagnostics_divergence():
+    # state 0 leads to state 1, which never leads back, so the
+    # eigen-density is [0, -inf]: at state 1 scaled log m must fall strictly
+    # along the grid and end below DIVERGENCE_FLOOR, and d_b leaves it out.
+    # spectral_data refuses reducible systems, so the records are built by
+    # hand
+    system = TransitionSystem(2, [(0, 0, 0.0), (0, 1, -1.0), (1, 1, -2.0)])
+    report = ergodic_report(system)
+    assert report.mane.critical_classes == [(0,)]
+    assert report.eigen_density_basis[0].values.tolist() == [0.0, -math.inf]
+    for series, expected in (([-5, -8, -12], True), ([-5, -12, -11], False), ([-2, -4, -6], False)):
+        records = [
+            SweepRecord(
+                beta=beta,
+                pressure_over_beta=0.0,
+                scaled_log_u=np.array([0.0, -1.0]),
+                scaled_log_m=np.array([0.0, float(s)]),
+                scaled_g=np.zeros(3),
+                ref_state=0,
+                spectral=None,
+            )
+            for beta, s in zip(DEFAULT_GRID, series)
+        ]
+        diag = limit_diagnostics(system, records, report=report)
+        assert diag.divergence_ok is expected, series
+        assert [row.d_b for row in diag.rows] == [0.0] * 3
 
 
 def test_rate_function_fixa(fixa):
