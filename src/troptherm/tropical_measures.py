@@ -121,6 +121,13 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
     non-decreasing along orbits, so b(T^k(x)) stabilizes on the terminal
     cycle of x. Ergodicity asks that the stable value is ⊕b whenever
     b(x) > -inf, and -inf whenever b(x) = -inf.
+
+    One step of T decides it. Invariance makes b -inf on every state off
+    a cycle (a tail state's preimages are tail states, and a state with
+    no preimage has mass -inf) and constant on each cycle. So b(T(x))
+    checks a cycle's value at each state x on it, and at the last tail
+    state before it, whose own mass is -inf; at any other tail state both
+    sides are -inf.
     """
     if not sys.deterministic:
         raise ValueError("ergodicity is defined for deterministic systems")
@@ -129,9 +136,5 @@ def is_ergodic(sys: "TransitionSystem", b: Density) -> bool:
     src, tgt, _ = sys.arc_arrays
     image = np.empty(sys.n, dtype=np.intp)
     image[src] = tgt  # one arc per source
-    # squaring T n.bit_length() times gives T^k with k > n, which puts
-    # every orbit on its terminal cycle, where b is constant
-    for _ in range(sys.n.bit_length()):
-        image = image[image]
     expected = np.where(b.values == -math.inf, -math.inf, array_sup(b.values))
     return bool(np.array_equal(b.values[image], expected))

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, schemas, golden files."""
 
+import gc
 import json
 import math
 import os
@@ -444,13 +445,17 @@ def test_cli_start_loads_only_its_command(tmp_path):
         assert not lazy & set(probe["after_analyze"])
 
 
-def test_blas_spin_leaves_output_bytes(tmp_path):
+def test_blas_spin_leaves_output_bytes(tmp_path, capsys):
     # at n = 128 the Ruelle solves' LU factorizations run on OpenBLAS's
     # threads; how long an idle one spins must not move a digit, of the
-    # report either
+    # report either; and a child, which exits through cli.entry, prints
+    # what main prints in this process
     path = _dump(tmp_path, "doubling7.json", discretize_doubling(7, lambda t: math.cos(2 * math.pi * t)))
     for command in ("analyze", "sweep", "ldp"):
-        outputs = []
+        assert cli.main([command, "--input", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs = [captured.out.encode()]
         for blas_spin in ("28", None):
             proc = subprocess.run(
                 [sys.executable, "-m", "troptherm.cli", command, "--input", path],
@@ -460,7 +465,61 @@ def test_blas_spin_leaves_output_bytes(tmp_path):
             )
             assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1], command
+        assert outputs[0] == outputs[1] == outputs[2], command
+
+
+def test_main_leaves_the_collector_alone(tmp_path, fixa, two_loops, capsys):
+    # hosts call main in-process (the tests, tests/corpus.py, the
+    # benchmark's traced pass); only the process entry freezes
+    path, two = _dump(tmp_path, "fixa.json", fixa), _dump(tmp_path, "two.json", two_loops)
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv in (
+        ["gen", "--seed", "3", "--n", "5"],
+        ["analyze", "--input", path],
+        ["sweep", "--input", path],
+        ["sweep", "--input", two, "--force", "--grid", "10"],
+        ["ldp", "--input", path],
+        ["oracle", "--input", path],
+    ):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+    capsys.readouterr()
+
+
+# runs troptherm.cli as `python -m` does and prints the freeze count at
+# start and each time main is entered
+_ENTRY_PROBE = """
+import gc, json, runpy, sys
+
+start, at_main = gc.get_freeze_count(), []
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main" and frame.f_code.co_filename.endswith("cli.py"):
+        at_main.append(gc.get_freeze_count())
+
+sys.setprofile(profile)
+try:
+    runpy.run_module("troptherm.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.setprofile(None)
+    print(json.dumps({"start": start, "at_main": at_main}))
+"""
+
+
+def test_process_entry_freezes_before_main(tmp_path, fixa):
+    path, out = _dump(tmp_path, "fixa.json", fixa), tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE, "analyze", "--input", path, "--output", str(out)],
+        env=_child_env(None),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == "", proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["start"] == 0
+    assert len(probe["at_main"]) == 1 and probe["at_main"][0] > 0, probe
+    assert out.read_bytes() == (GOLDEN / "fixa_analyze.json").read_bytes()
 
 
 def test_lost_critical_cycle_exits_2(tmp_path, capsys):

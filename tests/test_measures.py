@@ -148,6 +148,15 @@ def test_is_ergodic_long_tail():
     assert not is_ergodic(chain_loop, Density([-INF] * (n - 2) + [0.0, 0.0]))
 
 
+def test_is_ergodic_tail_into_loop():
+    # 0 -> 1 -> 1 with b = (-inf, 0) is invariant, and b itself equals
+    # its expected value (-inf, 0) state by state; only b(T(0)) = 0 shows
+    # that the orbit of a mass -inf state ends where the mass is finite
+    tail_loop = from_map([1, 1], [0.0, 0.0])
+    assert is_invariant(tail_loop, Density([-INF, 0.0]))
+    assert not is_ergodic(tail_loop, Density([-INF, 0.0]))
+
+
 def _ergodic_by_orbit_walk(table, values):
     """Reference for is_ergodic: walk each orbit until it repeats a state,
     which lies on its terminal cycle."""

@@ -62,7 +62,10 @@ SCALAR_REFERENCE = {
     "tropical_core.t_add",
     "tropical_core.t_mul",
 }
-DOCUMENTED = PAPER_ENTRY_POINTS | ENTRY_POINT_HELPERS | ORACLE | BENCH_HELD | SCALAR_REFERENCE
+# The process entry: the console script and `python -m troptherm.cli` run
+# it, while the reach pass calls main in this process.
+PROCESS_ENTRY = {"cli.entry"}
+DOCUMENTED = PAPER_ENTRY_POINTS | ENTRY_POINT_HELPERS | ORACLE | BENCH_HELD | SCALAR_REFERENCE | PROCESS_ENTRY
 
 UNIQUE = {"n": 2, "arcs": [[0, 0, 0.0], [0, 1, -1.0], [1, 0, -1.0], [1, 1, -3.0]]}
 TWO_CLASSES = {"n": 2, "arcs": [[0, 0, 0.0], [0, 1, -2.0], [1, 0, -1.0], [1, 1, 0.0]]}
