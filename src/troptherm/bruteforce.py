@@ -111,6 +111,18 @@ def enum_aubry(phi: List[List[float]], tol: float = DEFAULT_TOL) -> Tuple[int, .
     return tuple(out)
 
 
+def enum_critical_classes(
+    phi: List[List[float]], aubry: Sequence[int], tol: float = DEFAULT_TOL
+) -> List[Tuple[int, ...]]:
+    """Aubry states grouped by round trip: x and y share a class when
+    phi(x, y) + phi(y, x) is within tol of 0; ordered by least member."""
+    classes: List[Tuple[int, ...]] = []
+    for x in aubry:
+        if not any(x in c for c in classes):
+            classes.append(tuple(y for y in aubry if abs(phi[x][y] + phi[y][x]) <= tol))
+    return classes
+
+
 def subaction_limsup(sys: TransitionSystem, u0: np.ndarray) -> np.ndarray:
     """The limsup of Bousch iterates of u0 on a normalized system.
 

@@ -4,9 +4,9 @@ sub-actions on finite transition systems.
 Everything here reads one tropical pass (maxplus_linalg.tropical_pass),
 which runs on the normalized potential (weights shifted so the maximum
 cycle mean is 0): its record is the Mañé data, with phi the all-pairs
-maximum path weight, the Aubry set its zero diagonal, and the rows and
-columns at critical states eigenfunctions of the Bousch operator and
-fixed densities of its tropical adjoint.
+maximum path weight, the Aubry set the union of the critical classes,
+and the rows and columns at critical states eigenfunctions of the
+Bousch operator and fixed densities of its tropical adjoint.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .dynamics import TransitionSystem, system_to_json
-from .maxplus_linalg import DEFAULT_TOL, AcyclicError, PositiveCycleError, TropicalPass, tropical_pass
+from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, TropicalPass, tropical_pass
 from .tropical_core import floats_to_json, trop_vector
 from .tropical_measures import Density
 
@@ -84,10 +84,7 @@ def mane_potential(sys: TransitionSystem) -> TropicalPass:
     Like ergodic_report, it refuses a system whose critical cycle is lost
     to rounding.
     """
-    try:
-        p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
-    except AcyclicError:
-        raise ValueError("acyclic system has no normalized potential") from None
+    p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
     if p.mean < -DEFAULT_TOL:
         raise ValueError(
             f"system is not normalized (max cycle mean {p.mean:.6g} < 0 would empty the Aubry set)"
@@ -105,9 +102,9 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
     at x, so it is never the constant -inf density, and path weights are
     +inf-free, so it is never top. uniquely_calibrated is a single
     critical class: the eigenfunction and the fixed density are then
-    unique up to one tropical constant each. The classes cover the Aubry
-    set (see tropical_pass), so one class means every two Aubry states
-    lie on one cycle of weight 0."""
+    unique up to one tropical constant each. The Aubry set is the union
+    of the classes (see tropical_pass), so one class means every two
+    Aubry states lie on one cycle of weight 0."""
     return ErgodicReport(system=sys, mane=tropical_pass(sys.n, *sys.arc_arrays, tol))
 
 

@@ -7,9 +7,9 @@ the arithmetic runs on float64 arrays (the only infinity in play is
 -inf, which is safe under + and max). One eager tropical pass serves
 every question about a system (tropical_pass): Karp's maximum cycle
 mean over the arcs, then one Kleene closure of the weights shifted by
-it, from which the critical arcs, a maximizing cycle, the Aubry set and
-the critical classes are all read. Its record, TropicalPass, is the
-Mañé data that `ergodic_opt` hands out unchanged.
+it, from which the critical classes are read: the Aubry set is their
+union and a maximizing cycle starts at the first one's least state.
+Its record, TropicalPass, is the Mañé data `ergodic_opt` hands out.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,6 @@ DEFAULT_TOL = 1e-9
 _BLOCK_CELLS = 1 << 15
 
 _NINF = -math.inf
-
-
-class AcyclicError(ValueError):
-    """A graph without cycles has no cycle mean to shift by."""
 
 
 class MultiClassError(ValueError):
@@ -233,10 +229,10 @@ class TropicalPass:
 
     mean is Karp's maximum cycle mean and phi the read-only Kleene
     closure of the weights shifted by it (paths of length >= 1, -inf
-    where none runs); witness is a maximizing cycle (its states, first
-    one not repeated), aubry the nodes on a zero-weight cycle,
-    critical_classes the strongly connected classes of the critical
-    arcs that carry a cycle.
+    where none runs); critical_classes are the strongly connected
+    classes of the critical arcs that carry a cycle, aubry their union,
+    witness a maximizing cycle from the first class's least state (its
+    states, first one not repeated).
     """
 
     mean: float
@@ -250,17 +246,18 @@ def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: 
     """Karp once, then one Kleene closure of the weights shifted by the
     mean, from which everything else is read.
 
-    AcyclicError before any closure when no cycle exists. Critical arcs
+    ValueError before any closure when no cycle exists. Critical arcs
     lie on some cycle of total weight 0: |w(i, j) + star(j, i)| <= tol,
     the way back read from the Kleene star, whose diagonal
-    max(phi(i, i), 0) is the empty path. So a self-loop is counted
-    once, as the Aubry test |phi(i, i)| <= tol counts it, and the
-    critical classes cover the Aubry set.
+    max(phi(i, i), 0) is the empty path. Their strongly connected
+    classes that carry a cycle are the one criticality reading, the
+    Aubry set their union; ValueError when rounding at the weights'
+    scale leaves none.
     """
     check_tol(tol)
     mean = _karp_mean(n, src, tgt, w)
     if mean == _NINF:
-        raise AcyclicError("acyclic system carries no invariant measure")
+        raise ValueError("acyclic system carries no invariant measure")
     grid = np.full((n, n), _NINF)
     grid[src, tgt] = w - mean
     phi = _closure(grid.copy())
@@ -269,41 +266,32 @@ def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: 
     np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(phi), 0.0))
     i, j = np.nonzero(np.abs(cycle) <= tol)
     arcs = list(zip(i.tolist(), j.tolist()))  # row-major
-    witness = _witness(n, arcs)
-    if witness is None:
+    loops = {s for s, t in arcs if s == t}
+    classes = [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
+    if not classes:
         raise ValueError(
             f"no cycle is critical within tol {tol:g} at Q = {mean!r}: "
             "rounding at this weight scale exceeds the tolerance"
         )
-    loops = {s for s, t in arcs if s == t}
     return TropicalPass(
         mean=mean,
-        witness=witness,
+        witness=_witness(n, arcs, classes[0][0]),
         phi=phi,
-        aubry=tuple(np.flatnonzero(np.abs(np.diagonal(phi)) <= tol).tolist()),
-        critical_classes=[c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops],
+        aubry=tuple(sorted(x for c in classes for x in c)),
+        critical_classes=classes,
     )
 
 
-def _witness(n: int, arcs: List[Tuple[int, int]]) -> Optional[Tuple[int, ...]]:
-    """Deterministic maximizing cycle: lowest-index critical node, then
-    shortest.
-
-    Every cycle inside the critical arc set has mean exactly the maximum,
-    so a BFS that closes back on the start node returns a valid witness.
-    When rounding at the weights' scale exceeds tol, the critical arcs
-    may close no cycle there: None.
-    """
-    if not arcs:
-        return None
+def _witness(n: int, arcs: List[Tuple[int, int]], start: int) -> Tuple[int, ...]:
+    """The shortest critical cycle through start, lowest index first on
+    ties: a maximizing cycle, as every cycle of critical arcs has mean
+    exactly the maximum. start lies in a critical class, so it closes."""
     adj: List[List[int]] = [[] for _ in range(n)]
     for i, j in arcs:  # row-major, so each list comes out sorted
         adj[i].append(j)
-    # BFS from the lowest critical node until an arc closes back on it
-    start = min(min(arc) for arc in arcs)
     parent: Dict[int, int] = {}
     queue = deque([start])
-    while queue:
+    while True:
         u = queue.popleft()
         for w in adj[u]:
             if w == start:
@@ -314,4 +302,3 @@ def _witness(n: int, arcs: List[Tuple[int, int]]) -> Optional[Tuple[int, ...]]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
-    return None

@@ -13,7 +13,14 @@ import time
 import numpy as np
 
 import troptherm.cli as cli
-from troptherm.bruteforce import enum_aubry, enum_max_cycle_mean, enum_mane, log_ruelle_apply, subaction_limsup
+from troptherm.bruteforce import (
+    enum_aubry,
+    enum_critical_classes,
+    enum_max_cycle_mean,
+    enum_mane,
+    log_ruelle_apply,
+    subaction_limsup,
+)
 from troptherm.dynamics import adjoint_apply, bousch_apply, from_sft, system_to_json
 from troptherm.ergodic_opt import ergodic_report, max_potential_energy, mane_potential
 from troptherm.thermo import NODA_BRACKET, spectral_data
@@ -98,7 +105,9 @@ def test_acceptance_2_oracle_equivalence():
                         assert fast == slow
                     else:
                         assert abs(fast - slow) <= 1e-9
-            assert tuple(mane.aubry) == enum_aubry(phi_enum)
+            aubry_enum = enum_aubry(phi_enum)
+            assert tuple(mane.aubry) == aubry_enum
+            assert mane.critical_classes == enum_critical_classes(phi_enum, aubry_enum)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

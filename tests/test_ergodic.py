@@ -21,7 +21,7 @@ from troptherm.dynamics import (
     system_to_json,
 )
 from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy
-from troptherm.maxplus_linalg import PositiveCycleError
+from troptherm.maxplus_linalg import DEFAULT_TOL, PositiveCycleError
 from troptherm.tropical_core import sup_distance, trop_vector
 
 from helpers import is_subaction, normalize, representation_check, shift
@@ -190,8 +190,9 @@ def _perturbed(sys, eps, rng):
 
 
 def test_classes_cover_aubry_seeded():
-    # one test decides unique calibration, so the critical classes must
-    # cover the Aubry set, also within tol of the boundary
+    # the Aubry set is the union of the critical classes; it must equal
+    # the diagonal definition |phi(i, i)| <= tol, also within tol of the
+    # boundary, and the witness starts at the least state of the first class
     rng = np.random.default_rng(5)
     systems = [discretize_doubling(k, lambda t: math.cos(2 * math.pi * t)) for k in range(3, 10)]
     for seed in range(200):
@@ -199,8 +200,9 @@ def test_classes_cover_aubry_seeded():
         systems += [gen, _perturbed(gen, 1e-9, rng)]
     for sys in systems:
         report = ergodic_report(sys)
-        covered = sorted(x for c in report.mane.critical_classes for x in c)
-        assert tuple(covered) == report.mane.aubry
+        diagonal = np.flatnonzero(np.abs(np.diagonal(report.mane.phi)) <= DEFAULT_TOL)
+        assert report.mane.aubry == tuple(diagonal.tolist())
+        assert report.maximizing_cycle[0] == report.mane.critical_classes[0][0] == min(report.mane.aubry)
         assert report.uniquely_calibrated == (len(report.mane.critical_classes) == 1)
 
 
