@@ -283,8 +283,8 @@ def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: 
 
 
 def _witness(n: int, arcs: List[Tuple[int, int]], start: int) -> Tuple[int, ...]:
-    """The shortest critical cycle through start, lowest index first on
-    ties: a maximizing cycle, as every cycle of critical arcs has mean
+    """The shortest critical cycle through start, found by a deterministic
+    BFS: a maximizing cycle, as every cycle of critical arcs has mean
     exactly the maximum. start lies in a critical class, so it closes."""
     adj: List[List[int]] = [[] for _ in range(n)]
     for i, j in arcs:  # row-major, so each list comes out sorted
