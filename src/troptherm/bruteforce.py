@@ -111,15 +111,15 @@ def enum_aubry(phi: List[List[float]], tol: float = DEFAULT_TOL) -> Tuple[int, .
     return tuple(out)
 
 
-def enum_critical_classes(
-    phi: List[List[float]], aubry: Sequence[int], tol: float = DEFAULT_TOL
-) -> List[Tuple[int, ...]]:
+def enum_critical_classes(phi: List[List[float]], aubry: Sequence[int]) -> List[Tuple[int, ...]]:
     """Aubry states grouped by round trip: x and y share a class when
-    phi(x, y) + phi(y, x) is within tol of 0; ordered by least member."""
+    phi(x, y) + phi(y, x) is within DEFAULT_TOL of 0 (x is in its own);
+    ordered by least member, and a partition unless a round trip sits at
+    the tolerance edge."""
     classes: List[Tuple[int, ...]] = []
     for x in aubry:
         if not any(x in c for c in classes):
-            classes.append(tuple(y for y in aubry if abs(phi[x][y] + phi[y][x]) <= tol))
+            classes.append(tuple(y for y in aubry if y == x or abs(phi[x][y] + phi[y][x]) <= DEFAULT_TOL))
     return classes
 
 

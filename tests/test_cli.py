@@ -542,21 +542,16 @@ def test_lost_critical_cycle_exits_2(tmp_path, capsys):
         for command in ("sweep", "ldp", "oracle"):
             assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
             assert capsys.readouterr().err.startswith("error: no cycle is critical")
-
-
-def test_lost_critical_cycle_at_tol_0(tmp_path, capsys):
-    # a 3-cycle of mean 1/3: the shifted weights round off zero, so at
-    # tol 0 no arc is critical, and the default tol finds the one class
-    path = tmp_path / "third.json"
-    path.write_text(json.dumps({"n": 3, "arcs": [[0, 1, 1.0], [1, 2, 0.0], [2, 0, 0.0]]}))
-    assert cli.main(["analyze", "--input", str(path), "--tol", "0"]) == cli.EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
+    # a 3-cycle of mean 1/3: the shifted weights round off zero, so at tol 0
+    # no arc is critical, while the default tol finds the one class
+    path = _dump(tmp_path, "third.json", TransitionSystem(3, [(0, 1, 1.0), (1, 2, 0.0), (2, 0, 0.0)]))
+    assert cli.main(["analyze", "--input", path, "--tol", "0"]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == (
+        "",
         "error: no cycle is critical within tol 0 at Q = 0.3333333333333333: "
-        "rounding at this weight scale exceeds the tolerance\n"
+        "rounding at this weight scale exceeds the tolerance\n",
     )
-    assert cli.main(["analyze", "--input", str(path)]) == cli.EXIT_OK
+    assert cli.main(["analyze", "--input", path]) == cli.EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["mane"]["critical_classes"] == [[0, 1, 2]]
     assert data["maximizing_cycle"] == [0, 1, 2, 0]
