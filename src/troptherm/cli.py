@@ -211,18 +211,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .zerotemp import (
-        DEFAULT_GRID,
-        beta_sweep,
-        check_sweep_grid,
-        ldp_residual,
-        limit_diagnostics,
-        rate_function,
-        sweep_record,
-    )
+    from .zerotemp import DEFAULT_GRID, beta_sweep, check_sweep_grid, ldp_residual, limit_diagnostics, rate_function
 
     grid = DEFAULT_GRID if args.grid is None else args.grid
-    check_sweep_grid(grid)  # for --force too
+    check_sweep_grid(grid)  # before the input is read, --force or not
     sys_ = _load_system(args.input)
     report = ergodic_report(sys_, tol=args.tol)
     if not report.uniquely_calibrated and not args.force:
@@ -232,38 +224,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{report.mane.critical_classes}; pass --force to sweep without diagnostics",
         )
 
-    probes = _probes(sys_.n, args.seed)
+    records = beta_sweep(sys_, grid, report=report)
     if report.uniquely_calibrated:
-        records = beta_sweep(sys_, grid, report=report)
         diag = limit_diagnostics(sys_, records, report=report)
         rate = rate_function(sys_, report=report)
-        rows = []
-        for rec, drow in zip(records, diag.rows):
+        probes = _probes(sys_.n, args.seed)
+        tails = []
+        for rec, row in zip(records, diag.rows):
             resid = [ldp_residual(f, rate=rate, spectral=rec.spectral) for f in probes]
-            rows.append(
-                (rec.beta, rec.pressure_over_beta, drow.d_u, drow.d_b, drow.d_g, drow.d_D, resid)
-            )
+            tails.append([row.d_u, row.d_b, row.d_g, row.d_D, *resid])
     else:
-        # --force on multiple classes: each solve starts from the report's
-        # pair, which is one class's limit, and with no single limit to
-        # compare against the diagnostics go out as nan. A row whose solve
-        # hits the step cap keeps beta and goes out all-nan.
-        nan = math.nan
-        rows = []
-        for beta in grid:
-            try:
-                pob = sweep_record(sys_, beta, report).pressure_over_beta
-            except ConvergenceError:
-                pob = nan
-            rows.append((beta, pob, nan, nan, nan, nan, [nan] * PROBE_COUNT))
+        # --force on several classes: each solve starts from one class's
+        # limit, and with no single limit to compare against, the
+        # diagnostics and residuals go out as nan
+        tails = [[math.nan] * (4 + PROBE_COUNT)] * len(records)
 
     header = ["beta", "pressure_over_beta", "d_u", "d_b", "d_g", "d_D"]
     header += [f"ldp_residual_{k}" for k in range(PROBE_COUNT)]
     lines = [",".join(header)]
-    for beta, pob, d_u, d_b, d_g, d_d, resid in rows:
-        cells = [_fmt(beta), _fmt(pob), _fmt(d_u), _fmt(d_b), _fmt(d_g), _fmt(d_d)]
-        cells += [_fmt(r) for r in resid]
-        lines.append(",".join(cells))
+    for rec, tail in zip(records, tails):
+        lines.append(",".join(map(_fmt, [rec.beta, rec.pressure_over_beta, *tail])))
     _write_text(args.output, ["\n".join(lines) + "\n"])
     return EXIT_OK
 

@@ -69,7 +69,6 @@ class RateFunction:
 
 @dataclass
 class DiagnosticsRow:
-    beta: float
     d_u: float
     d_b: float
     d_g: float
@@ -79,7 +78,6 @@ class DiagnosticsRow:
 @dataclass
 class LimitDiagnostics:
     rows: List[DiagnosticsRow]
-    ref_state: int
     divergence_ok: bool
 
 
@@ -222,7 +220,7 @@ def limit_diagnostics(
         best = np.full(sys.n, -math.inf)
         np.maximum.at(best, arc_src, bhat[arc_tgt] + rec.scaled_g)
         d_d = float(np.max(np.abs(best[checked] - bhat[checked]), initial=0.0))
-        rows.append(DiagnosticsRow(beta=rec.beta, d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d))
+        rows.append(DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d))
 
     divergence_ok = True
     for x in np.nonzero(~finite_b)[0]:
@@ -230,4 +228,4 @@ def limit_diagnostics(
         decreasing = all(s2 < s1 for s1, s2 in zip(series, series[1:]))
         if not (decreasing and series[-1] < DIVERGENCE_FLOOR):
             divergence_ok = False
-    return LimitDiagnostics(rows=rows, ref_state=ref, divergence_ok=divergence_ok)
+    return LimitDiagnostics(rows=rows, divergence_ok=divergence_ok)

@@ -200,32 +200,6 @@ def test_negative_seed_refused_up_front(tmp_path, capsys):
     assert cli.main(["gen", "--seed", "0", "--output", str(tmp_path / "g.json")]) == cli.EXIT_OK
 
 
-def test_sweep_force_reports_stall(tmp_path, two_loops, monkeypatch):
-    # a row whose solve hits the step cap goes out all-nan rather than as
-    # a block mixture; the next beta starts from the report's pair and is
-    # reported
-    solve = zerotemp.sweep_record
-
-    def stalled(sys_, beta, report):
-        if beta == 10.0:
-            raise ConvergenceError("power iteration did not converge within 100000 steps")
-        return solve(sys_, beta, report)
-
-    monkeypatch.setattr(zerotemp, "sweep_record", stalled)
-    path = _dump(tmp_path, "two.json", two_loops)
-    out = tmp_path / "stall.csv"
-    assert (
-        cli.main(["sweep", "--input", path, "--force", "--grid", "10,100", "--output", str(out)])
-        == 0
-    )
-    stalled_row, next_row = (line.split(",") for line in out.read_text().splitlines()[1:])
-    assert float(stalled_row[0]) == 10.0
-    assert all(math.isnan(float(c)) for c in stalled_row[1:])
-    assert float(next_row[0]) == 100.0
-    assert abs(float(next_row[1])) <= 1e-9
-    assert all(math.isnan(float(c)) for c in next_row[2:])
-
-
 def test_sweep_force_two_loops_closed_form(tmp_path, two_loops):
     # the shifted Ruelle matrix at beta 10 is [[1, e^-10], [e^-20, 1]], with
     # leading eigenvalue 1 + e^-15; the class coupling sits at e^-15, which
@@ -243,14 +217,16 @@ def test_sweep_force_two_loops_closed_form(tmp_path, two_loops):
     assert all(math.isnan(float(c)) for c in cells[2:])
 
 
-def test_convergence_error_exits_2(tmp_path, fixa, capsys, monkeypatch):
+def test_convergence_error_exits_2(tmp_path, fixa, two_loops, capsys, monkeypatch):
+    # a solve that hits the step cap exits 2 in every command, sweep
+    # --force on several critical classes included
     def capped(sys_, beta, **kwargs):
         raise ConvergenceError("power iteration did not converge within 100000 steps")
 
     monkeypatch.setattr(zerotemp, "spectral_data", capped)
-    path = _dump(tmp_path, "fixa.json", fixa)
-    for command in ("sweep", "ldp"):
-        assert cli.main([command, "--input", path]) == cli.EXIT_INPUT
+    path, two = _dump(tmp_path, "fixa.json", fixa), _dump(tmp_path, "two.json", two_loops)
+    for argv in (["sweep", "--input", path], ["ldp", "--input", path], ["sweep", "--input", two, "--force"]):
+        assert cli.main(argv) == cli.EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: power iteration did not converge within 100000 steps\n"
@@ -258,7 +234,8 @@ def test_convergence_error_exits_2(tmp_path, fixa, capsys, monkeypatch):
 
 def test_ldp_residuals_equal_sweep_cells(tmp_path, capsys):
     # one seeded solve per (system, beta): ldp prints the residuals of the
-    # sweep CSV bit for bit
+    # sweep CSV bit for bit, and on a uniquely calibrated system --force
+    # changes no byte of the sweep
     paths = []
     for seed, n in ((10, []), (3, ["--n", "12"]), (17, ["--n", "12"])):
         path = str(tmp_path / f"gen{seed}.json")
@@ -267,7 +244,10 @@ def test_ldp_residuals_equal_sweep_cells(tmp_path, capsys):
     paths.append(_dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t))))
     for path in paths:
         assert cli.main(["sweep", "--input", path]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        csv = capsys.readouterr().out
+        assert cli.main(["sweep", "--input", path, "--force"]) == 0
+        assert capsys.readouterr() == (csv, "")
+        rows = [line.split(",") for line in csv.splitlines()[1:]]
         assert cli.main(["ldp", "--input", path]) == 0
         residuals = json.loads(capsys.readouterr().out)["residuals"]
         assert len(rows) == len(residuals) == len(zerotemp.DEFAULT_GRID)

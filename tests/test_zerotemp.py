@@ -100,7 +100,7 @@ def test_limit_diagnostics_fixa(fixa):
     report = ergodic_report(fixa)
     records = beta_sweep(fixa, report=report)
     diag = limit_diagnostics(fixa, records, report=report)
-    assert diag.ref_state == 0
+    assert [rec.ref_state for rec in records] == [0, 0, 0]
     assert diag.divergence_ok
     d_u = [row.d_u for row in diag.rows]
     d_g = [row.d_g for row in diag.rows]
