@@ -3,12 +3,12 @@
 Layers, bottom up: the scalar semiring, whose vectors are read-only
 float64 arrays and whose scalars are floats, both with IEEE ±inf
 (tropical_core), densities with their measures, integrals and
-functionals (tropical_measures), the one eager tropical pass
-(maxplus_linalg: Karp, one Kleene closure, and the record read off it),
-weighted transition systems with the Bousch operator and its adjoint
-(dynamics), ergodic optimization (ergodic_opt, whose ergodic_report
-holds that record, the Mañé data, with its input system in the report
-every consumer shares), the classical
+functionals (tropical_measures), the max-plus primitives of the one
+eager tropical pass (maxplus_linalg: Karp, the Kleene closure, Tarjan,
+the critical-cycle BFS), weighted transition systems with the Bousch
+operator and its adjoint (dynamics), ergodic optimization (ergodic_opt,
+whose ergodic_report runs that pass and returns its one record, the
+Mañé data with the input system, that every consumer shares), the classical
 Ruelle side (thermo), and zero-temperature diagnostics (zerotemp). The
 cli module exposes all of it as batch commands, and bruteforce holds
 the independent reference computations. Reports are written, not read.

@@ -126,8 +126,6 @@ def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
     if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield sep + _json_str(key) + ": "
             yield from _json_pieces(value, depth + 1)
             sep = "," + inner
@@ -146,9 +144,10 @@ def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
             yield from _json_pieces(item, depth + 1)
             sep = "," + inner
     else:
-        cells, row_inner = iter(texts), inner + "  "
+        pos, row_inner = 0, inner + "  "
         for row in obj:
-            row_texts = [next(cells) for _ in row]
+            row_texts = texts[pos : pos + len(row)]
+            pos += len(row)
             yield sep + ("[" + row_inner + ("," + row_inner).join(row_texts) + inner + "]" if row else "[]")
             sep = "," + inner
     yield close + "]"
@@ -220,8 +219,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not report.uniquely_calibrated and not args.force:
         return _fail(
             EXIT_MULTICLASS,
-            f"{len(report.mane.critical_classes)} critical classes "
-            f"{report.mane.critical_classes}; pass --force to sweep without diagnostics",
+            f"{len(report.critical_classes)} critical classes "
+            f"{report.critical_classes}; pass --force to sweep without diagnostics",
         )
 
     records = beta_sweep(sys_, grid, report=report)
@@ -339,24 +338,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if sys_.n > ORACLE_N_MAX:
         raise ValueError(f"oracle is exhaustive, n capped at {ORACLE_N_MAX}")
     report = ergodic_report(sys_, tol=args.tol)
-    q_fast, mane = report.Q, report.mane
 
     q_enum = enum_max_cycle_mean(sys_)
     phi_enum = enum_mane(sys_, q_enum)
     aubry_enum = enum_aubry(phi_enum, tol=args.tol)
 
-    q_dev = abs(q_fast - q_enum)
-    phi_dev = sup_distance(mane.phi.ravel(), np.ravel(phi_enum))
-    aubry_dev = 0.0 if tuple(mane.aubry) == tuple(aubry_enum) else math.inf
+    q_dev = abs(report.Q - q_enum)
+    phi_dev = sup_distance(report.phi.ravel(), np.ravel(phi_enum))
+    aubry_dev = 0.0 if tuple(report.aubry) == tuple(aubry_enum) else math.inf
 
     ok = q_dev <= args.tol and phi_dev <= args.tol and aubry_dev <= args.tol
     payload = {
         "n": sys_.n,
         "tol": args.tol,
-        "Q": {"fast": q_fast, "enum": q_enum, "deviation": q_dev},
+        "Q": {"fast": report.Q, "enum": q_enum, "deviation": q_dev},
         "phi": {"max_deviation": phi_dev},
         "aubry": {
-            "fast": list(mane.aubry),
+            "fast": list(report.aubry),
             "enum": list(aubry_enum),
             "deviation": aubry_dev,
         },

@@ -1,58 +1,65 @@
 """Maximal potential energy, Mañé potentials, Aubry sets, and calibrated
 sub-actions on finite transition systems.
 
-Everything here reads one tropical pass (maxplus_linalg.tropical_pass),
-which runs on the normalized potential (weights shifted so the maximum
-cycle mean is 0): its record is the Mañé data, with phi the all-pairs
-maximum path weight, the Aubry set the union of the critical classes,
-and the rows and columns at critical states eigenfunctions of the
-Bousch operator and fixed densities of its tropical adjoint.
+ergodic_report runs the one tropical pass per system on the max-plus
+primitives of maxplus_linalg: Karp's maximum cycle mean Q over the arcs,
+then one Kleene closure of the weights shifted by it (the normalized
+potential), from which the critical classes are read. Its record,
+ErgodicReport, is the Mañé data: phi the all-pairs maximum path weight,
+the Aubry set the union of the critical classes, and the rows and
+columns at critical states eigenfunctions of the Bousch operator and
+fixed densities of its tropical adjoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
+from . import maxplus_linalg
 from .dynamics import TransitionSystem, system_to_json
-from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, TropicalPass, tropical_pass
+from .maxplus_linalg import DEFAULT_TOL, PositiveCycleError, check_tol, strongly_connected
 from .tropical_core import floats_to_json, trop_vector
 from .tropical_measures import Density
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ErgodicReport:
-    """The system as given and its tropical pass as the Mañé data. Q,
-    the maximizing cycle, unique calibration and one eigenfunction/density
-    pair per critical class (phi's row and column at its least state) are
-    read off the Mañé data, so a report cannot contradict its own pass;
-    check_report refuses it beside another system."""
+    """The system as given and the Mañé data its tropical pass reads off.
+
+    Q is Karp's maximum cycle mean and phi the read-only Kleene closure
+    of the weights shifted by it (paths of length >= 1, -inf where none
+    runs); critical_classes are the strongly connected classes of the
+    critical arcs that carry a cycle, aubry their union, and
+    maximizing_cycle the shortest critical cycle from the first class's
+    least state, that state repeated at the end. Unique calibration and
+    one eigenfunction/density pair per critical class (phi's row and
+    column at its least state) are read off these fields, so a report
+    cannot contradict its own pass. Frozen, a report keeps its system,
+    and check_report refuses it beside another; two reports compare by
+    identity."""
 
     system: TransitionSystem
-    mane: TropicalPass
+    Q: float
+    maximizing_cycle: Tuple[int, ...]
+    phi: np.ndarray
+    aubry: Tuple[int, ...]
+    critical_classes: List[Tuple[int, ...]]
 
     @property
     def eigenfunction_basis(self) -> List[np.ndarray]:
-        return [trop_vector(self.mane.phi[cls[0]]) for cls in self.mane.critical_classes]
+        return [trop_vector(self.phi[cls[0]]) for cls in self.critical_classes]
 
     @property
     def eigen_density_basis(self) -> List[Density]:
-        return [Density(self.mane.phi[:, cls[0]]) for cls in self.mane.critical_classes]
-
-    @property
-    def Q(self) -> float:
-        return self.mane.mean
-
-    @property
-    def maximizing_cycle(self) -> Tuple[int, ...]:
-        """The witness cycle's states, the first one repeated at the end."""
-        return self.mane.witness + self.mane.witness[:1]
+        return [Density(self.phi[:, cls[0]]) for cls in self.critical_classes]
 
     @property
     def uniquely_calibrated(self) -> bool:
-        return len(self.mane.critical_classes) == 1
+        return len(self.critical_classes) == 1
 
 
 def check_report(sys: TransitionSystem, report: ErgodicReport) -> None:
@@ -70,13 +77,13 @@ def max_potential_energy(sys: TransitionSystem) -> Tuple[float, Tuple[int, ...]]
     the maximum time-average of the potential is attained on a cycle and
     the witness cycle's uniform measure is maximizing.
     """
-    p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
-    return p.mean, p.witness + p.witness[:1]
+    report = ergodic_report(sys)
+    return report.Q, report.maximizing_cycle
 
 
-def mane_potential(sys: TransitionSystem) -> TropicalPass:
-    """The tropical pass of a normalized system: all-pairs maximum path
-    weight phi, Aubry set, critical classes.
+def mane_potential(sys: TransitionSystem) -> ErgodicReport:
+    """The report of a normalized system: all-pairs maximum path weight
+    phi, Aubry set, critical classes.
 
     Requires a normalized system: a positive cycle mean makes the path
     supremum diverge (reported with a maximizing cycle), a negative one
@@ -84,28 +91,66 @@ def mane_potential(sys: TransitionSystem) -> TropicalPass:
     Like ergodic_report, it refuses a system whose critical cycle is lost
     to rounding.
     """
-    p = tropical_pass(sys.n, *sys.arc_arrays, DEFAULT_TOL)
-    if p.mean < -DEFAULT_TOL:
+    report = ergodic_report(sys)
+    if report.Q < -DEFAULT_TOL:
         raise ValueError(
-            f"system is not normalized (max cycle mean {p.mean:.6g} < 0 would empty the Aubry set)"
+            f"system is not normalized (max cycle mean {report.Q:.6g} < 0 would empty the Aubry set)"
         )
-    if p.mean > DEFAULT_TOL:
-        raise PositiveCycleError(p.mean, list(p.witness))
-    return p
+    if report.Q > DEFAULT_TOL:
+        raise PositiveCycleError(report.Q, list(report.maximizing_cycle[:-1]))
+    return report
 
 
 def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicReport:
-    """Full analysis bundle read off one tropical pass.
+    """Karp once, then one Kleene closure of the weights shifted by the
+    mean, from which everything else is read.
+
+    ValueError before any closure when no cycle exists. Critical arcs
+    lie on some cycle of total weight 0: |w(i, j) + star(j, i)| <= tol,
+    the way back read from the Kleene star, whose diagonal
+    max(phi(i, i), 0) is the empty path. Their strongly connected
+    classes that carry a cycle are the one criticality reading, the
+    Aubry set their union; ValueError when rounding at the weights'
+    scale leaves none.
 
     Each critical class representative x gives one Bousch fixed point
     phi(x, ·) and one adjoint fixed point phi(·, x). The column has a 0
     at x, so it is never the constant -inf density, and path weights are
     +inf-free, so it is never top. uniquely_calibrated is a single
     critical class: the eigenfunction and the fixed density are then
-    unique up to one tropical constant each. The Aubry set is the union
-    of the classes (see tropical_pass), so one class means every two
-    Aubry states lie on one cycle of weight 0."""
-    return ErgodicReport(system=sys, mane=tropical_pass(sys.n, *sys.arc_arrays, tol))
+    unique up to one tropical constant each, and every two Aubry states
+    lie on one cycle of weight 0."""
+    check_tol(tol)
+    n, (src, tgt, w) = sys.n, sys.arc_arrays
+    # the primitives are looked up on their module, so a patch there
+    # (the tests count Karp and closure runs) reaches this pass
+    mean = maxplus_linalg._karp_mean(n, src, tgt, w)
+    if mean == -math.inf:
+        raise ValueError("acyclic system carries no invariant measure")
+    grid = np.full((n, n), -math.inf)
+    grid[src, tgt] = w - mean
+    phi = maxplus_linalg._closure(grid.copy())
+    phi.flags.writeable = False
+    cycle = grid + phi.T
+    np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(phi), 0.0))
+    i, j = np.nonzero(np.abs(cycle) <= tol)
+    arcs = list(zip(i.tolist(), j.tolist()))  # row-major
+    loops = {s for s, t in arcs if s == t}
+    classes = [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
+    if not classes:
+        raise ValueError(
+            f"no cycle is critical within tol {tol:g} at Q = {mean!r}: "
+            "rounding at this weight scale exceeds the tolerance"
+        )
+    witness = maxplus_linalg._witness(n, arcs, classes[0][0])
+    return ErgodicReport(
+        system=sys,
+        Q=mean,
+        maximizing_cycle=witness + witness[:1],
+        phi=phi,
+        aubry=tuple(sorted(x for c in classes for x in c)),
+        critical_classes=classes,
+    )
 
 
 def report_to_json(report: ErgodicReport) -> dict:
@@ -116,9 +161,9 @@ def report_to_json(report: ErgodicReport) -> dict:
         "maximizing_cycle": list(report.maximizing_cycle),
         "normalized_system": normalized,
         "mane": {
-            "phi": floats_to_json(report.mane.phi),
-            "aubry": list(report.mane.aubry),
-            "critical_classes": [list(c) for c in report.mane.critical_classes],
+            "phi": floats_to_json(report.phi),
+            "aubry": list(report.aubry),
+            "critical_classes": [list(c) for c in report.critical_classes],
         },
         "eigenfunction_basis": [floats_to_json(v) for v in report.eigenfunction_basis],
         "eigen_density_basis": [d.to_json() for d in report.eigen_density_basis],

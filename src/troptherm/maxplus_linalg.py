@@ -1,22 +1,21 @@
-"""Max-plus matrices and the one tropical pass: cycle means, Kleene
-closures, the critical graph.
+"""Max-plus matrices and the primitives of the one tropical pass: cycle
+means, Kleene closures, strongly connected classes, critical cycles.
 
 Matrix entry (i, j) is the weight of the arc i -> j; -inf marks a missing
 arc. Weights come from real potentials, so +inf never appears here and
 the arithmetic runs on float64 arrays (the only infinity in play is
--inf, which is safe under + and max). One eager tropical pass serves
-every question about a system (tropical_pass): Karp's maximum cycle
-mean over the arcs, then one Kleene closure of the weights shifted by
-it, from which the critical classes are read: the Aubry set is their
-union and a maximizing cycle starts at the first one's least state.
-Its record, TropicalPass, is the Mañé data `ergodic_opt` hands out.
+-inf, which is safe under + and max). ergodic_opt.ergodic_report runs
+the pass with these: Karp's maximum cycle mean over the arcs
+(_karp_mean), one Kleene closure of the weights shifted by it
+(_closure), Tarjan's strongly connected components of the critical arcs
+(strongly_connected), and a maximizing cycle by a BFS over them
+(_witness).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -221,65 +220,6 @@ def strongly_connected(
     # components are disjoint, so tuple order is order by least member
     comps.sort()
     return comps
-
-
-@dataclass(frozen=True)
-class TropicalPass:
-    """The Mañé data one tropical pass reads off a max-plus matrix.
-
-    mean is Karp's maximum cycle mean and phi the read-only Kleene
-    closure of the weights shifted by it (paths of length >= 1, -inf
-    where none runs); critical_classes are the strongly connected
-    classes of the critical arcs that carry a cycle, aubry their union,
-    witness a maximizing cycle from the first class's least state (its
-    states, first one not repeated).
-    """
-
-    mean: float
-    witness: Tuple[int, ...]
-    phi: np.ndarray
-    aubry: Tuple[int, ...]
-    critical_classes: List[Tuple[int, ...]]
-
-
-def tropical_pass(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray, tol: float) -> TropicalPass:
-    """Karp once, then one Kleene closure of the weights shifted by the
-    mean, from which everything else is read.
-
-    ValueError before any closure when no cycle exists. Critical arcs
-    lie on some cycle of total weight 0: |w(i, j) + star(j, i)| <= tol,
-    the way back read from the Kleene star, whose diagonal
-    max(phi(i, i), 0) is the empty path. Their strongly connected
-    classes that carry a cycle are the one criticality reading, the
-    Aubry set their union; ValueError when rounding at the weights'
-    scale leaves none.
-    """
-    check_tol(tol)
-    mean = _karp_mean(n, src, tgt, w)
-    if mean == _NINF:
-        raise ValueError("acyclic system carries no invariant measure")
-    grid = np.full((n, n), _NINF)
-    grid[src, tgt] = w - mean
-    phi = _closure(grid.copy())
-    phi.flags.writeable = False
-    cycle = grid + phi.T
-    np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(phi), 0.0))
-    i, j = np.nonzero(np.abs(cycle) <= tol)
-    arcs = list(zip(i.tolist(), j.tolist()))  # row-major
-    loops = {s for s, t in arcs if s == t}
-    classes = [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
-    if not classes:
-        raise ValueError(
-            f"no cycle is critical within tol {tol:g} at Q = {mean!r}: "
-            "rounding at this weight scale exceeds the tolerance"
-        )
-    return TropicalPass(
-        mean=mean,
-        witness=_witness(n, arcs, classes[0][0]),
-        phi=phi,
-        aubry=tuple(sorted(x for c in classes for x in c)),
-        critical_classes=classes,
-    )
 
 
 def _witness(n: int, arcs: List[Tuple[int, int]], start: int) -> Tuple[int, ...]:

@@ -192,7 +192,7 @@ def spectral_data(sys: TransitionSystem, beta: float, report: ErgodicReport) -> 
     check_beta(beta)
     check_report(sys, report)
     src, tgt, w = sys.arc_arrays
-    if not np.isfinite(report.mane.phi).all():  # some state does not reach another
+    if not np.isfinite(report.phi).all():  # some state does not reach another
         raise ReducibleSystemError(strongly_connected(range(sys.n), zip(src.tolist(), tgt.tolist())))
     q, v, b = report.Q, report.eigenfunction_basis[0], report.eigen_density_basis[0].values
 

@@ -111,7 +111,7 @@ def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> S
     shifts by the report's Q. v and b are the report's first basis pair;
     on several critical classes that pair is one class's limit.
     """
-    ref = min(report.mane.aubry)
+    ref = min(report.aubry)
     data = spectral_data(sys, beta, report=report)
     slu = data.log_u / beta
     slu = slu - slu[ref]
@@ -141,7 +141,7 @@ def beta_sweep(
 def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
     check_report(sys, report)
     if not report.uniquely_calibrated:
-        raise MultiClassError(report.mane.critical_classes)
+        raise MultiClassError(report.critical_classes)
     b0 = report.eigen_density_basis[0].values
     b_al = b0 - array_sup(b0)
     v0 = report.eigenfunction_basis[0]
@@ -192,8 +192,8 @@ def limit_diagnostics(
     if not records:
         raise ValueError("empty sweep")
     if not report.uniquely_calibrated:
-        raise MultiClassError(report.mane.critical_classes)
-    ref = min(report.mane.aubry)
+        raise MultiClassError(report.critical_classes)
+    ref = min(report.aubry)
     for rec in records:
         if rec.ref_state != ref:
             raise ValueError(

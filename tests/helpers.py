@@ -35,8 +35,7 @@ def cold_report(sys: TransitionSystem) -> ErgodicReport:
     from log u = log m = 0, and shifts by the same Karp mean. For
     irreducible systems only, since a finite phi reads as strongly
     connected."""
-    report = ergodic_report(sys)
-    return ErgodicReport(sys, dataclasses.replace(report.mane, phi=np.zeros((sys.n, sys.n))))
+    return dataclasses.replace(ergodic_report(sys), phi=np.zeros((sys.n, sys.n)))
 
 
 def representation_check(
@@ -55,11 +54,11 @@ def representation_check(
     if (v is None) == (b is None):
         raise ValueError("pass exactly one of v or b")
     # rows x of phi weighted by v(x), or columns y weighted by b(y)
-    phi = report.mane.phi if v is not None else report.mane.phi.T
+    phi = report.phi if v is not None else report.phi.T
     vec = trop_vector(v) if v is not None else b.values
     if len(vec) != phi.shape[0]:
         raise ValueError(f"length mismatch: {len(vec)} vs {phi.shape[0]}")
-    aubry = list(report.mane.aubry)
+    aubry = list(report.aubry)
     terms = array_mul(vec[aubry, None], phi[aubry])
     return sup_distance(vec, terms.max(axis=0, initial=-math.inf))
 

@@ -75,8 +75,8 @@ def test_acceptance_1_fixture_end_to_end():
         sys_ = from_sft([[1, 1], [1, 1]], [[0.0, -1.0], [-1.0, -3.0]])
         report = ergodic_report(sys_)
         assert report.Q == 0.0
-        assert report.mane.aubry == (0,)
-        assert report.mane.phi.tolist() == [[0.0, -1.0], [-1.0, -2.0]]
+        assert report.aubry == (0,)
+        assert report.phi.tolist() == [[0.0, -1.0], [-1.0, -2.0]]
         (v,) = report.eigenfunction_basis
         assert v.tolist() == [0.0, -1.0]
         (b,) = report.eigen_density_basis

@@ -1,5 +1,6 @@
 """Ergodic optimization layer: Q, normalization, Mañé data, sub-actions."""
 
+import dataclasses
 import json
 import math
 import random
@@ -82,7 +83,20 @@ def test_mane_potential_rejects_unnormalized(fixc, one_state):
         mane_potential(TransitionSystem(2, [(0, 1, 0.0)]))
     # within tol of 0 the mean is shifted away, as in ergodic_report
     near = shift(fixc, -2.0 + 1e-12)
-    assert np.array_equal(mane_potential(near).phi, ergodic_report(near).mane.phi)
+    assert np.array_equal(mane_potential(near).phi, ergodic_report(near).phi)
+
+
+def test_mane_potential_matches_report_seeded():
+    # on a normalized system the two front ends read the same pass
+    for seed in range(40):
+        for n, deterministic in ((None, False), (None, True), (12, False)):
+            sys = normalize(_gen_system(seed, n, deterministic))
+            mane, report = mane_potential(sys), ergodic_report(sys)
+            assert mane.Q == report.Q
+            assert mane.maximizing_cycle == report.maximizing_cycle
+            assert mane.aubry == report.aubry
+            assert mane.critical_classes == report.critical_classes
+            assert mane.phi.tobytes() == report.phi.tobytes()
 
 
 def test_mane_potential_refuses_lost_critical_cycle():
@@ -158,8 +172,8 @@ def test_spectral_bases_are_fixed_points(fixa, fixb, fixc, two_loops):
 def test_two_class_system(two_loops):
     report = ergodic_report(two_loops)
     assert report.Q == 0.0
-    assert report.mane.aubry == (0, 1)
-    assert report.mane.critical_classes == [(0,), (1,)]
+    assert report.aubry == (0, 1)
+    assert report.critical_classes == [(0,), (1,)]
     assert not report.uniquely_calibrated
     assert [_floats(v) for v in report.eigenfunction_basis] == [[0.0, -2.0], [-1.0, 0.0]]
     assert [_floats(d.values) for d in report.eigen_density_basis] == [[0.0, -1.0], [-2.0, 0.0]]
@@ -173,13 +187,13 @@ def test_unique_calibration_flags(fixa, fixb, fixc):
     # class with the loop at 1, though phi(0, 0) + phi(0, 0) is beyond tol
     tie = TransitionSystem(2, [(0, 1, 1.0), (1, 0, -1.0000000007), (1, 1, 0.0)])
     report = ergodic_report(tie)
-    assert report.mane.critical_classes == [(0, 1)]
+    assert report.critical_classes == [(0, 1)]
     assert report.uniquely_calibrated
     # a loop 9e-10 short of zero is critical once, not 1.8e-9 short twice
     selfloop = TransitionSystem(2, [(0, 0, 0.0), (1, 1, -9e-10), (0, 1, -5.0), (1, 0, -5.0)])
     report = ergodic_report(selfloop)
-    assert report.mane.aubry == (0, 1)
-    assert report.mane.critical_classes == [(0,), (1,)]
+    assert report.aubry == (0, 1)
+    assert report.critical_classes == [(0,), (1,)]
     assert not report.uniquely_calibrated
 
 
@@ -200,10 +214,10 @@ def test_classes_cover_aubry_seeded():
         systems += [gen, _perturbed(gen, 1e-9, rng)]
     for sys in systems:
         report = ergodic_report(sys)
-        diagonal = np.flatnonzero(np.abs(np.diagonal(report.mane.phi)) <= DEFAULT_TOL)
-        assert report.mane.aubry == tuple(diagonal.tolist())
-        assert report.maximizing_cycle[0] == report.mane.critical_classes[0][0] == min(report.mane.aubry)
-        assert report.uniquely_calibrated == (len(report.mane.critical_classes) == 1)
+        diagonal = np.flatnonzero(np.abs(np.diagonal(report.phi)) <= DEFAULT_TOL)
+        assert report.aubry == tuple(diagonal.tolist())
+        assert report.maximizing_cycle[0] == report.critical_classes[0][0] == min(report.aubry)
+        assert report.uniquely_calibrated == (len(report.critical_classes) == 1)
 
 
 def test_representation_check(fixa):
@@ -251,7 +265,7 @@ def test_witness_cycle_inside_aubry_seeded():
         sys = _gen_system(rng.randrange(10**6), None, False)
         report = ergodic_report(sys)
         cycle = report.maximizing_cycle
-        assert set(cycle) <= set(report.mane.aubry)
+        assert set(cycle) <= set(report.aubry)
         # the maximizing cycle realizes Q exactly on the original weights
         total = sum(sys.arc_weight(a, b) for a, b in zip(cycle, cycle[1:]))
         assert abs(total / (len(cycle) - 1) - report.Q) <= 1e-9
@@ -276,7 +290,7 @@ def test_report_json_round_trip(tmp_path, fixa, two_loops):
         data = json.loads(out.read_text())
         report = ergodic_report(sys)
         assert np.float64(data["Q"]).tobytes() == np.float64(report.Q).tobytes()
-        assert floats(data["mane"]["phi"]).tobytes() == report.mane.phi.tobytes()
+        assert floats(data["mane"]["phi"]).tobytes() == report.phi.tobytes()
         assert floats(data["eigenfunction_basis"]).tobytes() == np.array(report.eigenfunction_basis).tobytes()
         densities = np.array([d.values for d in report.eigen_density_basis])
         assert floats(data["eigen_density_basis"]).tobytes() == densities.tobytes()
@@ -286,8 +300,8 @@ def test_report_json_round_trip(tmp_path, fixa, two_loops):
         assert norm == want and norm.labels == want.labels
         for got, expected in zip(norm.arc_arrays, want.arc_arrays):
             assert got.tobytes() == expected.tobytes()
-        assert tuple(data["mane"]["aubry"]) == report.mane.aubry
-        assert [tuple(c) for c in data["mane"]["critical_classes"]] == report.mane.critical_classes
+        assert tuple(data["mane"]["aubry"]) == report.aubry
+        assert [tuple(c) for c in data["mane"]["critical_classes"]] == report.critical_classes
         assert data["uniquely_calibrated"] is report.uniquely_calibrated
     assert data["mane"]["phi"] == [[0.0, "-inf"], ["-inf", -1.0]]
     assert data["eigenfunction_basis"] == data["eigen_density_basis"] == [[0.0, "-inf"]]
@@ -326,12 +340,19 @@ def test_report_runs_one_tropical_pass(fixa, two_loops, monkeypatch):
 
 
 def test_report_holds_read_only_arrays(fixa, two_loops):
-    for report in (ergodic_report(fixa), ergodic_report(two_loops)):
+    for report, other in ((ergodic_report(fixa), two_loops), (ergodic_report(two_loops), fixa)):
         n = report.system.n
-        phi = report.mane.phi
+        phi = report.phi
         assert type(phi) is np.ndarray and phi.dtype == np.float64 and phi.shape == (n, n)
         vectors = list(report.eigenfunction_basis) + [d.values for d in report.eigen_density_basis]
         for a in [phi] + vectors:
             assert type(a) is np.ndarray and a.dtype == np.float64
             with pytest.raises(ValueError):
                 a[0] = 1.0
+        # frozen: a report keeps the system its pass was read off
+        for field, value in (("system", other), ("phi", np.zeros((n, n)))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, field, value)
+        # two reports of one system compare by identity, not by their arrays
+        again = ergodic_report(report.system)
+        assert report == report and report != again

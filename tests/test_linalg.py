@@ -207,7 +207,7 @@ def test_critical_nodes_examples():
     assert mane_potential(_matrix_system(FIXA)).aubry == (0,)
     cyc = _matrix_system([[NI, 1.0, NI], [NI, NI, 0.0], [-1.0, NI, NI]])
     assert mane_potential(normalize(cyc)).aubry == (0, 1, 2)
-    assert ergodic_report(cyc).mane.aubry == (0, 1, 2)
+    assert ergodic_report(cyc).aubry == (0, 1, 2)
 
 
 def test_critical_nodes_nonempty_after_normalization():
@@ -219,7 +219,7 @@ def test_critical_nodes_nonempty_after_normalization():
             continue
         nodes = mane_potential(normalize(sys_)).aubry
         assert nodes, "normalized system must keep its witness cycle critical"
-        assert ergodic_report(sys_).mane.aubry == nodes
+        assert ergodic_report(sys_).aubry == nodes
         checked += 1
     assert checked > 30
 
@@ -250,7 +250,7 @@ def test_eigen_identity_seeded():
             continue
         report = ergodic_report(sys_)
         assert abs(report.Q - slow) <= 1e-9
-        assert len(report.eigenfunction_basis) == len(report.mane.critical_classes) >= 1
+        assert len(report.eigenfunction_basis) == len(report.critical_classes) >= 1
         for v in report.eigenfunction_basis:
             assert sup_distance(bousch_apply(sys_, v), v + report.Q) <= 1e-9
         checked += 1
@@ -259,9 +259,9 @@ def test_eigen_identity_seeded():
 
 def test_critical_classes_two_loops():
     two_loops = _matrix_system([[0.0, -2.0], [-1.0, 0.0]])
-    assert ergodic_report(two_loops).mane.critical_classes == [(0,), (1,)]
+    assert ergodic_report(two_loops).critical_classes == [(0,), (1,)]
     assert mane_potential(normalize(two_loops)).critical_classes == [(0,), (1,)]
-    assert ergodic_report(_matrix_system(FIXA)).mane.critical_classes == [(0,)]
+    assert ergodic_report(_matrix_system(FIXA)).critical_classes == [(0,)]
 
 
 def _mutual_reachability_components(n, arcs):

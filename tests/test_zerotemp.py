@@ -133,7 +133,7 @@ def test_limit_diagnostics_divergence():
     # hand
     system = TransitionSystem(2, [(0, 0, 0.0), (0, 1, -1.0), (1, 1, -2.0)])
     report = ergodic_report(system)
-    assert report.mane.critical_classes == [(0,)]
+    assert report.critical_classes == [(0,)]
     assert report.eigen_density_basis[0].values.tolist() == [0.0, -math.inf]
     for series, expected in (([-5, -8, -12], True), ([-5, -12, -11], False), ([-2, -4, -6], False)):
         records = [
