@@ -12,9 +12,9 @@ Exit codes: 0 ok, 2 invalid input, 3 assumption violation under
 All output is deterministic byte-for-byte given the input bytes and
 flags; CSV uses '.' decimals, '\\n' line endings and 17 significant
 digits. JSON is streamed to the output by one writer whose bytes equal
-json.dumps(payload, indent=2) followed by a newline. json's own encoder
-writes every scalar, and an all-float list (such as phi) has each
-distinct float formatted once.
+json.dumps(payload, indent=2, default=floats_to_json) followed by a
+newline. json's own encoder writes every scalar, and a float64 array
+(phi) has each distinct float formatted once.
 
 Start-up loads only the tropical side (dynamics, ergodic_opt and what
 they import); sweep and ldp load the Ruelle side (thermo, zerotemp) and
@@ -60,7 +60,7 @@ try:
     from .dynamics import TransitionSystem, from_map, system_from_json, system_to_json
     from .ergodic_opt import ergodic_report, report_to_json
     from .maxplus_linalg import DEFAULT_TOL, ConvergenceError, MultiClassError, check_tol, strongly_connected
-    from .tropical_core import sup_distance
+    from .tropical_core import floats_to_json, sup_distance
 finally:
     if _blas_spin_unset:
         os.environ.pop(_BLAS_SPIN, None)
@@ -91,38 +91,38 @@ def _write_text(path: Optional[str], pieces: Iterable[str]) -> None:
             fh.writelines(pieces)
 
 
-def _cell_texts(cells: list) -> Optional[List[str]]:
-    """json's own text for each cell, or None when one is a list, tuple or dict.
+def _array_rows(a: np.ndarray) -> List[List[str]]:
+    """json's text for each cell of a 2-d float64 array, row by row.
 
-    All cells are encoded by one json.dumps call; json escapes every
-    newline inside a string, so a bare newline separates them. When every
-    cell is exactly a float (phi, the eigen bases) each distinct int64 bit
-    pattern is encoded once, so 0.0 and -0.0 stay apart.
+    Each distinct int64 bit pattern (0.0 and -0.0 stay apart) is passed
+    through floats_to_json and encoded once, by one json.dumps call;
+    json escapes every newline inside a string, so a bare newline
+    separates the texts. Any other array is refused as json.dumps would.
     """
-    kinds = set(map(type, cells))
-    if any(issubclass(kind, (list, tuple, dict)) for kind in kinds):
-        return None
-    if not cells:
-        return []
-    all_float = kinds == {float}
-    if all_float:
-        bits, inverse = np.unique(np.array(cells).view(np.int64), return_inverse=True)
-        cells = bits.view(np.float64).tolist()
-    texts = json.dumps(cells, separators=("\n", ": "))[1:-1].split("\n")
-    return np.array(texts, dtype=object)[inverse].tolist() if all_float else texts
+    if a.dtype != np.float64 or a.ndim != 2:
+        raise TypeError(f"Object of type ndarray ({a.ndim}-d {a.dtype}) is not JSON serializable")
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    texts = json.dumps(floats_to_json(bits.view(np.float64)), separators=("\n", ": "))[1:-1].split("\n")
+    return np.array(texts, dtype=object)[inverse.reshape(a.shape)].tolist()
 
 
 def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
-    """The text of json.dumps(obj, indent=2), piece by piece.
+    """The text of json.dumps(obj, indent=2, default=floats_to_json), piece by piece.
 
-    A list of scalars goes out as one piece. A list of such lists (phi,
-    the eigen bases, the observables, the arcs) has all its cells encoded
-    by one _cell_texts call, then goes out one row per piece.
+    A list of scalars goes out as one piece, and a 2-d float64 array
+    (phi) one row per piece.
     """
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(obj, np.ndarray):
+        rows, row_inner, sep = _array_rows(obj), inner + "  ", "[" + inner
+        for row in rows:
+            yield sep + ("[" + row_inner + ("," + row_inner).join(row) + inner + "]" if row else "[]")
+            sep = "," + inner
+        yield close + "]" if rows else "[]"
+        return
     if not isinstance(obj, (list, tuple, dict)) or not obj:  # a scalar, [] or {}
         yield json.dumps(obj)
         return
-    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in obj.items():
@@ -131,25 +131,14 @@ def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
             sep = "," + inner
         yield close + "}"
         return
-    texts = _cell_texts(obj)
-    if texts is not None:
-        yield "[" + inner + ("," + inner).join(texts) + close + "]"
+    if not any(isinstance(item, (list, tuple, dict, np.ndarray)) for item in obj):
+        yield "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + close + "]"
         return
-    if all(isinstance(row, (list, tuple)) for row in obj):
-        texts = _cell_texts(list(chain.from_iterable(obj)))
     sep = "[" + inner
-    if texts is None:
-        for item in obj:
-            yield sep
-            yield from _json_pieces(item, depth + 1)
-            sep = "," + inner
-    else:
-        pos, row_inner = 0, inner + "  "
-        for row in obj:
-            row_texts = texts[pos : pos + len(row)]
-            pos += len(row)
-            yield sep + ("[" + row_inner + ("," + row_inner).join(row_texts) + inner + "]" if row else "[]")
-            sep = "," + inner
+    for item in obj:
+        yield sep
+        yield from _json_pieces(item, depth + 1)
+        sep = "," + inner
     yield close + "]"
 
 

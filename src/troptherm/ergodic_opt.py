@@ -161,7 +161,7 @@ def report_to_json(report: ErgodicReport) -> dict:
         "maximizing_cycle": list(report.maximizing_cycle),
         "normalized_system": normalized,
         "mane": {
-            "phi": floats_to_json(report.phi),
+            "phi": report.phi,
             "aubry": list(report.aubry),
             "critical_classes": [list(c) for c in report.critical_classes],
         },

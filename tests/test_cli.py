@@ -20,6 +20,7 @@ import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report, report_to_json
 from troptherm.thermo import ConvergenceError, spectral_data
+from troptherm.tropical_core import floats_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -932,7 +933,7 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
         for flags in ([], ["--deterministic"]):
             path = str(tmp_path / f"gen{seed}{len(flags)}.json")
             assert cli.main(["gen", "--seed", str(seed), *flags, "--output", path]) == 0
-            assert pathlib.Path(path).read_bytes() == (json.dumps(payloads[-1], indent=2) + "\n").encode()
+            assert pathlib.Path(path).read_bytes() == (json.dumps(payloads[-1], indent=2, default=floats_to_json) + "\n").encode()
             inputs.append(path)
             checked += 1
     for path in inputs:
@@ -945,17 +946,17 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
             if len(payloads) == before:  # ldp refuses reducible and multi-class systems
                 assert code in (cli.EXIT_INPUT, cli.EXIT_MULTICLASS)
                 continue
-            assert out.read_bytes() == (json.dumps(payloads[-1], indent=2) + "\n").encode()
+            assert out.read_bytes() == (json.dumps(payloads[-1], indent=2, default=floats_to_json) + "\n").encode()
             checked += 1
     assert checked == 37  # 8 gen, 13 analyze, 9 ldp and 7 oracle files
 
 
 def test_json_writer_all_float_matrices(tmp_path):
-    # matrices whose cells are all exactly float format each distinct bit
-    # pattern once; one np.float64, int or str sends a matrix down the
-    # plain path. The last matrix holds strings with a newline, a comma and
-    # a space, so a writer that splits the encoded cells on any separator
-    # such a string can contain fails it
+    # nested lists take the plain path whatever their cells: a list of
+    # scalars is one json.dumps call and a list of lists one per row. The
+    # last matrix holds strings with a newline, a comma and a space, so a
+    # writer that splits encoded cells on any separator such a string can
+    # contain fails it
     out = tmp_path / "out.json"
     matrices = [
         [[0.0, -0.0], [-0.0, 0.0]],
@@ -975,8 +976,54 @@ def test_json_writer_all_float_matrices(tmp_path):
         cli._write_json(str(out), {1: [0.0]})
 
 
+def test_json_writer_float64_array_leaf(tmp_path):
+    # a 2-d float64 array (phi) is a leaf: each distinct bit pattern is
+    # formatted once, 0.0 apart from -0.0, and the infinities go out as the
+    # floats_to_json sentinels
+    out = tmp_path / "out.json"
+    arrays = [
+        np.array([[0.0, -0.0], [-0.0, 0.0]]),
+        np.array([[-math.inf, math.inf, 1.5], [math.inf, -math.inf, -0.0]]),
+        np.array([[math.nan, 0.1], [-math.nan, math.nan]]),
+        np.array([[-math.inf]]),
+        np.array([[0.25, -1e300, 5e-324, 0.25, -0.0]]),
+        np.array([[1.0, 2.0], [3.0, 4.0]]).T,  # not C-contiguous
+        np.zeros((2, 0)),
+        np.zeros((0, 3)),
+    ]
+    for phi in arrays:
+        phi.flags.writeable = False
+        payload = {"mane": {"phi": phi, "aubry": [0]}, "list": [phi, [1.0, "-inf"]]}
+        cli._write_json(str(out), payload)
+        expected = json.dumps(payload, indent=2, default=floats_to_json) + "\n"
+        assert out.read_bytes() == expected.encode(), phi
+    for other in (np.array([0.0, -0.0]), np.array([[1, 2], [3, 4]]), np.zeros((1, 1, 1))):
+        with pytest.raises(TypeError):  # a 1-d, int64 or 3-d array
+            cli._write_json(str(out), {"phi": other})
+        with pytest.raises(TypeError):  # inside a list of scalars too
+            cli._write_json(str(out), [1.0, other])
+
+
+def test_analyze_writes_reducible_phi(tmp_path):
+    # a zero-weight fixed point fed by a -0.0 arc, beside a fixed point it
+    # shares no path with: phi holds -inf, and 0.0 beside -0.0
+    sys_ = from_map([0, 0, 2], [0.0, -0.0, -1.0])
+    report = ergodic_report(sys_)
+    assert report.Q == 0.0
+    cells = set(report.phi.view(np.int64).ravel().tolist())
+    for value in (-math.inf, 0.0, -0.0):
+        assert np.float64(value).view(np.int64) in cells, value
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--input", _dump(tmp_path, "split.json", sys_), "--output", str(out)]) == 0
+    payload = report_to_json(report)
+    assert payload["mane"]["phi"] is report.phi
+    assert out.read_bytes() == (json.dumps(payload, indent=2, default=floats_to_json) + "\n").encode()
+
+
 def test_analyze_doubling8_equals_json_dumps(tmp_path):
     sys_ = discretize_doubling(8, lambda t: math.cos(2 * math.pi * t))
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--input", _dump(tmp_path, "doubling8.json", sys_), "--output", str(out)]) == 0
-    assert out.read_bytes() == (json.dumps(report_to_json(ergodic_report(sys_)), indent=2) + "\n").encode()
+    assert out.read_bytes() == (
+        json.dumps(report_to_json(ergodic_report(sys_)), indent=2, default=floats_to_json) + "\n"
+    ).encode()
