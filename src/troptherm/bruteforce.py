@@ -3,17 +3,17 @@
 Deliberately independent of the fast paths: cycle means come from
 exhaustive simple-cycle enumeration (a depth-first search rooted at each
 cycle's least state), path suprema from naive max-plus matrix powers
-over plain floats, calibrated sub-actions from iterating the Bousch
-operator, and the Ruelle operator is applied arc by arc, in linear space
-and in log space.
-Standard library and numpy only. Sized for small systems (the CLI caps
-the oracle at 10 states).
+over plain floats, calibrated sub-actions from the spectral projector
+on that enumerated phi, and the Ruelle operator is applied arc by arc,
+in linear space and in log space.
+Standard library and numpy only. Sized for small systems: path suprema
+cost O(n^4) pure-Python steps, the CLI caps the oracle at 10 states and
+the tests stay at n <= 12.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -126,13 +126,14 @@ def enum_critical_classes(phi: List[List[float]], aubry: Sequence[int]) -> List[
 def subaction_limsup(sys: TransitionSystem, u0: np.ndarray) -> np.ndarray:
     """The limsup of Bousch iterates of u0 on a normalized system.
 
-    Iterates are eventually periodic, so the supremum over a sliding
-    window becomes stationary; since the operator distributes over
-    finite sups, a stationary window supremum is already a fixed point.
-    Convergence is declared once the window supremum holds still across
-    one full window. The window is the state count and the cap 4 n^2
-    iterations. Normalization is checked by enumeration, and both it and
-    the limit's fixed-point residual must hold within DEFAULT_TOL.
+    The Bousch operator is tropical linear, so the limsup is the spectral
+    projector P u0: (P u0)(x) is the max over Aubry states c of
+    [max_y u0(y) + phi*(y, c)] + phi*(c, x), where phi* is enum_mane's
+    phi at Q = 0 with the empty path, its diagonal max(phi(x, x), 0)
+    (Baccelli, Cohen, Olsder, Quadrat, Synchronization and Linearity,
+    1992, ch. 3). Normalization is checked by enumeration, and both it
+    and the limit's fixed-point residual must hold within DEFAULT_TOL.
+    enum_mane is O(n^4) pure Python, so this is a small-n reference.
     """
     n = sys.n
     u0 = trop_vector(u0)
@@ -143,39 +144,16 @@ def subaction_limsup(sys: TransitionSystem, u0: np.ndarray) -> np.ndarray:
     mean = enum_max_cycle_mean(sys)
     if mean == _NINF or abs(mean) > DEFAULT_TOL:
         raise ValueError("system is not normalized (max cycle mean must be 0)")
-    w, limit = n, 4 * n * n
-    recent = deque(maxlen=w)
-    recent.append(u0)
-    prev_sup = None
-    last_change = math.inf
-    streak = 0
-    u = u0
-    for _step in range(limit):
-        u = bousch_apply(sys, u)
-        recent.append(u)
-        if len(recent) < w:
-            continue
-        cur = recent[0]
-        for item in list(recent)[1:]:
-            cur = np.where(cur >= item, cur, item)  # the first operand wins ties, as t_add does
-        if prev_sup is not None:
-            last_change = sup_distance(cur, prev_sup)
-            if last_change <= 1e-12:
-                streak += 1
-                if streak >= w:
-                    resid = sup_distance(bousch_apply(sys, cur), cur)
-                    if resid > DEFAULT_TOL:
-                        raise RuntimeError(
-                            f"window supremum stabilized but fixed-point residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
-                        )
-                    return trop_vector(cur)
-            else:
-                streak = 0
-        prev_sup = cur
-    raise RuntimeError(
-        f"no stabilization within {limit} iterations "
-        f"(window {w}, last window-sup change {last_change:.3e})"
-    )
+    phi = enum_mane(sys, 0.0)
+    aubry = list(enum_aubry(phi))
+    star = np.array(phi)
+    np.fill_diagonal(star, np.maximum(star.diagonal(), 0.0))
+    into = np.max(u0[:, None] + star[:, aubry], axis=0, initial=_NINF)
+    out = trop_vector(np.max(into[:, None] + star[aubry, :], axis=0, initial=_NINF))
+    resid = sup_distance(bousch_apply(sys, out), out)
+    if resid > DEFAULT_TOL:
+        raise RuntimeError(f"projected limit's fixed-point residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}")
+    return out
 
 
 def ruelle_apply(sys: TransitionSystem, u: Sequence[float], beta: float) -> np.ndarray:

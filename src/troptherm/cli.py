@@ -340,12 +340,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     payload = {
         "n": sys_.n,
         "tol": args.tol,
-        "Q": {"fast": report.Q, "enum": q_enum, "deviation": q_dev},
-        "phi": {"max_deviation": phi_dev},
+        "Q": {"fast": report.Q, "enum": q_enum, "deviation": floats_to_json(q_dev)},
+        "phi": {"max_deviation": floats_to_json(phi_dev)},
         "aubry": {
             "fast": list(report.aubry),
             "enum": list(aubry_enum),
-            "deviation": aubry_dev,
+            "deviation": floats_to_json(aubry_dev),
         },
         "ok": ok,
     }

@@ -31,6 +31,16 @@ def _dump(tmp_path, name, sys_):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _strict_json(text):
+    """json.loads, refusing the bare NaN, Infinity and -Infinity that
+    json.dumps writes for non-finite floats."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(["gen", "--seed", "5", "--output", str(a)]) == 0
@@ -838,6 +848,14 @@ def test_oracle_mismatch_exit(tmp_path, fixa, capsys, monkeypatch):
     assert cli.main(["oracle", "--input", path]) == cli.EXIT_ORACLE
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
+    # a mismatched Aubry set deviates by inf, written as the "+inf" sentinel
+    # and not as the bare Infinity that strict JSON refuses
+    monkeypatch.undo()
+    monkeypatch.setattr(bruteforce, "enum_aubry", lambda phi, tol: ())
+    assert cli.main(["oracle", "--input", path]) == cli.EXIT_ORACLE
+    data = _strict_json(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["aubry"]["deviation"] == "+inf"
 
 
 def test_format_guards(tmp_path, fixa):
@@ -934,6 +952,7 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
             path = str(tmp_path / f"gen{seed}{len(flags)}.json")
             assert cli.main(["gen", "--seed", str(seed), *flags, "--output", path]) == 0
             assert pathlib.Path(path).read_bytes() == (json.dumps(payloads[-1], indent=2, default=floats_to_json) + "\n").encode()
+            _strict_json(pathlib.Path(path).read_text())
             inputs.append(path)
             checked += 1
     for path in inputs:
@@ -947,6 +966,7 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
                 assert code in (cli.EXIT_INPUT, cli.EXIT_MULTICLASS)
                 continue
             assert out.read_bytes() == (json.dumps(payloads[-1], indent=2, default=floats_to_json) + "\n").encode()
+            _strict_json(out.read_text())
             checked += 1
     assert checked == 37  # 8 gen, 13 analyze, 9 ldp and 7 oracle files
 

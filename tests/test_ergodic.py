@@ -146,6 +146,34 @@ def test_subaction_limsup_fixed_point_seeded():
             assert is_subaction(sys, u)
 
 
+def test_subaction_limsup_is_the_iterates_limsup():
+    # on a normalized system the exact iterates repeat within 71 steps at
+    # n = 12, so the sup of the last n of 4 n^2 of them is their limsup
+    for seed in range(50):
+        sys = normalize(_gen_system(seed, 12, False))
+        u0 = np.random.default_rng(seed).uniform(-5, 5, sys.n)
+        iterates = [u0]
+        for _ in range(4 * sys.n**2):
+            iterates.append(bousch_apply(sys, iterates[-1]))
+        assert sup_distance(subaction_limsup(sys, u0), np.max(iterates[-sys.n :], axis=0)) <= 1e-9
+        for v in ergodic_report(sys).eigenfunction_basis:
+            assert sup_distance(subaction_limsup(sys, v), v) <= 1e-9
+
+
+@pytest.mark.parametrize("seed, eps", [(162, 1e-3), (162, 1e-5), (0, 1e-3), (0, 1e-5), (46, 1e-5), (111, 1e-5)])
+def test_subaction_limsup_near_ties(seed, eps):
+    # gen --seed <seed> --n 12 with every arc moved by eps * uniform(-1, 1),
+    # drawn in arc order: the Aubry gap shrinks with eps, and iterating the
+    # Bousch operator from 0 needs up to millions of steps to reach its limsup
+    base = _gen_system(seed, 12, False)
+    rng = np.random.default_rng(seed)
+    sys = normalize(TransitionSystem(base.n, [(s, t, w + eps * rng.uniform(-1, 1)) for s, t, w in base.arcs]))
+    v = subaction_limsup(sys, np.zeros(sys.n))
+    assert sup_distance(bousch_apply(sys, v), v) <= 1e-12
+    assert representation_check(ergodic_report(sys), v=v) <= 1e-9
+    assert sup_distance(subaction_limsup(sys, v), v) <= 1e-12
+
+
 def test_spectral_bases_fixtures(fixa, fixb, fixc):
     areport = ergodic_report(fixa)
     assert [_floats(v) for v in areport.eigenfunction_basis] == [[0.0, -1.0]]
