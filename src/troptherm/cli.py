@@ -237,7 +237,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ldp(args: argparse.Namespace) -> int:
-    from .zerotemp import DEFAULT_GRID, check_betas, ldp_residual, rate_function, sweep_record
+    from . import thermo
+    from .zerotemp import DEFAULT_GRID, check_betas, ldp_residual, rate_function
 
     grid = DEFAULT_GRID if args.grid is None else args.grid
     check_betas(grid)  # in any order
@@ -267,7 +268,7 @@ def cmd_ldp(args: argparse.Namespace) -> int:
 
     residuals = []
     for beta in grid:
-        spectral = sweep_record(sys_, beta, report).spectral
+        spectral = thermo.spectral_data(sys_, beta, report=report)
         values = [ldp_residual(f, rate=rate, spectral=spectral) for f in observables]
         residuals.append({"beta": beta, "values": values})
 

@@ -3,10 +3,8 @@
 Everything here compares positive-temperature spectral data, rescaled by
 1/beta, against the tropical objects it converges to, all read off an
 ergodic report that check_report pairs with the system. Every Ruelle
-solve here goes through sweep_record, which hands spectral_data the
-report. Scalings are fixed once per run: scaled log u is pinned to 0 at
-the reference state (the lowest-index Aubry state), scaled log m has
-sup 0, and the normalized potential is divided by beta arc by arc.
+solve here is thermo.spectral_data given the report, and
+limit_diagnostics rescales each solve by 1/beta where it compares.
 """
 
 from __future__ import annotations
@@ -17,10 +15,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import thermo
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport, check_report
 from .maxplus_linalg import MultiClassError
-from .thermo import SpectralData, check_beta, log_moment, normalized_potential, spectral_data
+from .thermo import SpectralData, check_beta, log_moment, normalized_potential
 from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 from .tropical_measures import Density
 
@@ -30,14 +29,11 @@ DIVERGENCE_FLOOR = -10.0
 
 @dataclass
 class SweepRecord:
-    """Rescaled spectral data at one inverse temperature."""
+    """The Ruelle solve at one inverse temperature, with its pressure
+    divided by beta."""
 
     beta: float
     pressure_over_beta: float
-    scaled_log_u: np.ndarray
-    scaled_log_m: np.ndarray
-    scaled_g: np.ndarray
-    ref_state: int
     spectral: SpectralData
 
 
@@ -101,9 +97,11 @@ def check_sweep_grid(grid: Sequence[float]) -> Tuple[float, ...]:
     return grid
 
 
-def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> SweepRecord:
-    """One rescaled spectral record: the Ruelle solve at beta, given the
-    report of sys, pinned to the report's lowest-index Aubry state.
+def beta_sweep(
+    sys: TransitionSystem, grid: Sequence[float] = DEFAULT_GRID, *, report: ErgodicReport
+) -> List[SweepRecord]:
+    """The Ruelle solve at each point of an increasing beta grid, given
+    the report of sys, so every beta depends only on the report.
 
     (1/beta) log u and (1/beta) log m of the solve at beta tend to the
     calibrated sub-action v and the eigen-density b, so spectral_data
@@ -111,31 +109,12 @@ def sweep_record(sys: TransitionSystem, beta: float, report: ErgodicReport) -> S
     shifts by the report's Q. v and b are the report's first basis pair;
     on several critical classes that pair is one class's limit.
     """
-    ref = min(report.aubry)
-    data = spectral_data(sys, beta, report=report)
-    slu = data.log_u / beta
-    slu = slu - slu[ref]
-    slm = data.log_m / beta
-    slm = slm - slm.max()
-    g = normalized_potential(sys, data) / beta
-    return SweepRecord(
-        beta=beta,
-        pressure_over_beta=data.pressure / beta,
-        scaled_log_u=slu,
-        scaled_log_m=slm,
-        scaled_g=g,
-        ref_state=ref,
-        spectral=data,
-    )
-
-
-def beta_sweep(
-    sys: TransitionSystem, grid: Sequence[float] = DEFAULT_GRID, *, report: ErgodicReport
-) -> List[SweepRecord]:
-    """sweep_record at each point of an increasing beta grid, so every
-    beta depends only on the report."""
     grid = check_sweep_grid(grid)
-    return [sweep_record(sys, beta, report) for beta in grid]
+    records = []
+    for beta in grid:
+        data = thermo.spectral_data(sys, beta, report=report)
+        records.append(SweepRecord(beta=beta, pressure_over_beta=data.pressure / beta, spectral=data))
+    return records
 
 
 def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
@@ -156,7 +135,7 @@ def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralDa
 
     The moment is taken against the log-space equilibrium state; linear
     masses underflow at the betas where the comparison is interesting.
-    spectral is sweep_record's solve in the CLI, so the residual equals
+    spectral is beta_sweep's solve in the CLI, so the residual equals
     the matching cell of a sweep and one solve serves every observable
     at that beta. The state count is the rate function's.
     """
@@ -176,13 +155,18 @@ def limit_diagnostics(
 ) -> LimitDiagnostics:
     """Distances from rescaled spectral data to its tropical limit.
 
+    Each record's solve is rescaled here: scaled log u is (1/beta) log u
+    pinned to 0 at the report's lowest-index Aubry state, scaled log m is
+    (1/beta) log m shifted to sup 0, and scaled g is the normalized
+    potential divided by beta.
+
     d_u: sup distance from scaled log u to the calibrated subaction.
     d_b: sup distance from scaled log m to the eigen-density, over the
          states where the density is finite.
-    d_g: sup distance, over arcs, from the scaled normalized potential to
-         the calibrated arc weight  w - Q + v(source) - v(target).
+    d_g: sup distance, over arcs, from scaled g to the calibrated arc
+         weight  w - Q + v(source) - v(target).
     d_D: residual of the exact limit identity for b-hat = v + b: sup over
-         states y of |max over arcs y -> x of (b-hat(x) + scaled_g) - b-hat(y)|.
+         states y of |max over arcs y -> x of (b-hat(x) + scaled g) - b-hat(y)|.
 
     States where the density is -inf are checked for divergence instead
     of distance: scaled log m must decrease strictly along the grid and
@@ -194,12 +178,6 @@ def limit_diagnostics(
     if not report.uniquely_calibrated:
         raise MultiClassError(report.critical_classes)
     ref = min(report.aubry)
-    for rec in records:
-        if rec.ref_state != ref:
-            raise ValueError(
-                f"sweep reference state {rec.ref_state} does not match the report's {ref}"
-            )
-
     v0 = report.eigenfunction_basis[0]
     v_f = v0 - v0[ref]
     b0 = report.eigen_density_basis[0].values
@@ -213,18 +191,26 @@ def limit_diagnostics(
     checked = np.isfinite(bhat) & (np.bincount(arc_src, minlength=sys.n) > 0)
 
     rows: List[DiagnosticsRow] = []
+    scaled_ms = []
     for rec in records:
-        d_u = float(np.max(np.abs(rec.scaled_log_u - v_f)))
-        d_b = float(np.max(np.abs(rec.scaled_log_m[finite_b] - b_f[finite_b])))
-        d_g = float(np.max(np.abs(rec.scaled_g - a_hat)))
+        data, beta = rec.spectral, rec.beta
+        slu = data.log_u / beta
+        slu = slu - slu[ref]
+        slm = data.log_m / beta
+        slm = slm - slm.max()
+        g = normalized_potential(sys, data) / beta
+        d_u = float(np.max(np.abs(slu - v_f)))
+        d_b = float(np.max(np.abs(slm[finite_b] - b_f[finite_b])))
+        d_g = float(np.max(np.abs(g - a_hat)))
         best = np.full(sys.n, -math.inf)
-        np.maximum.at(best, arc_src, bhat[arc_tgt] + rec.scaled_g)
+        np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
         d_d = float(np.max(np.abs(best[checked] - bhat[checked]), initial=0.0))
         rows.append(DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d))
+        scaled_ms.append(slm)
 
     divergence_ok = True
     for x in np.nonzero(~finite_b)[0]:
-        series = [rec.scaled_log_m[x] for rec in records]
+        series = [slm[x] for slm in scaled_ms]
         decreasing = all(s2 < s1 for s1, s2 in zip(series, series[1:]))
         if not (decreasing and series[-1] < DIVERGENCE_FLOOR):
             divergence_ok = False

@@ -37,7 +37,7 @@ from troptherm.tropical_core import (
     trop_vector,
 )
 from troptherm.tropical_measures import Density, functional_eval
-from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function, sweep_record
+from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function
 
 from helpers import cold_report, normalize, representation_check
 
@@ -292,7 +292,7 @@ def test_acceptance_8_ldp():
         cases = [(fixa, ergodic_report(fixa))] + _uniquely_calibrated_systems(10)
         for sys_, report in cases:
             rate = rate_function(sys_, report=report)
-            s10, s1000 = (sweep_record(sys_, beta, report).spectral for beta in (10.0, 1000.0))
+            s10, s1000 = (rec.spectral for rec in beta_sweep(sys_, (10.0, 1000.0), report=report))
             probes = cli._probes(sys_.n, seed=99)
             for f in probes:
                 r10 = ldp_residual(f, rate=rate, spectral=s10)

@@ -16,6 +16,7 @@ import troptherm
 import troptherm.bruteforce as bruteforce
 import troptherm.cli as cli
 import troptherm.maxplus_linalg as maxplus_linalg
+import troptherm.thermo as thermo
 import troptherm.zerotemp as zerotemp
 from troptherm.dynamics import N_MAX, TransitionSystem, discretize_doubling, from_map, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report, report_to_json
@@ -234,7 +235,7 @@ def test_convergence_error_exits_2(tmp_path, fixa, two_loops, capsys, monkeypatc
     def capped(sys_, beta, **kwargs):
         raise ConvergenceError("power iteration did not converge within 100000 steps")
 
-    monkeypatch.setattr(zerotemp, "spectral_data", capped)
+    monkeypatch.setattr(thermo, "spectral_data", capped)
     path, two = _dump(tmp_path, "fixa.json", fixa), _dump(tmp_path, "two.json", two_loops)
     for argv in (["sweep", "--input", path], ["ldp", "--input", path], ["sweep", "--input", two, "--force"]):
         assert cli.main(argv) == cli.EXIT_INPUT
@@ -270,14 +271,14 @@ def test_ldp_residuals_equal_sweep_cells(tmp_path, capsys):
 
 def test_cli_solves_never_start_cold(tmp_path, two_loops, capsys, monkeypatch):
     calls = []
-    solve = zerotemp.spectral_data
+    solve = thermo.spectral_data
 
     def seeded_only(sys, beta, **kwargs):
         assert kwargs.get("report") is not None
         calls.append(beta)
         return solve(sys, beta, **kwargs)
 
-    monkeypatch.setattr(zerotemp, "spectral_data", seeded_only)
+    monkeypatch.setattr(thermo, "spectral_data", seeded_only)
     gen0 = str(tmp_path / "gen0.json")
     assert cli.main(["gen", "--seed", "0", "--n", "12", "--output", gen0]) == 0
     two = _dump(tmp_path, "two.json", two_loops)
@@ -305,13 +306,13 @@ def test_ldp_fixa(tmp_path, fixa, capsys):
 
 def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
     calls = []
-    solve = zerotemp.spectral_data
+    solve = thermo.spectral_data
 
     def counted(sys, beta, **kwargs):
         calls.append(beta)
         return solve(sys, beta, **kwargs)
 
-    monkeypatch.setattr(zerotemp, "spectral_data", counted)
+    monkeypatch.setattr(thermo, "spectral_data", counted)
     path = _dump(tmp_path, "fixa.json", fixa)
     assert cli.main(["ldp", "--input", path]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -776,7 +777,7 @@ def test_pressure_at_moderate_weight_scale_is_accepted(tmp_path, capsys):
     for sys_, mean in ((cycle, (1000.1 + 999.7 + 1000.3) / 3), (mixed, (321.7 - 876.3 + 555.1) / 3)):
         report = ergodic_report(sys_)
         for beta in zerotemp.DEFAULT_GRID:
-            assert abs(zerotemp.sweep_record(sys_, beta, report).pressure_over_beta - mean) <= 1e-12 * 1000
+            assert abs(spectral_data(sys_, beta, report=report).pressure / beta - mean) <= 1e-12 * 1000
 
 
 def test_ldp_input_errors(tmp_path, fixa, two_loops, capsys):

@@ -22,7 +22,7 @@ from troptherm.thermo import (
     normalized_potential,
     spectral_data,
 )
-from troptherm.zerotemp import beta_sweep, ldp_residual, rate_function, sweep_record
+from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function
 
 from helpers import cold_report
 
@@ -251,15 +251,15 @@ def test_ruelle_overflow_is_refused_before_any_step():
 
 
 def test_edge_weights_solve_finite_or_are_refused(monkeypatch):
-    # gen weights scaled toward the float64 limit: every record, normalized
-    # potential and LDP residual is finite, or the solve raises ValueError,
-    # and no numpy overflow warning is raised on the way. About one solve in
-    # twenty keeps to float range but runs to the step cap (3 s at the
-    # default cap), so the cap is lowered here and ConvergenceError counted
-    # as a refusal
+    # gen weights scaled toward the float64 limit: every solve, normalized
+    # potential, limit distance and LDP residual is finite, or the solve
+    # raises ValueError, and no numpy overflow warning is raised on the
+    # way. About one solve in twenty keeps to float range but runs to the
+    # step cap (3 s at the default cap), so the cap is lowered here and
+    # ConvergenceError counted as a refusal
     monkeypatch.setattr(thermo, "POWER_CAP_DEFAULT", 1000)
     rng = random.Random(0)
-    outcomes = {"solved": 0, ValueError: 0, ConvergenceError: 0}
+    outcomes = {"solved": 0, "diagnosed": 0, ValueError: 0, ConvergenceError: 0}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(300):
@@ -272,15 +272,18 @@ def test_edge_weights_solve_finite_or_are_refused(monkeypatch):
                 continue
             beta = rng.choice((1e-300, 1.0, 10.0, 100.0, 150.0, 1000.0, 2000.0))
             try:
-                rec = sweep_record(sys, beta, report)
+                (rec,) = beta_sweep(sys, (beta,), report=report)
             except (ValueError, ConvergenceError) as exc:
                 outcomes[type(exc)] += 1
                 continue
             outcomes["solved"] += 1
             assert math.isfinite(rec.pressure_over_beta)
-            for x in (rec.scaled_log_u, rec.scaled_log_m, normalized_potential(sys, rec.spectral)):
+            for x in (rec.spectral.log_u, rec.spectral.log_m, normalized_potential(sys, rec.spectral)):
                 assert np.isfinite(x).all()
             if report.uniquely_calibrated:
+                (row,) = limit_diagnostics(sys, [rec], report=report).rows
+                assert all(math.isfinite(d) for d in (row.d_u, row.d_b, row.d_g, row.d_D))
+                outcomes["diagnosed"] += 1
                 rate = rate_function(sys, report=report)
                 for f in _probes(sys.n, 0):
                     assert math.isfinite(ldp_residual(f, rate=rate, spectral=rec.spectral))
@@ -295,10 +298,10 @@ def test_pressure_outside_its_bracket_is_refused():
         sys = TransitionSystem(2, [(0, 1, scale), (1, 0, -scale), (0, 0, 0.0), (1, 1, -1.0)])
         report = ergodic_report(sys)
         if scale == 1.0:
-            assert abs(sweep_record(sys, 10.0, report).pressure_over_beta - 0.0481220) <= 1e-7
+            assert abs(spectral_data(sys, 10.0, report=report).pressure / 10.0 - 0.0481220) <= 1e-7
             continue
         with pytest.raises(ValueError, match=r"pressure at beta 10 leaves its bracket"):
-            sweep_record(sys, 10.0, report)
+            spectral_data(sys, 10.0, report=report)
 
 
 def test_log_moment():

@@ -1,6 +1,5 @@
 """Zero-temperature limit: rescaled sweeps, diagnostics, rate functions."""
 
-import dataclasses
 import math
 import random
 
@@ -10,7 +9,7 @@ import pytest
 from troptherm.cli import _gen_system
 from troptherm.dynamics import TransitionSystem, from_sft, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report
-from troptherm.thermo import spectral_data
+from troptherm.thermo import SpectralData, normalized_potential, spectral_data
 from troptherm.tropical_measures import Density
 from troptherm.zerotemp import (
     DEFAULT_GRID,
@@ -21,7 +20,6 @@ from troptherm.zerotemp import (
     ldp_residual,
     limit_diagnostics,
     rate_function,
-    sweep_record,
 )
 
 from helpers import normalize
@@ -33,39 +31,68 @@ def test_grid_validation(one_state):
             beta_sweep(one_state, grid=bad, report=ergodic_report(one_state))
 
 
+def _scaled(sys, rec, ref):
+    """(1/beta) log u pinned to 0 at ref, (1/beta) log m shifted to sup 0
+    and the normalized potential over beta, as limit_diagnostics forms them."""
+    data = rec.spectral
+    slu = data.log_u / rec.beta
+    slm = data.log_m / rec.beta
+    return slu - slu[ref], slm - slm.max(), normalized_potential(sys, data) / rec.beta
+
+
 def test_sweep_alignment_invariants(fixa):
-    records = beta_sweep(fixa, report=ergodic_report(fixa))
+    # each diagnostics row is, bit for bit, the distances from the solve
+    # pinned at the report's lowest-index Aubry state and shifted to sup 0
+    report = ergodic_report(fixa)
+    records = beta_sweep(fixa, report=report)
     assert [r.beta for r in records] == list(DEFAULT_GRID)
-    for rec in records:
-        assert rec.ref_state == 0
-        assert rec.scaled_log_u[rec.ref_state] == 0.0
-        assert rec.scaled_log_m.max() == 0.0
+    ref = min(report.aubry)
+    assert ref == 0
+    v_f = report.eigenfunction_basis[0] - report.eigenfunction_basis[0][ref]
+    b_f = report.eigen_density_basis[0].values - report.eigen_density_basis[0].values.max()
+    src, tgt, w = fixa.arc_arrays
+    a_hat = w - report.Q + v_f[src] - v_f[tgt]
+    rows = limit_diagnostics(fixa, records, report=report).rows
+    for rec, row in zip(records, rows):
+        slu, slm, g = _scaled(fixa, rec, ref)
+        assert slu[ref] == 0.0
+        assert slm.max() == 0.0
+        best = np.full(fixa.n, -math.inf)
+        np.maximum.at(best, src, v_f[tgt] + b_f[tgt] + g)
+        assert row.d_u == float(np.max(np.abs(slu - v_f)))
+        assert row.d_b == float(np.max(np.abs(slm - b_f)))
+        assert row.d_g == float(np.max(np.abs(g - a_hat)))
+        assert row.d_D == float(np.max(np.abs(best - (v_f + b_f))))
 
 
 def test_sweep_one_state(one_state):
     for rec in beta_sweep(one_state, report=ergodic_report(one_state)):
         assert rec.pressure_over_beta == pytest.approx(1.5, abs=1e-12)
-        assert rec.scaled_log_u == pytest.approx([0.0], abs=1e-15)
-        assert rec.scaled_log_m == pytest.approx([0.0], abs=1e-15)
-        assert rec.scaled_g == pytest.approx([0.0], abs=1e-12)
+        slu, slm, g = _scaled(one_state, rec, 0)
+        assert slu == pytest.approx([0.0], abs=1e-15)
+        assert slm == pytest.approx([0.0], abs=1e-15)
+        assert g == pytest.approx([0.0], abs=1e-12)
 
 
 def test_sweep_full_shift():
     from troptherm.dynamics import from_sft
 
     sys = from_sft([[1, 1], [1, 1]], [[0.0] * 2] * 2)
-    for rec in beta_sweep(sys, report=ergodic_report(sys)):
+    report = ergodic_report(sys)
+    for rec in beta_sweep(sys, report=report):
         assert rec.pressure_over_beta == pytest.approx(math.log(2.0) / rec.beta, abs=1e-12)
-        assert np.max(np.abs(rec.scaled_log_u)) <= 1e-12
+        slu, slm, _ = _scaled(sys, rec, min(report.aubry))
+        assert np.max(np.abs(slu)) <= 1e-12
         # m is uniform (1/2, 1/2): scaled log m is log(1/2)/beta aligned to max 0
-        assert np.max(np.abs(rec.scaled_log_m)) <= 1e-12
+        assert np.max(np.abs(slm)) <= 1e-12
 
 
 def test_sweep_fixa_limits(fixa):
-    records = beta_sweep(fixa, report=ergodic_report(fixa))
-    last = records[-1]
-    assert last.scaled_log_u == pytest.approx([0.0, -1.0], abs=1e-6)
-    assert last.scaled_log_m == pytest.approx([0.0, -1.0], abs=1e-6)
+    report = ergodic_report(fixa)
+    records = beta_sweep(fixa, report=report)
+    slu, slm, _ = _scaled(fixa, records[-1], min(report.aubry))
+    assert slu == pytest.approx([0.0, -1.0], abs=1e-6)
+    assert slm == pytest.approx([0.0, -1.0], abs=1e-6)
     # pressure bracket: Q <= P/beta <= Q + log(N)/beta, hard bound at every beta
     for rec in records:
         assert 0.0 - 1e-12 <= rec.pressure_over_beta <= math.log(2.0) / rec.beta + 1e-12
@@ -100,7 +127,6 @@ def test_limit_diagnostics_fixa(fixa):
     report = ergodic_report(fixa)
     records = beta_sweep(fixa, report=report)
     diag = limit_diagnostics(fixa, records, report=report)
-    assert [rec.ref_state for rec in records] == [0, 0, 0]
     assert diag.divergence_ok
     d_u = [row.d_u for row in diag.rows]
     d_g = [row.d_g for row in diag.rows]
@@ -117,37 +143,29 @@ def test_limit_diagnostics_guards(fixa, two_loops):
         limit_diagnostics(fixa, [], report=report)
     two_report = ergodic_report(two_loops)
     with pytest.raises(MultiClassError) as err:
-        limit_diagnostics(two_loops, [sweep_record(two_loops, 1.0, two_report)], report=two_report)
+        limit_diagnostics(two_loops, beta_sweep(two_loops, (1.0,), report=two_report), report=two_report)
     assert err.value.classes == [(0,), (1,)]
-    # mismatched reference state: the report pins fixa's to state 0
-    rec = dataclasses.replace(sweep_record(fixa, 10.0, report), ref_state=1)
-    with pytest.raises(ValueError):
-        limit_diagnostics(fixa, [rec], report=report)
 
 
 def test_limit_diagnostics_divergence():
     # state 0 leads to state 1, which never leads back, so the
     # eigen-density is [0, -inf]: at state 1 scaled log m must fall strictly
     # along the grid and end below DIVERGENCE_FLOOR, and d_b leaves it out.
-    # spectral_data refuses reducible systems, so the records are built by
-    # hand
+    # spectral_data refuses reducible systems, so the solves are built by
+    # hand: log u = beta * [0, -1] and log m = beta * [0, s], exact in
+    # float, so limit_diagnostics' rescaling gives back [0, -1] and [0, s]
     system = TransitionSystem(2, [(0, 0, 0.0), (0, 1, -1.0), (1, 1, -2.0)])
     report = ergodic_report(system)
     assert report.critical_classes == [(0,)]
     assert report.eigen_density_basis[0].values.tolist() == [0.0, -math.inf]
     for series, expected in (([-5, -8, -12], True), ([-5, -12, -11], False), ([-2, -4, -6], False)):
-        records = [
-            SweepRecord(
-                beta=beta,
-                pressure_over_beta=0.0,
-                scaled_log_u=np.array([0.0, -1.0]),
-                scaled_log_m=np.array([0.0, float(s)]),
-                scaled_g=np.zeros(3),
-                ref_state=0,
-                spectral=None,
+        records = []
+        for beta, s in zip(DEFAULT_GRID, series):
+            log_u, log_m = beta * np.array([0.0, -1.0]), beta * np.array([0.0, float(s)])
+            data = SpectralData(
+                beta=beta, pressure=0.0, log_u=log_u, log_m=log_m, log_mu=log_u + log_m, iterations=0
             )
-            for beta, s in zip(DEFAULT_GRID, series)
-        ]
+            records.append(SweepRecord(beta=beta, pressure_over_beta=0.0, spectral=data))
         diag = limit_diagnostics(system, records, report=report)
         assert diag.divergence_ok is expected, series
         assert [row.d_b for row in diag.rows] == [0.0] * 3
@@ -205,7 +223,6 @@ def test_report_of_another_system_is_refused(fixa):
         assert report.system != fixa
         calls = (
             lambda: spectral_data(fixa, 10.0, report=report),
-            lambda: sweep_record(fixa, 10.0, report),
             lambda: beta_sweep(fixa, report=report),
             lambda: rate_function(fixa, report=report),
             lambda: limit_diagnostics(fixa, beta_sweep(other, report=report), report=report),
@@ -225,8 +242,8 @@ def test_report_of_an_equal_system_is_accepted(fixa):
     theirs = beta_sweep(fixa, report=other)
     for a, b in zip(mine, theirs):
         assert a.pressure_over_beta == b.pressure_over_beta
-        for name in ("scaled_log_u", "scaled_log_m", "scaled_g"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("log_u", "log_m", "log_mu"):
+            assert getattr(a.spectral, name).tobytes() == getattr(b.spectral, name).tobytes()
     assert spectral_data(fixa, 10.0, report=other).log_mu.tobytes() == mine[0].spectral.log_mu.tobytes()
     assert rate_function(fixa, report=other).to_json() == rate_function(fixa, report=own).to_json()
     assert limit_diagnostics(fixa, theirs, report=other) == limit_diagnostics(fixa, mine, report=own)
@@ -244,9 +261,9 @@ def test_rate_function_json_sentinel():
 
 
 def _ldp_inputs(sys, betas):
-    """The rate function and sweep_record's solve at each beta."""
+    """The rate function and the sweep's solve at each beta."""
     report = ergodic_report(sys)
-    return rate_function(sys, report=report), {b: sweep_record(sys, b, report).spectral for b in betas}
+    return rate_function(sys, report=report), {b: spectral_data(sys, b, report=report) for b in betas}
 
 
 def test_ldp_residual_examples(fixa):
