@@ -214,7 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     records = beta_sweep(sys_, grid, report=report)
     if report.uniquely_calibrated:
-        diag = limit_diagnostics(sys_, records, report=report)
+        diag = limit_diagnostics(records)
         rate = rate_function(sys_, report=report)
         probes = _probes(sys_.n, args.seed)
         tails = []

@@ -70,7 +70,8 @@ def check_beta(beta: float) -> None:
 
 @dataclass
 class SpectralData:
-    """Ruelle eigendata at one inverse temperature, in logs.
+    """Ruelle eigendata at one inverse temperature, in logs, solved from
+    report, the ergodic report of the system report.system.
 
     log_u is the log of the positive right eigenvector u, scaled so its
     integral against m is 1; log_m is the log of the probability left
@@ -78,6 +79,7 @@ class SpectralData:
     state u * m.
     """
 
+    report: ErgodicReport
     beta: float
     pressure: float
     log_u: np.ndarray
@@ -265,6 +267,7 @@ def spectral_data(sys: TransitionSystem, beta: float, report: ErgodicReport) -> 
     log_u = log_u - _logsumexp(log_u + log_m)  # integral of u against m = 1
 
     return SpectralData(
+        report=report,
         beta=float(beta),
         pressure=float(pressure),
         log_u=log_u,
@@ -274,13 +277,13 @@ def spectral_data(sys: TransitionSystem, beta: float, report: ErgodicReport) -> 
     )
 
 
-def normalized_potential(sys: TransitionSystem, data: SpectralData) -> np.ndarray:
-    """Per arc y -> x: g = beta*weight + log u(y) - log u(x) - pressure.
+def normalized_potential(data: SpectralData) -> np.ndarray:
+    """Per arc y -> x of data.report.system: g = beta*weight + log u(y) - log u(x) - pressure.
 
     The induced operator at beta' = 1 fixes the constant-1 function, so
     exp(g) summed over the arcs into each target equals 1.
     """
-    src, tgt, w = sys.arc_arrays
+    src, tgt, w = data.report.system.arc_arrays
     return data.beta * w + data.log_u[src] - data.log_u[tgt] - data.pressure
 
 

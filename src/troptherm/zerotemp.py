@@ -1,9 +1,9 @@
 """Zero-temperature limits: beta sweeps, rate functions, limit diagnostics.
 
 Everything here compares positive-temperature spectral data, rescaled by
-1/beta, against the tropical objects it converges to, all read off an
-ergodic report that check_report pairs with the system. Every Ruelle
-solve here is thermo.spectral_data given the report, and
+1/beta, against the tropical objects it converges to, all read off the
+ergodic report that a solve (thermo.spectral_data) or a rate function
+carries; consumers refuse to mix reports, which compare by identity.
 limit_diagnostics rescales each solve by 1/beta where it compares.
 """
 
@@ -40,13 +40,14 @@ class SweepRecord:
 @dataclass
 class RateFunction:
     """Large-deviation rate I = -(v + b), entries in [0, +inf], read off
-    the pair it is built from.
+    the pair it is built from, with the ergodic report that pair is from.
 
     v is the calibrated subaction and b the eigen-density, jointly
     normalized so that sup b = 0 and sup(v + b) = 0; the minimum of I
     is then 0 and is attained on the support of the maximizing measure.
     """
 
+    report: ErgodicReport
     eigenfunction: np.ndarray
     density: Density
 
@@ -125,7 +126,7 @@ def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFuncti
     b_al = b0 - array_sup(b0)
     v0 = report.eigenfunction_basis[0]
     v_al = v0 - array_sup(array_mul(v0, b_al))
-    return RateFunction(eigenfunction=trop_vector(v_al), density=Density(b_al))
+    return RateFunction(report=report, eigenfunction=trop_vector(v_al), density=Density(b_al))
 
 
 def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralData) -> float:
@@ -137,8 +138,10 @@ def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralDa
     masses underflow at the betas where the comparison is interesting.
     spectral is beta_sweep's solve in the CLI, so the residual equals
     the matching cell of a sweep and one solve serves every observable
-    at that beta. The state count is the rate function's.
+    at that beta. It must carry rate's report, or ValueError.
     """
+    if spectral.report is not rate.report:
+        raise ValueError("the solve and the rate function are of different reports")
     f = np.asarray(f, dtype=float)
     values = rate.values
     if len(f) != len(values):
@@ -150,10 +153,9 @@ def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralDa
     return abs(moment - sup_term)
 
 
-def limit_diagnostics(
-    sys: TransitionSystem, records: Sequence[SweepRecord], *, report: ErgodicReport
-) -> LimitDiagnostics:
-    """Distances from rescaled spectral data to its tropical limit.
+def limit_diagnostics(records: Sequence[SweepRecord]) -> LimitDiagnostics:
+    """Distances from rescaled spectral data to its tropical limit, read
+    off the one report that every record's solve carries, or ValueError.
 
     Each record's solve is rescaled here: scaled log u is (1/beta) log u
     pinned to 0 at the report's lowest-index Aubry state, scaled log m is
@@ -172,9 +174,11 @@ def limit_diagnostics(
     of distance: scaled log m must decrease strictly along the grid and
     end below DIVERGENCE_FLOOR.
     """
-    check_report(sys, report)
     if not records:
         raise ValueError("empty sweep")
+    report = records[0].spectral.report
+    if any(rec.spectral.report is not report for rec in records):
+        raise ValueError("the sweep mixes solves of different reports")
     if not report.uniquely_calibrated:
         raise MultiClassError(report.critical_classes)
     ref = min(report.aubry)
@@ -184,25 +188,25 @@ def limit_diagnostics(
     b_f = b0 - array_sup(b0)
     finite_b = np.isfinite(b_f)
 
-    arc_src, arc_tgt, arc_w = sys.arc_arrays
+    arc_src, arc_tgt, arc_w = report.system.arc_arrays
     a_hat = arc_w - report.Q + v_f[arc_src] - v_f[arc_tgt]
     bhat = v_f + b_f
     # states where d_D compares: finite b-hat and at least one outgoing arc
-    checked = np.isfinite(bhat) & (np.bincount(arc_src, minlength=sys.n) > 0)
+    checked = np.isfinite(bhat) & (np.bincount(arc_src, minlength=len(bhat)) > 0)
 
     rows: List[DiagnosticsRow] = []
     scaled_ms = []
     for rec in records:
-        data, beta = rec.spectral, rec.beta
+        data, beta = rec.spectral, rec.spectral.beta
         slu = data.log_u / beta
         slu = slu - slu[ref]
         slm = data.log_m / beta
         slm = slm - slm.max()
-        g = normalized_potential(sys, data) / beta
+        g = normalized_potential(data) / beta
         d_u = float(np.max(np.abs(slu - v_f)))
         d_b = float(np.max(np.abs(slm[finite_b] - b_f[finite_b])))
         d_g = float(np.max(np.abs(g - a_hat)))
-        best = np.full(sys.n, -math.inf)
+        best = np.full_like(bhat, -math.inf)
         np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
         d_d = float(np.max(np.abs(best[checked] - bhat[checked]), initial=0.0))
         rows.append(DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d))

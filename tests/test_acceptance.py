@@ -236,7 +236,7 @@ def test_acceptance_7_zero_temperature_convergence():
         t0 = time.perf_counter()
         for sys_, report in _uniquely_calibrated_systems(10):
             records = beta_sweep(sys_, report=report)
-            diag = limit_diagnostics(sys_, records, report=report)
+            diag = limit_diagnostics(records)
             assert diag.divergence_ok
             first, last = diag.rows[0], diag.rows[-1]
             assert last.d_u <= min(first.d_u, 0.02)

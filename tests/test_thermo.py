@@ -142,7 +142,7 @@ def test_normalized_potential_stochastic():
             continue
         beta = rng.choice((1.0, 2.0, 10.0))
         data = spectral_data(sys, beta, cold_report(sys))
-        g = normalized_potential(sys, data)
+        g = normalized_potential(data)
         mass = np.zeros(sys.n)
         np.add.at(mass, [t for _, t, _ in sys.arcs], np.exp(g))
         assert np.allclose(mass, 1.0, atol=1e-10)
@@ -278,10 +278,10 @@ def test_edge_weights_solve_finite_or_are_refused(monkeypatch):
                 continue
             outcomes["solved"] += 1
             assert math.isfinite(rec.pressure_over_beta)
-            for x in (rec.spectral.log_u, rec.spectral.log_m, normalized_potential(sys, rec.spectral)):
+            for x in (rec.spectral.log_u, rec.spectral.log_m, normalized_potential(rec.spectral)):
                 assert np.isfinite(x).all()
             if report.uniquely_calibrated:
-                (row,) = limit_diagnostics(sys, [rec], report=report).rows
+                (row,) = limit_diagnostics([rec]).rows
                 assert all(math.isfinite(d) for d in (row.d_u, row.d_b, row.d_g, row.d_D))
                 outcomes["diagnosed"] += 1
                 rate = rate_function(sys, report=report)

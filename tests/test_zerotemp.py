@@ -31,13 +31,13 @@ def test_grid_validation(one_state):
             beta_sweep(one_state, grid=bad, report=ergodic_report(one_state))
 
 
-def _scaled(sys, rec, ref):
+def _scaled(rec, ref):
     """(1/beta) log u pinned to 0 at ref, (1/beta) log m shifted to sup 0
     and the normalized potential over beta, as limit_diagnostics forms them."""
     data = rec.spectral
     slu = data.log_u / rec.beta
     slm = data.log_m / rec.beta
-    return slu - slu[ref], slm - slm.max(), normalized_potential(sys, data) / rec.beta
+    return slu - slu[ref], slm - slm.max(), normalized_potential(data) / rec.beta
 
 
 def test_sweep_alignment_invariants(fixa):
@@ -52,9 +52,9 @@ def test_sweep_alignment_invariants(fixa):
     b_f = report.eigen_density_basis[0].values - report.eigen_density_basis[0].values.max()
     src, tgt, w = fixa.arc_arrays
     a_hat = w - report.Q + v_f[src] - v_f[tgt]
-    rows = limit_diagnostics(fixa, records, report=report).rows
+    rows = limit_diagnostics(records).rows
     for rec, row in zip(records, rows):
-        slu, slm, g = _scaled(fixa, rec, ref)
+        slu, slm, g = _scaled(rec, ref)
         assert slu[ref] == 0.0
         assert slm.max() == 0.0
         best = np.full(fixa.n, -math.inf)
@@ -68,7 +68,7 @@ def test_sweep_alignment_invariants(fixa):
 def test_sweep_one_state(one_state):
     for rec in beta_sweep(one_state, report=ergodic_report(one_state)):
         assert rec.pressure_over_beta == pytest.approx(1.5, abs=1e-12)
-        slu, slm, g = _scaled(one_state, rec, 0)
+        slu, slm, g = _scaled(rec, 0)
         assert slu == pytest.approx([0.0], abs=1e-15)
         assert slm == pytest.approx([0.0], abs=1e-15)
         assert g == pytest.approx([0.0], abs=1e-12)
@@ -81,7 +81,7 @@ def test_sweep_full_shift():
     report = ergodic_report(sys)
     for rec in beta_sweep(sys, report=report):
         assert rec.pressure_over_beta == pytest.approx(math.log(2.0) / rec.beta, abs=1e-12)
-        slu, slm, _ = _scaled(sys, rec, min(report.aubry))
+        slu, slm, _ = _scaled(rec, min(report.aubry))
         assert np.max(np.abs(slu)) <= 1e-12
         # m is uniform (1/2, 1/2): scaled log m is log(1/2)/beta aligned to max 0
         assert np.max(np.abs(slm)) <= 1e-12
@@ -90,7 +90,7 @@ def test_sweep_full_shift():
 def test_sweep_fixa_limits(fixa):
     report = ergodic_report(fixa)
     records = beta_sweep(fixa, report=report)
-    slu, slm, _ = _scaled(fixa, records[-1], min(report.aubry))
+    slu, slm, _ = _scaled(records[-1], min(report.aubry))
     assert slu == pytest.approx([0.0, -1.0], abs=1e-6)
     assert slm == pytest.approx([0.0, -1.0], abs=1e-6)
     # pressure bracket: Q <= P/beta <= Q + log(N)/beta, hard bound at every beta
@@ -116,7 +116,7 @@ def test_pressure_bracket_seeded():
 
 def test_limit_diagnostics_one_state(one_state):
     report = ergodic_report(one_state)
-    diag = limit_diagnostics(one_state, beta_sweep(one_state, report=report), report=report)
+    diag = limit_diagnostics(beta_sweep(one_state, report=report))
     assert diag.divergence_ok
     for row in diag.rows:
         assert row.d_u == 0.0 and row.d_b == 0.0
@@ -126,7 +126,7 @@ def test_limit_diagnostics_one_state(one_state):
 def test_limit_diagnostics_fixa(fixa):
     report = ergodic_report(fixa)
     records = beta_sweep(fixa, report=report)
-    diag = limit_diagnostics(fixa, records, report=report)
+    diag = limit_diagnostics(records)
     assert diag.divergence_ok
     d_u = [row.d_u for row in diag.rows]
     d_g = [row.d_g for row in diag.rows]
@@ -137,13 +137,11 @@ def test_limit_diagnostics_fixa(fixa):
     assert diag.rows[-1].d_D <= 0.05
 
 
-def test_limit_diagnostics_guards(fixa, two_loops):
-    report = ergodic_report(fixa)
+def test_limit_diagnostics_guards(two_loops):
     with pytest.raises(ValueError):
-        limit_diagnostics(fixa, [], report=report)
-    two_report = ergodic_report(two_loops)
+        limit_diagnostics([])
     with pytest.raises(MultiClassError) as err:
-        limit_diagnostics(two_loops, beta_sweep(two_loops, (1.0,), report=two_report), report=two_report)
+        limit_diagnostics(beta_sweep(two_loops, (1.0,), report=ergodic_report(two_loops)))
     assert err.value.classes == [(0,), (1,)]
 
 
@@ -163,10 +161,11 @@ def test_limit_diagnostics_divergence():
         for beta, s in zip(DEFAULT_GRID, series):
             log_u, log_m = beta * np.array([0.0, -1.0]), beta * np.array([0.0, float(s)])
             data = SpectralData(
-                beta=beta, pressure=0.0, log_u=log_u, log_m=log_m, log_mu=log_u + log_m, iterations=0
+                report=report, beta=beta, pressure=0.0, log_u=log_u, log_m=log_m, log_mu=log_u + log_m,
+                iterations=0,
             )
             records.append(SweepRecord(beta=beta, pressure_over_beta=0.0, spectral=data))
-        diag = limit_diagnostics(system, records, report=report)
+        diag = limit_diagnostics(records)
         assert diag.divergence_ok is expected, series
         assert [row.d_b for row in diag.rows] == [0.0] * 3
 
@@ -225,13 +224,27 @@ def test_report_of_another_system_is_refused(fixa):
             lambda: spectral_data(fixa, 10.0, report=report),
             lambda: beta_sweep(fixa, report=report),
             lambda: rate_function(fixa, report=report),
-            lambda: limit_diagnostics(fixa, beta_sweep(other, report=report), report=report),
         )
         for call in calls:
             with pytest.raises(ValueError, match="report is of another system: the arcs or weights differ"):
                 call()
     with pytest.raises(ValueError, match="the state counts differ"):
         rate_function(fixa, report=ergodic_report(from_sft([[1]], [[0.0]])))
+    # a solve and a rate function carry their report, and reports compare
+    # by identity: solves of another report are refused where they meet,
+    # the twin's too, whose system equals fixa but whose report is another
+    own = ergodic_report(fixa)
+    mine = beta_sweep(fixa, report=own)
+    twin = system_from_json(system_to_json(fixa))
+    for other in (c, b, twin):
+        theirs = beta_sweep(other, report=ergodic_report(other))
+        for mixed in (mine + theirs, theirs[:1] + mine):
+            with pytest.raises(ValueError, match="the sweep mixes solves of different reports"):
+                limit_diagnostics(mixed)
+    rate = rate_function(fixa, report=own)
+    solve = spectral_data(c, 1000.0, report=ergodic_report(c))
+    with pytest.raises(ValueError, match="the solve and the rate function are of different reports"):
+        ldp_residual([0.0, 1.0], rate=rate, spectral=solve)
 
 
 def test_report_of_an_equal_system_is_accepted(fixa):
@@ -246,12 +259,13 @@ def test_report_of_an_equal_system_is_accepted(fixa):
             assert getattr(a.spectral, name).tobytes() == getattr(b.spectral, name).tobytes()
     assert spectral_data(fixa, 10.0, report=other).log_mu.tobytes() == mine[0].spectral.log_mu.tobytes()
     assert rate_function(fixa, report=other).to_json() == rate_function(fixa, report=own).to_json()
-    assert limit_diagnostics(fixa, theirs, report=other) == limit_diagnostics(fixa, mine, report=own)
+    assert limit_diagnostics(theirs) == limit_diagnostics(mine)
 
 
-def test_rate_function_json_sentinel():
+def test_rate_function_json_sentinel(fixa):
     # the values are read off the pair: I = -(v + b)
     rate = RateFunction(
+        report=ergodic_report(fixa),
         eigenfunction=np.array([0.0, -math.inf]),
         density=Density([0.0, -math.inf]),
     )
