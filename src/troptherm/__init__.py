@@ -14,10 +14,10 @@ cli module exposes all of it as batch commands, and bruteforce holds
 the independent reference computations. Reports are written, not read.
 Beyond what the commands reach, the library keeps only the paper's
 entry points (see the README's "Library surface"). TropMatrix,
-TransitionSystem.to_matrix, max_potential_energy and mane_potential
-stay only until the benchmark stops rebinding them by name. TropValue,
-which it also rebinds, is with t_add, t_mul, NEG_INF and POS_INF the
-scalar reference the tests compare the array layer against.
+TransitionSystem.to_matrix, max_potential_energy, mane_potential and
+the alias SpectralData.spectral stay only while the benchmark reads
+them by name. TropValue, which it also rebinds, is with t_add, t_mul,
+NEG_INF and POS_INF the tests' scalar reference for the array layer.
 
 The package itself imports nothing: each name is imported from the
 module that defines it (``from troptherm.dynamics import

@@ -212,26 +212,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{report.critical_classes}; pass --force to sweep without diagnostics",
         )
 
-    records = beta_sweep(sys_, grid, report=report)
+    solves = beta_sweep(sys_, grid, report=report)
     if report.uniquely_calibrated:
-        diag = limit_diagnostics(records)
+        diag = limit_diagnostics(solves)
         rate = rate_function(sys_, report=report)
         probes = _probes(sys_.n, args.seed)
         tails = []
-        for rec, row in zip(records, diag.rows):
-            resid = [ldp_residual(f, rate=rate, spectral=rec.spectral) for f in probes]
+        for data, row in zip(solves, diag.rows):
+            resid = [ldp_residual(f, rate=rate, spectral=data) for f in probes]
             tails.append([row.d_u, row.d_b, row.d_g, row.d_D, *resid])
     else:
         # --force on several classes: each solve starts from one class's
         # limit, and with no single limit to compare against, the
         # diagnostics and residuals go out as nan
-        tails = [[math.nan] * (4 + PROBE_COUNT)] * len(records)
+        tails = [[math.nan] * (4 + PROBE_COUNT)] * len(solves)
 
     header = ["beta", "pressure_over_beta", "d_u", "d_b", "d_g", "d_D"]
     header += [f"ldp_residual_{k}" for k in range(PROBE_COUNT)]
     lines = [",".join(header)]
-    for rec, tail in zip(records, tails):
-        lines.append(",".join(map(_fmt, [rec.beta, rec.pressure_over_beta, *tail])))
+    for data, tail in zip(solves, tails):
+        lines.append(",".join(map(_fmt, [data.beta, data.pressure / data.beta, *tail])))
     _write_text(args.output, ["\n".join(lines) + "\n"])
     return EXIT_OK
 

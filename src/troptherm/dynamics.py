@@ -127,7 +127,7 @@ class TransitionSystem:
         src, tgt, w = self._arc_arrays
         grid = np.full((self._n, self._n), -math.inf)
         grid[src, tgt] = w
-        return TropMatrix.from_floats(grid)
+        return TropMatrix(grid)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransitionSystem):

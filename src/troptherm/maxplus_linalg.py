@@ -80,15 +80,8 @@ class TropMatrix:
 
     __slots__ = ("_a",)
 
-    def __init__(self, rows: Iterable[Iterable]):
-        self._a = _weight_array([[float(x) for x in row] for row in rows])
-
-    @classmethod
-    def from_floats(cls, grid: Sequence[Sequence[float]]) -> "TropMatrix":
-        """From a float grid (-inf for missing arcs), copied as one array."""
-        M = cls.__new__(cls)
-        M._a = _weight_array(grid)
-        return M
+    def __init__(self, grid: Sequence[Sequence[float]]):
+        self._a = _weight_array(grid)
 
     @property
     def n(self) -> int:

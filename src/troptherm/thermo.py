@@ -87,6 +87,11 @@ class SpectralData:
     log_mu: np.ndarray
     iterations: int
 
+    @property
+    def spectral(self) -> "SpectralData":
+        # bench/record.py reads rec.spectral.log_mu off beta_sweep's solves
+        return self
+
 
 def _logsumexp(a: np.ndarray) -> float:
     m = np.max(a)

@@ -4,7 +4,8 @@ Everything here compares positive-temperature spectral data, rescaled by
 1/beta, against the tropical objects it converges to, all read off the
 ergodic report that a solve (thermo.spectral_data) or a rate function
 carries; consumers refuse to mix reports, which compare by identity.
-limit_diagnostics rescales each solve by 1/beta where it compares.
+A sweep is the list of its solves, and limit_diagnostics rescales each
+by 1/beta where it compares.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ from .tropical_measures import Density
 
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
 DIVERGENCE_FLOOR = -10.0
-
-
-@dataclass
-class SweepRecord:
-    """The Ruelle solve at one inverse temperature, with its pressure
-    divided by beta."""
-
-    beta: float
-    pressure_over_beta: float
-    spectral: SpectralData
 
 
 @dataclass
@@ -100,9 +91,9 @@ def check_sweep_grid(grid: Sequence[float]) -> Tuple[float, ...]:
 
 def beta_sweep(
     sys: TransitionSystem, grid: Sequence[float] = DEFAULT_GRID, *, report: ErgodicReport
-) -> List[SweepRecord]:
-    """The Ruelle solve at each point of an increasing beta grid, given
-    the report of sys, so every beta depends only on the report.
+) -> List[SpectralData]:
+    """The Ruelle solve (SpectralData) at each point of an increasing beta
+    grid, given the report of sys, so every beta depends only on the report.
 
     (1/beta) log u and (1/beta) log m of the solve at beta tend to the
     calibrated sub-action v and the eigen-density b, so spectral_data
@@ -110,12 +101,7 @@ def beta_sweep(
     shifts by the report's Q. v and b are the report's first basis pair;
     on several critical classes that pair is one class's limit.
     """
-    grid = check_sweep_grid(grid)
-    records = []
-    for beta in grid:
-        data = thermo.spectral_data(sys, beta, report=report)
-        records.append(SweepRecord(beta=beta, pressure_over_beta=data.pressure / beta, spectral=data))
-    return records
+    return [thermo.spectral_data(sys, beta, report=report) for beta in check_sweep_grid(grid)]
 
 
 def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
@@ -153,11 +139,11 @@ def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralDa
     return abs(moment - sup_term)
 
 
-def limit_diagnostics(records: Sequence[SweepRecord]) -> LimitDiagnostics:
+def limit_diagnostics(solves: Sequence[SpectralData]) -> LimitDiagnostics:
     """Distances from rescaled spectral data to its tropical limit, read
-    off the one report that every record's solve carries, or ValueError.
+    off the one report that every solve carries, or ValueError.
 
-    Each record's solve is rescaled here: scaled log u is (1/beta) log u
+    Each solve is rescaled here: scaled log u is (1/beta) log u
     pinned to 0 at the report's lowest-index Aubry state, scaled log m is
     (1/beta) log m shifted to sup 0, and scaled g is the normalized
     potential divided by beta.
@@ -174,10 +160,10 @@ def limit_diagnostics(records: Sequence[SweepRecord]) -> LimitDiagnostics:
     of distance: scaled log m must decrease strictly along the grid and
     end below DIVERGENCE_FLOOR.
     """
-    if not records:
+    if not solves:
         raise ValueError("empty sweep")
-    report = records[0].spectral.report
-    if any(rec.spectral.report is not report for rec in records):
+    report = solves[0].report
+    if any(data.report is not report for data in solves):
         raise ValueError("the sweep mixes solves of different reports")
     if not report.uniquely_calibrated:
         raise MultiClassError(report.critical_classes)
@@ -196,13 +182,12 @@ def limit_diagnostics(records: Sequence[SweepRecord]) -> LimitDiagnostics:
 
     rows: List[DiagnosticsRow] = []
     scaled_ms = []
-    for rec in records:
-        data, beta = rec.spectral, rec.spectral.beta
-        slu = data.log_u / beta
+    for data in solves:
+        slu = data.log_u / data.beta
         slu = slu - slu[ref]
-        slm = data.log_m / beta
+        slm = data.log_m / data.beta
         slm = slm - slm.max()
-        g = normalized_potential(data) / beta
+        g = normalized_potential(data) / data.beta
         d_u = float(np.max(np.abs(slu - v_f)))
         d_b = float(np.max(np.abs(slm[finite_b] - b_f[finite_b])))
         d_g = float(np.max(np.abs(g - a_hat)))

@@ -235,8 +235,8 @@ def test_acceptance_7_zero_temperature_convergence():
     with criterion(7, "rescaled spectral data converges to the tropical limit"):
         t0 = time.perf_counter()
         for sys_, report in _uniquely_calibrated_systems(10):
-            records = beta_sweep(sys_, report=report)
-            diag = limit_diagnostics(records)
+            solves = beta_sweep(sys_, report=report)
+            diag = limit_diagnostics(solves)
             assert diag.divergence_ok
             first, last = diag.rows[0], diag.rows[-1]
             assert last.d_u <= min(first.d_u, 0.02)
@@ -244,10 +244,10 @@ def test_acceptance_7_zero_temperature_convergence():
             assert last.d_g <= 0.05
             assert last.d_D <= 0.05
             slack = math.log(sys_.max_in_degree())
-            for rec in records:
+            for data in solves:
                 low = report.Q - 1e-12
-                high = report.Q + slack / rec.beta + 1e-12
-                assert low <= rec.pressure_over_beta <= high
+                high = report.Q + slack / data.beta + 1e-12
+                assert low <= data.pressure / data.beta <= high
         elapsed = time.perf_counter() - t0
         assert elapsed < 20.0, f"took {elapsed:.2f}s"
 
@@ -255,8 +255,8 @@ def test_acceptance_7_zero_temperature_convergence():
 def test_tropical_seed_iteration_counts():
     # a cold start needs up to 28,893 steps at beta 1000 on these systems
     for sys_, report in _uniquely_calibrated_systems(10):
-        for rec in beta_sweep(sys_, report=report):
-            assert rec.spectral.iterations <= 100, (rec.beta, rec.spectral.iterations)
+        for data in beta_sweep(sys_, report=report):
+            assert data.iterations <= 100, (data.beta, data.iterations)
 
 
 def test_tropical_seed_matches_cold_start():
@@ -264,8 +264,8 @@ def test_tropical_seed_matches_cold_start():
         return x - x.max()
 
     for sys_, report in _uniquely_calibrated_systems(10):
-        for rec in beta_sweep(sys_, grid=(10.0, 100.0), report=report):
-            seeded, cold = rec.spectral, spectral_data(sys_, rec.beta, cold_report(sys_))
+        for seeded in beta_sweep(sys_, grid=(10.0, 100.0), report=report):
+            cold = spectral_data(sys_, seeded.beta, cold_report(sys_))
             assert abs(seeded.pressure - cold.pressure) <= 1e-12 * max(1.0, abs(cold.pressure))
             for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):
                 assert np.max(np.abs(sup_normalized(a) - sup_normalized(b))) <= 1e-10
@@ -278,8 +278,8 @@ def test_cold_start_takes_damped_steps_at_beta_1000():
     sys_, report = _uniquely_calibrated_systems(1)[0]
     beta = 1000.0
     assert np.ptp(log_ruelle_apply(sys_, np.zeros(sys_.n), beta)) > NODA_BRACKET
-    (rec,) = beta_sweep(sys_, grid=(beta,), report=report)
-    seeded, cold = rec.spectral, spectral_data(sys_, beta, cold_report(sys_))
+    (seeded,) = beta_sweep(sys_, grid=(beta,), report=report)
+    cold = spectral_data(sys_, beta, cold_report(sys_))
     assert cold.iterations > seeded.iterations
     assert abs(seeded.pressure - cold.pressure) <= 1e-10 * abs(cold.pressure)
     for a, b in ((seeded.log_u, cold.log_u), (seeded.log_m, cold.log_m)):
@@ -292,7 +292,7 @@ def test_acceptance_8_ldp():
         cases = [(fixa, ergodic_report(fixa))] + _uniquely_calibrated_systems(10)
         for sys_, report in cases:
             rate = rate_function(sys_, report=report)
-            s10, s1000 = (rec.spectral for rec in beta_sweep(sys_, (10.0, 1000.0), report=report))
+            s10, s1000 = beta_sweep(sys_, (10.0, 1000.0), report=report)
             probes = cli._probes(sys_.n, seed=99)
             for f in probes:
                 r10 = ldp_residual(f, rate=rate, spectral=s10)

@@ -638,6 +638,27 @@ def test_bad_system_json_exits_2(tmp_path):
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_bad_arcs_exit_2(tmp_path, capsys):
+    # system_from_json refuses arcs that are not an array of arrays, and
+    # the TransitionSystem constructor an arc of another length than three
+    shape = "error: 'arcs' must be an array of [source, target, weight] arrays\n"
+    cases = {
+        "arcs_string": ({"n": 2, "arcs": "x"}, shape),
+        "arc_number": ({"n": 2, "arcs": [5]}, shape),
+        "arc_short": ({"n": 2, "arcs": [[0, 1]]}, "error: arc must be (source, target, weight): [0, 1]\n"),
+        "arc_long": (
+            {"n": 2, "arcs": [[0, 1, 0.0, 1]]},
+            "error: arc must be (source, target, weight): [0, 1, 0.0, 1]\n",
+        ),
+    }
+    for name, (data, line) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        for command in ("analyze", "sweep"):
+            assert cli.main([command, "--input", str(path)]) == cli.EXIT_INPUT, (name, command)
+            assert capsys.readouterr() == ("", line), (name, command)
+
+
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     # a valid 200,000-state cycle asks Karp for a 298 GiB walk table;
     # numpy's MemoryError names the allocation, a bare one says nothing.

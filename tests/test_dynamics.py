@@ -80,6 +80,18 @@ def test_constructor_flags_and_errors():
         TransitionSystem(2.0, [(0, 1, 1.0)])
 
 
+def test_from_sft_and_from_map_shape_errors():
+    for matrix in ([], [[1, 1]], [[1, 1], [1]]):
+        with pytest.raises(SystemValidationError, match="^transition matrix must be square and nonempty$"):
+            from_sft(matrix, matrix)
+    for potential in ([[0.0, 0.0]], [[0.0, 0.0], [0.0]], [[0.0] * 3] * 3):
+        with pytest.raises(SystemValidationError, match="^edge potential must match the transition matrix shape$"):
+            from_sft([[1, 1], [1, 1]], potential)
+    for potential in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(SystemValidationError, match="^potential must assign a value to every state$"):
+            from_map([0, 1], potential)
+
+
 def test_from_map_flags(fixc):
     assert fixc.deterministic
     assert fixc.surjective_like

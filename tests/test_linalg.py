@@ -64,9 +64,9 @@ def _matrix_system(grid):
 
 def test_matrix_rejects_pos_inf():
     with pytest.raises(ValueError):
-        TropMatrix.from_floats([[math.inf]])
+        TropMatrix([[math.inf]])
     with pytest.raises(ValueError):
-        TropMatrix.from_floats([[0.0, 1.0]])  # not square
+        TropMatrix([[0.0, 1.0]])  # not square
 
 
 def test_mat_vec_examples():

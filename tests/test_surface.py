@@ -54,6 +54,7 @@ BENCH_HELD = {
     "dynamics.TransitionSystem.to_matrix",
     "ergodic_opt.max_potential_energy",
     "ergodic_opt.mane_potential",
+    "thermo.SpectralData.spectral",  # bench/record.py reads it off beta_sweep's solves
 }
 # The scalar reference that tests/test_tropical_core.py and acceptance 5
 # compare the array layer against, with TropValue, NEG_INF and POS_INF;

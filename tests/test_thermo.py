@@ -154,10 +154,10 @@ def test_noda_steps_on_doubling():
     # converges at the mixing rate, however close the tropical seed is
     for order in (6, 7):
         sys = discretize_doubling(order, lambda t: math.cos(2 * math.pi * t))
-        records = beta_sweep(sys, report=ergodic_report(sys))
-        iterations = [rec.spectral.iterations for rec in records]
+        solves = beta_sweep(sys, report=ergodic_report(sys))
+        iterations = [data.iterations for data in solves]
         assert max(iterations) <= 30, iterations
-        data = records[0].spectral
+        data = solves[0]
         assert data.beta == 10.0
         dense = _dense_pressure(sys, 10.0)
         assert abs(data.pressure - dense) <= 1e-12 * abs(dense)
@@ -176,9 +176,9 @@ def test_step_tests_survive_large_log_vectors():
     report = ergodic_report(sys)
     slack = math.log(sys.max_in_degree())
     tol = 1e-15 * abs(report.Q)
-    for rec in beta_sweep(sys, report=report):
-        assert rec.spectral.iterations <= 30
-        assert report.Q - tol <= rec.pressure_over_beta <= report.Q + slack / rec.beta + tol
+    for data in beta_sweep(sys, report=report):
+        assert data.iterations <= 30
+        assert report.Q - tol <= data.pressure / data.beta <= report.Q + slack / data.beta + tol
     # a cold start at beta 1000 ends at the float spacing of |log u|, about
     # 1e4, where a Noda step only amplifies rounding noise: damped steps
     # finish the solve, which raises ConvergenceError at the step cap
@@ -272,21 +272,21 @@ def test_edge_weights_solve_finite_or_are_refused(monkeypatch):
                 continue
             beta = rng.choice((1e-300, 1.0, 10.0, 100.0, 150.0, 1000.0, 2000.0))
             try:
-                (rec,) = beta_sweep(sys, (beta,), report=report)
+                (data,) = beta_sweep(sys, (beta,), report=report)
             except (ValueError, ConvergenceError) as exc:
                 outcomes[type(exc)] += 1
                 continue
             outcomes["solved"] += 1
-            assert math.isfinite(rec.pressure_over_beta)
-            for x in (rec.spectral.log_u, rec.spectral.log_m, normalized_potential(rec.spectral)):
+            assert math.isfinite(data.pressure / data.beta)
+            for x in (data.log_u, data.log_m, normalized_potential(data)):
                 assert np.isfinite(x).all()
             if report.uniquely_calibrated:
-                (row,) = limit_diagnostics([rec]).rows
+                (row,) = limit_diagnostics([data]).rows
                 assert all(math.isfinite(d) for d in (row.d_u, row.d_b, row.d_g, row.d_D))
                 outcomes["diagnosed"] += 1
                 rate = rate_function(sys, report=report)
                 for f in _probes(sys.n, 0):
-                    assert math.isfinite(ldp_residual(f, rate=rate, spectral=rec.spectral))
+                    assert math.isfinite(ldp_residual(f, rate=rate, spectral=data))
     assert all(outcomes.values()), outcomes
 
 

@@ -15,7 +15,6 @@ from troptherm.zerotemp import (
     DEFAULT_GRID,
     MultiClassError,
     RateFunction,
-    SweepRecord,
     beta_sweep,
     ldp_residual,
     limit_diagnostics,
@@ -31,30 +30,39 @@ def test_grid_validation(one_state):
             beta_sweep(one_state, grid=bad, report=ergodic_report(one_state))
 
 
-def _scaled(rec, ref):
+def _scaled(data, ref):
     """(1/beta) log u pinned to 0 at ref, (1/beta) log m shifted to sup 0
     and the normalized potential over beta, as limit_diagnostics forms them."""
-    data = rec.spectral
-    slu = data.log_u / rec.beta
-    slm = data.log_m / rec.beta
-    return slu - slu[ref], slm - slm.max(), normalized_potential(data) / rec.beta
+    slu = data.log_u / data.beta
+    slm = data.log_m / data.beta
+    return slu - slu[ref], slm - slm.max(), normalized_potential(data) / data.beta
+
+
+def test_beta_sweep_returns_the_solves(fixa):
+    # bench/record.py reads rec.spectral.log_mu off each element, which
+    # the read-only alias SpectralData.spectral serves
+    report = ergodic_report(fixa)
+    solves = beta_sweep(fixa, report=report)
+    assert all(type(data) is SpectralData and data.spectral is data for data in solves)
+    own = [spectral_data(fixa, beta, report=report).log_mu.tolist() for beta in DEFAULT_GRID]
+    assert [rec.spectral.log_mu.tolist() for rec in solves] == own
 
 
 def test_sweep_alignment_invariants(fixa):
     # each diagnostics row is, bit for bit, the distances from the solve
     # pinned at the report's lowest-index Aubry state and shifted to sup 0
     report = ergodic_report(fixa)
-    records = beta_sweep(fixa, report=report)
-    assert [r.beta for r in records] == list(DEFAULT_GRID)
+    solves = beta_sweep(fixa, report=report)
+    assert [data.beta for data in solves] == list(DEFAULT_GRID)
     ref = min(report.aubry)
     assert ref == 0
     v_f = report.eigenfunction_basis[0] - report.eigenfunction_basis[0][ref]
     b_f = report.eigen_density_basis[0].values - report.eigen_density_basis[0].values.max()
     src, tgt, w = fixa.arc_arrays
     a_hat = w - report.Q + v_f[src] - v_f[tgt]
-    rows = limit_diagnostics(records).rows
-    for rec, row in zip(records, rows):
-        slu, slm, g = _scaled(rec, ref)
+    rows = limit_diagnostics(solves).rows
+    for data, row in zip(solves, rows):
+        slu, slm, g = _scaled(data, ref)
         assert slu[ref] == 0.0
         assert slm.max() == 0.0
         best = np.full(fixa.n, -math.inf)
@@ -66,9 +74,9 @@ def test_sweep_alignment_invariants(fixa):
 
 
 def test_sweep_one_state(one_state):
-    for rec in beta_sweep(one_state, report=ergodic_report(one_state)):
-        assert rec.pressure_over_beta == pytest.approx(1.5, abs=1e-12)
-        slu, slm, g = _scaled(rec, 0)
+    for data in beta_sweep(one_state, report=ergodic_report(one_state)):
+        assert data.pressure / data.beta == pytest.approx(1.5, abs=1e-12)
+        slu, slm, g = _scaled(data, 0)
         assert slu == pytest.approx([0.0], abs=1e-15)
         assert slm == pytest.approx([0.0], abs=1e-15)
         assert g == pytest.approx([0.0], abs=1e-12)
@@ -79,9 +87,9 @@ def test_sweep_full_shift():
 
     sys = from_sft([[1, 1], [1, 1]], [[0.0] * 2] * 2)
     report = ergodic_report(sys)
-    for rec in beta_sweep(sys, report=report):
-        assert rec.pressure_over_beta == pytest.approx(math.log(2.0) / rec.beta, abs=1e-12)
-        slu, slm, _ = _scaled(rec, min(report.aubry))
+    for data in beta_sweep(sys, report=report):
+        assert data.pressure / data.beta == pytest.approx(math.log(2.0) / data.beta, abs=1e-12)
+        slu, slm, _ = _scaled(data, min(report.aubry))
         assert np.max(np.abs(slu)) <= 1e-12
         # m is uniform (1/2, 1/2): scaled log m is log(1/2)/beta aligned to max 0
         assert np.max(np.abs(slm)) <= 1e-12
@@ -89,13 +97,13 @@ def test_sweep_full_shift():
 
 def test_sweep_fixa_limits(fixa):
     report = ergodic_report(fixa)
-    records = beta_sweep(fixa, report=report)
-    slu, slm, _ = _scaled(records[-1], min(report.aubry))
+    solves = beta_sweep(fixa, report=report)
+    slu, slm, _ = _scaled(solves[-1], min(report.aubry))
     assert slu == pytest.approx([0.0, -1.0], abs=1e-6)
     assert slm == pytest.approx([0.0, -1.0], abs=1e-6)
     # pressure bracket: Q <= P/beta <= Q + log(N)/beta, hard bound at every beta
-    for rec in records:
-        assert 0.0 - 1e-12 <= rec.pressure_over_beta <= math.log(2.0) / rec.beta + 1e-12
+    for data in solves:
+        assert 0.0 - 1e-12 <= data.pressure / data.beta <= math.log(2.0) / data.beta + 1e-12
 
 
 def test_pressure_bracket_seeded():
@@ -107,10 +115,10 @@ def test_pressure_bracket_seeded():
         if not report.uniquely_calibrated:
             continue
         slack = math.log(sys.max_in_degree())
-        for rec in beta_sweep(sys, report=report):
+        for data in beta_sweep(sys, report=report):
             low = report.Q - 1e-12
-            high = report.Q + slack / rec.beta + 1e-12
-            assert low <= rec.pressure_over_beta <= high
+            high = report.Q + slack / data.beta + 1e-12
+            assert low <= data.pressure / data.beta <= high
         checked += 1
 
 
@@ -125,8 +133,7 @@ def test_limit_diagnostics_one_state(one_state):
 
 def test_limit_diagnostics_fixa(fixa):
     report = ergodic_report(fixa)
-    records = beta_sweep(fixa, report=report)
-    diag = limit_diagnostics(records)
+    diag = limit_diagnostics(beta_sweep(fixa, report=report))
     assert diag.divergence_ok
     d_u = [row.d_u for row in diag.rows]
     d_g = [row.d_g for row in diag.rows]
@@ -157,15 +164,15 @@ def test_limit_diagnostics_divergence():
     assert report.critical_classes == [(0,)]
     assert report.eigen_density_basis[0].values.tolist() == [0.0, -math.inf]
     for series, expected in (([-5, -8, -12], True), ([-5, -12, -11], False), ([-2, -4, -6], False)):
-        records = []
+        solves = []
         for beta, s in zip(DEFAULT_GRID, series):
             log_u, log_m = beta * np.array([0.0, -1.0]), beta * np.array([0.0, float(s)])
             data = SpectralData(
                 report=report, beta=beta, pressure=0.0, log_u=log_u, log_m=log_m, log_mu=log_u + log_m,
                 iterations=0,
             )
-            records.append(SweepRecord(beta=beta, pressure_over_beta=0.0, spectral=data))
-        diag = limit_diagnostics(records)
+            solves.append(data)
+        diag = limit_diagnostics(solves)
         assert diag.divergence_ok is expected, series
         assert [row.d_b for row in diag.rows] == [0.0] * 3
 
@@ -254,10 +261,10 @@ def test_report_of_an_equal_system_is_accepted(fixa):
     mine = beta_sweep(fixa, report=own)
     theirs = beta_sweep(fixa, report=other)
     for a, b in zip(mine, theirs):
-        assert a.pressure_over_beta == b.pressure_over_beta
+        assert a.pressure == b.pressure
         for name in ("log_u", "log_m", "log_mu"):
-            assert getattr(a.spectral, name).tobytes() == getattr(b.spectral, name).tobytes()
-    assert spectral_data(fixa, 10.0, report=other).log_mu.tobytes() == mine[0].spectral.log_mu.tobytes()
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert spectral_data(fixa, 10.0, report=other).log_mu.tobytes() == mine[0].log_mu.tobytes()
     assert rate_function(fixa, report=other).to_json() == rate_function(fixa, report=own).to_json()
     assert limit_diagnostics(theirs) == limit_diagnostics(mine)
 
