@@ -13,8 +13,9 @@ All output is deterministic byte-for-byte given the input bytes and
 flags; CSV uses '.' decimals, '\\n' line endings and 17 significant
 digits. JSON is streamed to the output by one writer whose bytes equal
 json.dumps(payload, indent=2, default=floats_to_json) followed by a
-newline. json's own encoder writes every scalar, and a float64 array
-(phi) has each distinct float formatted once.
+newline. phi streams row by row with each distinct float formatted
+once; every other value is one json.dumps at its depth. An ndarray is
+accepted only as a dict value.
 
 Start-up loads only the tropical side (dynamics, ergodic_opt and what
 they import); sweep and ldp load the Ruelle side (thermo, zerotemp) and
@@ -109,8 +110,10 @@ def _array_rows(a: np.ndarray) -> List[List[str]]:
 def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
     """The text of json.dumps(obj, indent=2, default=floats_to_json), piece by piece.
 
-    A list of scalars goes out as one piece, and a 2-d float64 array
-    (phi) one row per piece.
+    A 2-d float64 array (phi) goes out one row per piece, and a non-empty
+    dict key by key, only so that phi is reached. Every other value is one
+    json.dumps(value, indent=2) with each newline moved to this depth (json
+    escapes the newlines inside strings), so an ndarray in a list is refused.
     """
     inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if isinstance(obj, np.ndarray):
@@ -119,27 +122,15 @@ def _json_pieces(obj, depth: int = 0) -> Iterator[str]:
             yield sep + ("[" + row_inner + ("," + row_inner).join(row) + inner + "]" if row else "[]")
             sep = "," + inner
         yield close + "]" if rows else "[]"
-        return
-    if not isinstance(obj, (list, tuple, dict)) or not obj:  # a scalar, [] or {}
-        yield json.dumps(obj)
-        return
-    if isinstance(obj, dict):
+    elif isinstance(obj, dict) and obj:
         sep = "{" + inner
         for key, value in obj.items():
             yield sep + _json_str(key) + ": "
             yield from _json_pieces(value, depth + 1)
             sep = "," + inner
         yield close + "}"
-        return
-    if not any(isinstance(item, (list, tuple, dict, np.ndarray)) for item in obj):
-        yield "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + close + "]"
-        return
-    sep = "[" + inner
-    for item in obj:
-        yield sep
-        yield from _json_pieces(item, depth + 1)
-        sep = "," + inner
-    yield close + "]"
+    else:
+        yield json.dumps(obj, indent=2).replace("\n", close)
 
 
 def _write_json(path: Optional[str], payload) -> None:

@@ -163,7 +163,7 @@ def from_sft(
     for i in range(n):
         for j in range(n):
             if transition_matrix[i][j]:
-                arcs.append((i, j, float(edge_potential[i][j])))
+                arcs.append((i, j, edge_potential[i][j]))
     return TransitionSystem(n, arcs)
 
 
@@ -174,7 +174,7 @@ def from_map(
     n = len(image_table)
     if len(vertex_potential) != n:
         raise SystemValidationError("potential must assign a value to every state")
-    arcs = [(y, int(image_table[y]), float(vertex_potential[y])) for y in range(n)]
+    arcs = [(y, image_table[y], vertex_potential[y]) for y in range(n)]
     return TransitionSystem(n, arcs)
 
 

@@ -2,8 +2,12 @@
 
 Inputs: gen seeds 0-199 in both flavours (strongly connected and
 --deterministic), at the default n and at --n 12, plus the doubling map
-discretized at orders 3-9 with the potential cos 2πt; 807 systems in all.
-Commands: analyze, sweep, sweep --force, ldp and oracle on each, 4,035
+discretized at orders 3-9 with the potential cos 2πt; 807 systems. Then
+three more, whose records follow the first 4,035: a toy with two
+critical classes, a two-cycle of weights ±1e10 beside self-loops, and
+a system whose labels hold a newline, quotes, a backslash, U+2028, a
+non-ASCII letter and the text of phi's key; 810 systems in all.
+Commands: analyze, sweep, sweep --force, ldp and oracle on each, 4,050
 records. For every record one line goes to stdout: the sha256 of its
 argv, exit code, stdout and stderr, then the exit code and the argv.
 
@@ -39,6 +43,15 @@ from troptherm.dynamics import discretize_doubling, system_to_json
 GEN_SEEDS = range(200)
 DOUBLING_ORDERS = range(3, 10)
 COMMANDS = (["analyze"], ["sweep"], ["sweep", "--force"], ["ldp"], ["oracle"])
+EXTRA_SYSTEMS = {
+    "two-classes.json": {"n": 2, "arcs": [[0, 0, 0.0], [1, 1, 0.0], [0, 1, -1.0], [1, 0, -2.0]]},
+    "two-cycle-1e10.json": {"n": 2, "arcs": [[0, 1, 1e10], [1, 0, -1e10], [0, 0, 0.0], [1, 1, -1.0]]},
+    "labelled.json": {
+        "n": 2,
+        "arcs": [[0, 1, -1.0], [1, 0, 0.5], [1, 1, 0.0]],
+        "labels": ["a\nb\"c\\", '\u2028é "phi": ['],
+    },
+}
 
 
 def _run(argv: List[str]) -> Tuple[int, str, str]:
@@ -70,9 +83,11 @@ def build_inputs() -> List[str]:
                 if code != 0:
                     raise SystemExit(f"gen failed for {name}: {err}")
                 names.append(name)
-    for order in DOUBLING_ORDERS:
-        name = f"doubling-{order}.json"
-        data = system_to_json(discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)))
+    doubling = {
+        f"doubling-{order}.json": system_to_json(discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)))
+        for order in DOUBLING_ORDERS
+    }
+    for name, data in {**doubling, **EXTRA_SYSTEMS}.items():
         with open(name, "w") as fh:
             json.dump(data, fh)
         names.append(name)

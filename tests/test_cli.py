@@ -994,11 +994,10 @@ def test_cli_json_files_equal_json_dumps(tmp_path, monkeypatch):
 
 
 def test_json_writer_all_float_matrices(tmp_path):
-    # nested lists take the plain path whatever their cells: a list of
-    # scalars is one json.dumps call and a list of lists one per row. The
-    # last matrix holds strings with a newline, a comma and a space, so a
-    # writer that splits encoded cells on any separator such a string can
-    # contain fails it
+    # a nested list is one json.dumps call whatever its cells. The last
+    # matrix holds strings with a newline, a comma and a space, so a writer
+    # that splits encoded cells or re-indents on any separator such a
+    # string can contain fails it
     out = tmp_path / "out.json"
     matrices = [
         [[0.0, -0.0], [-0.0, 0.0]],
@@ -1019,9 +1018,10 @@ def test_json_writer_all_float_matrices(tmp_path):
 
 
 def test_json_writer_float64_array_leaf(tmp_path):
-    # a 2-d float64 array (phi) is a leaf: each distinct bit pattern is
-    # formatted once, 0.0 apart from -0.0, and the infinities go out as the
-    # floats_to_json sentinels
+    # a 2-d float64 array (phi) is a dict value: each distinct bit pattern
+    # is formatted once, 0.0 apart from -0.0, and the infinities go out as
+    # the floats_to_json sentinels; inside a list it is refused, as
+    # json.dumps refuses it
     out = tmp_path / "out.json"
     arrays = [
         np.array([[0.0, -0.0], [-0.0, 0.0]]),
@@ -1035,10 +1035,12 @@ def test_json_writer_float64_array_leaf(tmp_path):
     ]
     for phi in arrays:
         phi.flags.writeable = False
-        payload = {"mane": {"phi": phi, "aubry": [0]}, "list": [phi, [1.0, "-inf"]]}
+        payload = {"mane": {"phi": phi, "aubry": [0]}, "list": [[1.0, "-inf"]]}
         cli._write_json(str(out), payload)
         expected = json.dumps(payload, indent=2, default=floats_to_json) + "\n"
         assert out.read_bytes() == expected.encode(), phi
+        with pytest.raises(TypeError):
+            cli._write_json(str(out), {"list": [phi]})
     for other in (np.array([0.0, -0.0]), np.array([[1, 2], [3, 4]]), np.zeros((1, 1, 1))):
         with pytest.raises(TypeError):  # a 1-d, int64 or 3-d array
             cli._write_json(str(out), {"phi": other})
@@ -1063,9 +1065,17 @@ def test_analyze_writes_reducible_phi(tmp_path):
 
 
 def test_analyze_doubling8_equals_json_dumps(tmp_path):
-    sys_ = discretize_doubling(8, lambda t: math.cos(2 * math.pi * t))
-    out = tmp_path / "report.json"
-    assert cli.main(["analyze", "--input", _dump(tmp_path, "doubling8.json", sys_), "--output", str(out)]) == 0
-    assert out.read_bytes() == (
-        json.dumps(report_to_json(ergodic_report(sys_)), indent=2, default=floats_to_json) + "\n"
-    ).encode()
+    # the labelled system guards the writer's re-indent of one json.dumps
+    # per value: a label that holds a newline, a quote, a backslash, U+2028,
+    # a non-ASCII letter or the text of phi's key must not move its layout
+    labels = ["a\nb\"c\\", '\u2028é "phi": [']
+    labelled = TransitionSystem(2, [(0, 1, -1.0), (1, 0, 0.5), (1, 1, 0.0)], labels=labels)
+    for name, sys_ in (
+        ("doubling8.json", discretize_doubling(8, lambda t: math.cos(2 * math.pi * t))),
+        ("labelled.json", labelled),
+    ):
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--input", _dump(tmp_path, name, sys_), "--output", str(out)]) == 0
+        assert out.read_bytes() == (
+            json.dumps(report_to_json(ergodic_report(sys_)), indent=2, default=floats_to_json) + "\n"
+        ).encode()

@@ -92,6 +92,24 @@ def test_from_sft_and_from_map_shape_errors():
             from_map([0, 1], potential)
 
 
+def test_from_sft_and_from_map_entries_meet_the_constructor():
+    # the entries reach the constructor as given, so its one check decides:
+    # no float or bool image, and a weight beyond float range is refused
+    # like any infinite one
+    for table in ([0, 1.7], [True, 0]):
+        with pytest.raises(SystemValidationError, match="^arc endpoints must be integers: "):
+            from_map(table, [0.0, 1.0])
+    with pytest.raises(SystemValidationError, match="^arc weight must be finite: "):
+        from_sft([[1, 1], [1, 1]], [[0.0, 10**400], [0.0, 0.0]])
+    with pytest.raises(SystemValidationError, match="^arc weight must be a real number: "):
+        from_map([1, 0], [0.0, "1"])
+    # numpy entries and integer weights still give plain ints and floats
+    sys_ = from_map(np.array([1, 0]), np.array([2, -1]))
+    assert sys_.arcs == ((0, 1, 2.0), (1, 0, -1.0))
+    assert [type(x) for arc in sys_.arcs for x in arc] == [int, int, float] * 2
+    assert from_sft(np.eye(2, dtype=int), [[np.float64(0.5), 0], [0, 7]]).arcs == ((0, 0, 0.5), (1, 1, 7.0))
+
+
 def test_from_map_flags(fixc):
     assert fixc.deterministic
     assert fixc.surjective_like
