@@ -205,11 +205,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     solves = beta_sweep(sys_, grid, report=report)
     if report.uniquely_calibrated:
-        diag = limit_diagnostics(solves)
         rate = rate_function(sys_, report=report)
         probes = _probes(sys_.n, args.seed)
         tails = []
-        for data, row in zip(solves, diag.rows):
+        for data in solves:
+            row = limit_diagnostics(data)
             resid = [ldp_residual(f, rate=rate, spectral=data) for f in probes]
             tails.append([row.d_u, row.d_b, row.d_g, row.d_D, *resid])
     else:
@@ -228,8 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ldp(args: argparse.Namespace) -> int:
-    from . import thermo
-    from .zerotemp import DEFAULT_GRID, check_betas, ldp_residual, rate_function
+    from .zerotemp import DEFAULT_GRID, beta_sweep, check_betas, ldp_residual, rate_function
 
     grid = DEFAULT_GRID if args.grid is None else args.grid
     check_betas(grid)  # in any order
@@ -258,10 +257,9 @@ def cmd_ldp(args: argparse.Namespace) -> int:
         observables = _probes(sys_.n, args.seed)
 
     residuals = []
-    for beta in grid:
-        spectral = thermo.spectral_data(sys_, beta, report=report)
+    for spectral in beta_sweep(sys_, grid, report=report):
         values = [ldp_residual(f, rate=rate, spectral=spectral) for f in observables]
-        residuals.append({"beta": beta, "values": values})
+        residuals.append({"beta": spectral.beta, "values": values})
 
     payload = {
         "rate_function": rate.to_json(),

@@ -3,9 +3,9 @@
 Everything here compares positive-temperature spectral data, rescaled by
 1/beta, against the tropical objects it converges to, all read off the
 ergodic report that a solve (thermo.spectral_data) or a rate function
-carries; consumers refuse to mix reports, which compare by identity.
-A sweep is the list of its solves, and limit_diagnostics rescales each
-by 1/beta where it compares.
+carries; reports compare by identity. A sweep is the list of its solves,
+and limit_diagnostics measures one solve at a time, rescaling it by
+1/beta where it compares.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 from .tropical_measures import Density
 
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
-DIVERGENCE_FLOOR = -10.0
 
 
 @dataclass
@@ -63,12 +62,6 @@ class DiagnosticsRow:
     d_D: float
 
 
-@dataclass
-class LimitDiagnostics:
-    rows: List[DiagnosticsRow]
-    divergence_ok: bool
-
-
 def check_betas(grid: Sequence[float]) -> Tuple[float, ...]:
     """The grid as floats; ValueError when it is empty or holds a beta
     that check_beta refuses."""
@@ -81,8 +74,8 @@ def check_betas(grid: Sequence[float]) -> Tuple[float, ...]:
 
 
 def check_sweep_grid(grid: Sequence[float]) -> Tuple[float, ...]:
-    """check_betas, and the grid must be strictly increasing, as a
-    sweep walks it."""
+    """check_betas, and the grid must be strictly increasing, as the rows
+    of the sweep CSV are."""
     grid = check_betas(grid)
     if any(b1 >= b2 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
@@ -92,8 +85,9 @@ def check_sweep_grid(grid: Sequence[float]) -> Tuple[float, ...]:
 def beta_sweep(
     sys: TransitionSystem, grid: Sequence[float] = DEFAULT_GRID, *, report: ErgodicReport
 ) -> List[SpectralData]:
-    """The Ruelle solve (SpectralData) at each point of an increasing beta
-    grid, given the report of sys, so every beta depends only on the report.
+    """The Ruelle solve (SpectralData) at each beta of the grid, in the
+    grid's order, given the report of sys. Each solve depends only on its
+    beta and the report, so any grid that check_betas accepts will do.
 
     (1/beta) log u and (1/beta) log m of the solve at beta tend to the
     calibrated sub-action v and the eigen-density b, so spectral_data
@@ -101,7 +95,7 @@ def beta_sweep(
     shifts by the report's Q. v and b are the report's first basis pair;
     on several critical classes that pair is one class's limit.
     """
-    return [thermo.spectral_data(sys, beta, report=report) for beta in check_sweep_grid(grid)]
+    return [thermo.spectral_data(sys, beta, report=report) for beta in check_betas(grid)]
 
 
 def rate_function(sys: TransitionSystem, *, report: ErgodicReport) -> RateFunction:
@@ -139,32 +133,26 @@ def ldp_residual(f: Sequence[float], *, rate: RateFunction, spectral: SpectralDa
     return abs(moment - sup_term)
 
 
-def limit_diagnostics(solves: Sequence[SpectralData]) -> LimitDiagnostics:
-    """Distances from rescaled spectral data to its tropical limit, read
-    off the one report that every solve carries, or ValueError.
+def limit_diagnostics(data: SpectralData) -> DiagnosticsRow:
+    """Distances from the rescaled solve data to its tropical limit, read
+    off the report that the solve carries; MultiClassError when that
+    report has several critical classes.
 
-    Each solve is rescaled here: scaled log u is (1/beta) log u
-    pinned to 0 at the report's lowest-index Aubry state, scaled log m is
+    data must be a solve that thermo.spectral_data returned, so the
+    report's v and b are finite and every state has an outgoing arc.
+    The solve is rescaled here: scaled log u is (1/beta) log u pinned to
+    0 at the report's lowest-index Aubry state, scaled log m is
     (1/beta) log m shifted to sup 0, and scaled g is the normalized
     potential divided by beta.
 
     d_u: sup distance from scaled log u to the calibrated subaction.
-    d_b: sup distance from scaled log m to the eigen-density, over the
-         states where the density is finite.
+    d_b: sup distance from scaled log m to the eigen-density.
     d_g: sup distance, over arcs, from scaled g to the calibrated arc
          weight  w - Q + v(source) - v(target).
     d_D: residual of the exact limit identity for b-hat = v + b: sup over
          states y of |max over arcs y -> x of (b-hat(x) + scaled g) - b-hat(y)|.
-
-    States where the density is -inf are checked for divergence instead
-    of distance: scaled log m must decrease strictly along the grid and
-    end below DIVERGENCE_FLOOR.
     """
-    if not solves:
-        raise ValueError("empty sweep")
-    report = solves[0].report
-    if any(data.report is not report for data in solves):
-        raise ValueError("the sweep mixes solves of different reports")
+    report = data.report
     if not report.uniquely_calibrated:
         raise MultiClassError(report.critical_classes)
     ref = min(report.aubry)
@@ -172,35 +160,20 @@ def limit_diagnostics(solves: Sequence[SpectralData]) -> LimitDiagnostics:
     v_f = v0 - v0[ref]
     b0 = report.eigen_density_basis[0].values
     b_f = b0 - array_sup(b0)
-    finite_b = np.isfinite(b_f)
 
     arc_src, arc_tgt, arc_w = report.system.arc_arrays
     a_hat = arc_w - report.Q + v_f[arc_src] - v_f[arc_tgt]
     bhat = v_f + b_f
-    # states where d_D compares: finite b-hat and at least one outgoing arc
-    checked = np.isfinite(bhat) & (np.bincount(arc_src, minlength=len(bhat)) > 0)
 
-    rows: List[DiagnosticsRow] = []
-    scaled_ms = []
-    for data in solves:
-        slu = data.log_u / data.beta
-        slu = slu - slu[ref]
-        slm = data.log_m / data.beta
-        slm = slm - slm.max()
-        g = normalized_potential(data) / data.beta
-        d_u = float(np.max(np.abs(slu - v_f)))
-        d_b = float(np.max(np.abs(slm[finite_b] - b_f[finite_b])))
-        d_g = float(np.max(np.abs(g - a_hat)))
-        best = np.full_like(bhat, -math.inf)
-        np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
-        d_d = float(np.max(np.abs(best[checked] - bhat[checked]), initial=0.0))
-        rows.append(DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d))
-        scaled_ms.append(slm)
-
-    divergence_ok = True
-    for x in np.nonzero(~finite_b)[0]:
-        series = [slm[x] for slm in scaled_ms]
-        decreasing = all(s2 < s1 for s1, s2 in zip(series, series[1:]))
-        if not (decreasing and series[-1] < DIVERGENCE_FLOOR):
-            divergence_ok = False
-    return LimitDiagnostics(rows=rows, divergence_ok=divergence_ok)
+    slu = data.log_u / data.beta
+    slu = slu - slu[ref]
+    slm = data.log_m / data.beta
+    slm = slm - slm.max()
+    g = normalized_potential(data) / data.beta
+    d_u = float(np.max(np.abs(slu - v_f)))
+    d_b = float(np.max(np.abs(slm - b_f)))
+    d_g = float(np.max(np.abs(g - a_hat)))
+    best = np.full_like(bhat, -math.inf)
+    np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
+    d_d = float(np.max(np.abs(best - bhat)))
+    return DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d)

@@ -318,6 +318,17 @@ def test_ldp_one_solve_per_beta(tmp_path, fixa, capsys, monkeypatch):
     data = json.loads(capsys.readouterr().out)
     assert len(data["observables"]) == cli.PROBE_COUNT
     assert calls == list(zerotemp.DEFAULT_GRID)
+    # ldp takes its grid in any order, repeats included, and each beta's
+    # residuals are those of the default grid's solve at that beta
+    calls.clear()
+    assert cli.main(["ldp", "--input", path, "--grid", "100,10,100"]) == 0
+    mixed = json.loads(capsys.readouterr().out)
+    assert calls == [100.0, 10.0, 100.0]
+    assert mixed["grid"] == [100.0, 10.0, 100.0]
+    assert [r["beta"] for r in mixed["residuals"]] == [100.0, 10.0, 100.0]
+    by_beta = {r["beta"]: r["values"] for r in data["residuals"]}
+    for r in mixed["residuals"]:
+        assert np.array(r["values"]).tobytes() == np.array(by_beta[r["beta"]]).tobytes()
 
 
 def test_cli_runs_one_tropical_pass(tmp_path, capsys, monkeypatch):

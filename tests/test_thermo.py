@@ -281,7 +281,7 @@ def test_edge_weights_solve_finite_or_are_refused(monkeypatch):
             for x in (data.log_u, data.log_m, normalized_potential(data)):
                 assert np.isfinite(x).all()
             if report.uniquely_calibrated:
-                (row,) = limit_diagnostics([data]).rows
+                row = limit_diagnostics(data)
                 assert all(math.isfinite(d) for d in (row.d_u, row.d_b, row.d_g, row.d_D))
                 outcomes["diagnosed"] += 1
                 rate = rate_function(sys, report=report)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from troptherm.cli import _gen_system
-from troptherm.dynamics import TransitionSystem, from_sft, system_from_json, system_to_json
+from troptherm.dynamics import from_sft, system_from_json, system_to_json
 from troptherm.ergodic_opt import ergodic_report
 from troptherm.thermo import SpectralData, normalized_potential, spectral_data
 from troptherm.tropical_measures import Density
@@ -16,6 +16,7 @@ from troptherm.zerotemp import (
     MultiClassError,
     RateFunction,
     beta_sweep,
+    check_sweep_grid,
     ldp_residual,
     limit_diagnostics,
     rate_function,
@@ -25,9 +26,13 @@ from helpers import normalize
 
 
 def test_grid_validation(one_state):
-    for bad in ((), (0.0, 1.0), (-1.0,), (10.0, 10.0), (100.0, 10.0)):
+    for bad in ((), (0.0, 1.0), (-1.0,)):
         with pytest.raises(ValueError):
             beta_sweep(one_state, grid=bad, report=ergodic_report(one_state))
+    # only the sweep CSV needs its rows in increasing order
+    for bad in ((10.0, 10.0), (100.0, 10.0)):
+        with pytest.raises(ValueError, match="beta grid must be strictly increasing"):
+            check_sweep_grid(bad)
 
 
 def _scaled(data, ref):
@@ -60,8 +65,8 @@ def test_sweep_alignment_invariants(fixa):
     b_f = report.eigen_density_basis[0].values - report.eigen_density_basis[0].values.max()
     src, tgt, w = fixa.arc_arrays
     a_hat = w - report.Q + v_f[src] - v_f[tgt]
-    rows = limit_diagnostics(solves).rows
-    for data, row in zip(solves, rows):
+    for data in solves:
+        row = limit_diagnostics(data)
         slu, slm, g = _scaled(data, ref)
         assert slu[ref] == 0.0
         assert slm.max() == 0.0
@@ -124,57 +129,42 @@ def test_pressure_bracket_seeded():
 
 def test_limit_diagnostics_one_state(one_state):
     report = ergodic_report(one_state)
-    diag = limit_diagnostics(beta_sweep(one_state, report=report))
-    assert diag.divergence_ok
-    for row in diag.rows:
+    for data in beta_sweep(one_state, report=report):
+        row = limit_diagnostics(data)
         assert row.d_u == 0.0 and row.d_b == 0.0
         assert abs(row.d_g) <= 1e-12 and abs(row.d_D) <= 1e-12
 
 
 def test_limit_diagnostics_fixa(fixa):
     report = ergodic_report(fixa)
-    diag = limit_diagnostics(beta_sweep(fixa, report=report))
-    assert diag.divergence_ok
-    d_u = [row.d_u for row in diag.rows]
-    d_g = [row.d_g for row in diag.rows]
+    rows = [limit_diagnostics(data) for data in beta_sweep(fixa, report=report)]
+    d_u = [row.d_u for row in rows]
+    d_g = [row.d_g for row in rows]
     assert all(a >= b for a, b in zip(d_u, d_u[1:]))
     assert all(a >= b for a, b in zip(d_g, d_g[1:]))
     assert d_u[-1] <= 0.02
-    assert diag.rows[-1].d_b <= 0.05
-    assert diag.rows[-1].d_D <= 0.05
+    assert rows[-1].d_b <= 0.05
+    assert rows[-1].d_D <= 0.05
+
+
+def test_limit_diagnostics_is_one_solves(fixa):
+    # a row is a function of one solve and the report it carries: a lone
+    # solve gets, bit for bit, the row of the same beta in a sweep, and a
+    # solve of another system gets the row of its own report
+    report = ergodic_report(fixa)
+    lone = limit_diagnostics(spectral_data(fixa, 100.0, report=report))
+    assert lone == limit_diagnostics(beta_sweep(fixa, report=report)[1])
+    c = from_sft([[1, 1], [1, 1]], [[0.0, -2.0], [-1.5, -3.0]])
+    own = ergodic_report(c)
+    theirs = limit_diagnostics(spectral_data(c, 10.0, report=own))
+    assert theirs == limit_diagnostics(beta_sweep(c, report=own)[0])
+    assert theirs != limit_diagnostics(beta_sweep(fixa, report=report)[0])
 
 
 def test_limit_diagnostics_guards(two_loops):
-    with pytest.raises(ValueError):
-        limit_diagnostics([])
     with pytest.raises(MultiClassError) as err:
-        limit_diagnostics(beta_sweep(two_loops, (1.0,), report=ergodic_report(two_loops)))
+        limit_diagnostics(spectral_data(two_loops, 1.0, report=ergodic_report(two_loops)))
     assert err.value.classes == [(0,), (1,)]
-
-
-def test_limit_diagnostics_divergence():
-    # state 0 leads to state 1, which never leads back, so the
-    # eigen-density is [0, -inf]: at state 1 scaled log m must fall strictly
-    # along the grid and end below DIVERGENCE_FLOOR, and d_b leaves it out.
-    # spectral_data refuses reducible systems, so the solves are built by
-    # hand: log u = beta * [0, -1] and log m = beta * [0, s], exact in
-    # float, so limit_diagnostics' rescaling gives back [0, -1] and [0, s]
-    system = TransitionSystem(2, [(0, 0, 0.0), (0, 1, -1.0), (1, 1, -2.0)])
-    report = ergodic_report(system)
-    assert report.critical_classes == [(0,)]
-    assert report.eigen_density_basis[0].values.tolist() == [0.0, -math.inf]
-    for series, expected in (([-5, -8, -12], True), ([-5, -12, -11], False), ([-2, -4, -6], False)):
-        solves = []
-        for beta, s in zip(DEFAULT_GRID, series):
-            log_u, log_m = beta * np.array([0.0, -1.0]), beta * np.array([0.0, float(s)])
-            data = SpectralData(
-                report=report, beta=beta, pressure=0.0, log_u=log_u, log_m=log_m, log_mu=log_u + log_m,
-                iterations=0,
-            )
-            solves.append(data)
-        diag = limit_diagnostics(solves)
-        assert diag.divergence_ok is expected, series
-        assert [row.d_b for row in diag.rows] == [0.0] * 3
 
 
 def test_rate_function_fixa(fixa):
@@ -238,17 +228,8 @@ def test_report_of_another_system_is_refused(fixa):
     with pytest.raises(ValueError, match="the state counts differ"):
         rate_function(fixa, report=ergodic_report(from_sft([[1]], [[0.0]])))
     # a solve and a rate function carry their report, and reports compare
-    # by identity: solves of another report are refused where they meet,
-    # the twin's too, whose system equals fixa but whose report is another
-    own = ergodic_report(fixa)
-    mine = beta_sweep(fixa, report=own)
-    twin = system_from_json(system_to_json(fixa))
-    for other in (c, b, twin):
-        theirs = beta_sweep(other, report=ergodic_report(other))
-        for mixed in (mine + theirs, theirs[:1] + mine):
-            with pytest.raises(ValueError, match="the sweep mixes solves of different reports"):
-                limit_diagnostics(mixed)
-    rate = rate_function(fixa, report=own)
+    # by identity: a solve of another report is refused where they meet
+    rate = rate_function(fixa, report=ergodic_report(fixa))
     solve = spectral_data(c, 1000.0, report=ergodic_report(c))
     with pytest.raises(ValueError, match="the solve and the rate function are of different reports"):
         ldp_residual([0.0, 1.0], rate=rate, spectral=solve)
@@ -266,7 +247,7 @@ def test_report_of_an_equal_system_is_accepted(fixa):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     assert spectral_data(fixa, 10.0, report=other).log_mu.tobytes() == mine[0].log_mu.tobytes()
     assert rate_function(fixa, report=other).to_json() == rate_function(fixa, report=own).to_json()
-    assert limit_diagnostics(theirs) == limit_diagnostics(mine)
+    assert [limit_diagnostics(data) for data in theirs] == [limit_diagnostics(data) for data in mine]
 
 
 def test_rate_function_json_sentinel(fixa):
