@@ -2,13 +2,13 @@
 
 Deliberately independent of the fast paths: cycle means come from
 exhaustive simple-cycle enumeration (a depth-first search rooted at each
-cycle's least state), path suprema from naive max-plus matrix powers
-over plain floats, calibrated sub-actions from the spectral projector
-on that enumerated phi, and the Ruelle operator is applied arc by arc,
-in linear space and in log space.
+cycle's least state), path suprema from naive max-plus matrix powers,
+calibrated sub-actions from the spectral projector on that enumerated
+phi, and the Ruelle operator is applied arc by arc, in linear space
+and in log space.
 Standard library and numpy only. Sized for small systems: path suprema
-cost O(n^4) pure-Python steps, the CLI caps the oracle at 10 states and
-the tests stay at n <= 12.
+cost O(n^4) float operations in n^3-cell temporaries, the CLI caps the
+oracle at 10 states and the tests stay at n <= 12.
 """
 
 from __future__ import annotations
@@ -58,60 +58,38 @@ def enum_max_cycle_mean(sys: TransitionSystem) -> float:
     return best
 
 
-def _matmul_maxplus(a: List[List[float]], b: List[List[float]]) -> List[List[float]]:
-    n = len(a)
-    out = [[_NINF] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik == _NINF:
-                continue
-            bk = b[k]
-            for j in range(n):
-                c = aik + bk[j]
-                if c > oi[j]:
-                    oi[j] = c
-    return out
-
-
-def enum_mane(sys: TransitionSystem, q: float, horizon: int = None) -> List[List[float]]:
+def enum_mane(sys: TransitionSystem, q: float, horizon: int = None) -> np.ndarray:
     """Max normalized path weight by powering the shifted weight matrix.
 
     With all cycle means <= 0 a maximizing walk never gains from length
-    beyond 2n, so the default horizon is exact.
+    beyond 2n, so the default horizon is exact. Each max-plus power is
+    one broadcast sum reduced over the middle state, and phi is the
+    running max of the powers. The floats are those of a scalar loop:
+    a sum past float range goes to +-inf without a warning, and np.fmax
+    skips the NaN of inf - inf, so such a sum never wins a max.
     """
     n = sys.n
     if horizon is None:
         horizon = 2 * n
-    grid = [[_NINF] * n for _ in range(n)]
-    for s, t, w in sys.arcs:
-        grid[s][t] = w - q
-    phi = [row[:] for row in grid]
-    power = [row[:] for row in grid]
-    for _ in range(horizon - 1):
-        power = _matmul_maxplus(power, grid)
-        for i in range(n):
-            pi = power[i]
-            fi = phi[i]
-            for j in range(n):
-                if pi[j] > fi[j]:
-                    fi[j] = pi[j]
+    src, tgt, w = sys.arc_arrays
+    grid = np.full((n, n), _NINF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid[src, tgt] = w - q
+        phi = power = grid
+        for _ in range(horizon - 1):
+            power = np.fmax.reduce(power[:, :, None] + grid, axis=1, initial=_NINF)
+            phi = np.fmax(phi, power)
     return phi
 
 
-def enum_aubry(phi: List[List[float]], tol: float = DEFAULT_TOL) -> Tuple[int, ...]:
-    """States whose best return path has weight 0 (within tol)."""
-    out = []
-    for i, row in enumerate(phi):
-        d = row[i]
-        if d != _NINF and abs(d) <= tol:
-            out.append(i)
-    return tuple(out)
+def enum_aubry(phi: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[int, ...]:
+    """States whose best return path has weight 0 (within tol); a -inf
+    diagonal is excluded whatever tol is."""
+    d = np.diagonal(phi)
+    return tuple(np.flatnonzero((d > _NINF) & (np.abs(d) <= tol)).tolist())
 
 
-def enum_critical_classes(phi: List[List[float]], aubry: Sequence[int]) -> List[Tuple[int, ...]]:
+def enum_critical_classes(phi: np.ndarray, aubry: Sequence[int]) -> List[Tuple[int, ...]]:
     """Aubry states grouped by round trip: x and y share a class when
     phi(x, y) + phi(y, x) is within DEFAULT_TOL of 0 (x is in its own);
     ordered by least member, and a partition unless a round trip sits at
@@ -119,7 +97,7 @@ def enum_critical_classes(phi: List[List[float]], aubry: Sequence[int]) -> List[
     classes: List[Tuple[int, ...]] = []
     for x in aubry:
         if not any(x in c for c in classes):
-            classes.append(tuple(y for y in aubry if y == x or abs(phi[x][y] + phi[y][x]) <= DEFAULT_TOL))
+            classes.append(tuple(y for y in aubry if y == x or abs(phi[x, y] + phi[y, x]) <= DEFAULT_TOL))
     return classes
 
 
@@ -133,7 +111,7 @@ def subaction_limsup(sys: TransitionSystem, u0: np.ndarray) -> np.ndarray:
     (Baccelli, Cohen, Olsder, Quadrat, Synchronization and Linearity,
     1992, ch. 3). Normalization is checked by enumeration, and both it
     and the limit's fixed-point residual must hold within DEFAULT_TOL.
-    enum_mane is O(n^4) pure Python, so this is a small-n reference.
+    enum_max_cycle_mean is exhaustive, so this is a small-n reference.
     """
     n = sys.n
     u0 = trop_vector(u0)
@@ -144,9 +122,8 @@ def subaction_limsup(sys: TransitionSystem, u0: np.ndarray) -> np.ndarray:
     mean = enum_max_cycle_mean(sys)
     if mean == _NINF or abs(mean) > DEFAULT_TOL:
         raise ValueError("system is not normalized (max cycle mean must be 0)")
-    phi = enum_mane(sys, 0.0)
-    aubry = list(enum_aubry(phi))
-    star = np.array(phi)
+    star = enum_mane(sys, 0.0)
+    aubry = list(enum_aubry(star))
     np.fill_diagonal(star, np.maximum(star.diagonal(), 0.0))
     into = np.max(u0[:, None] + star[:, aubry], axis=0, initial=_NINF)
     out = trop_vector(np.max(into[:, None] + star[aubry, :], axis=0, initial=_NINF))

@@ -323,7 +323,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     aubry_enum = enum_aubry(phi_enum, tol=args.tol)
 
     q_dev = abs(report.Q - q_enum)
-    phi_dev = sup_distance(report.phi.ravel(), np.ravel(phi_enum))
+    phi_dev = sup_distance(report.phi.ravel(), phi_enum.ravel())
     aubry_dev = 0.0 if tuple(report.aubry) == tuple(aubry_enum) else math.inf
 
     ok = q_dev <= args.tol and phi_dev <= args.tol and aubry_dev <= args.tol

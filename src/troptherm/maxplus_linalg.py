@@ -99,7 +99,7 @@ def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float
     D[k, v] = max weight of a walk with exactly k arcs ending at v, any
     start; each k is one pass over the arcs, O(n·m) in all. Returns -inf
     when the graph is acyclic. ValueError when 2·n·max|w|, which bounds
-    |D[n] - D[k]| and every path sum of the closure, overflows float64.
+    |D[n] - D[k]| and the weight of every simple path, overflows float64.
     """
     top = float(np.max(np.abs(w), initial=0.0))
     if not math.isfinite(2.0 * n * top):  # a Python float product: no numpy warning
@@ -146,17 +146,22 @@ def _closure(a: np.ndarray) -> np.ndarray:
     allows; then the rows before k see row k as it was and the rows
     after k see it after its own update. That ordering keeps the result
     bit for bit the scalar recurrence.
+
+    Karp's guard bounds every best path, but not a candidate a[i, k] +
+    a[k, j] of up to 2n arcs: one that passes float range goes quietly
+    to -inf, below every best path, and never wins the max.
     """
-    for k in range(a.shape[0]):
-        live = np.flatnonzero(a[:, k] > _NINF)
-        if a[k, k] > 0:
-            cut = np.searchsorted(live, k)  # live[cut] == k
-            _relax(a, live[:cut], k)
-            _raise_to(a[k], a[k, k] + a[k])
-            _relax(a, live[cut + 1 :], k)
-        else:
-            # row k does not move, so every live row sees the same row k
-            _relax(a, live, k)
+    with np.errstate(over="ignore"):
+        for k in range(a.shape[0]):
+            live = np.flatnonzero(a[:, k] > _NINF)
+            if a[k, k] > 0:
+                cut = np.searchsorted(live, k)  # live[cut] == k
+                _relax(a, live[:cut], k)
+                _raise_to(a[k], a[k, k] + a[k])
+                _relax(a, live[cut + 1 :], k)
+            else:
+                # row k does not move, so every live row sees the same row k
+                _relax(a, live, k)
     return a
 
 

@@ -215,7 +215,7 @@ def spectral_data(sys: TransitionSystem, beta: float, report: ErgodicReport) -> 
     sums.append(aw / 16 + np.abs(u16[src]) + np.abs(u16[tgt]))
     worst = max(float(x.max()) for x in sums + [np.abs(vn) + np.abs(bn)])
     if not math.isfinite(beta * 16 * worst):  # Python floats: no numpy warning
-        raise ValueError(f"the Ruelle solve overflows float64: beta {beta:g} * {16 * worst:.6g} is inf")
+        raise ValueError(f"the Ruelle solve overflows float64: beta {beta:g} * 16 * {worst:.6g} is inf")
     log_u, log_m = beta * v, beta * b
     lw = beta * (w - q)
 

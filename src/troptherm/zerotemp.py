@@ -174,6 +174,7 @@ def limit_diagnostics(data: SpectralData) -> DiagnosticsRow:
     d_b = float(np.max(np.abs(slm - b_f)))
     d_g = float(np.max(np.abs(g - a_hat)))
     best = np.full_like(bhat, -math.inf)
-    np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
+    with np.errstate(over="ignore"):  # a sum past float range goes to +-inf quietly
+        np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
     d_d = float(np.max(np.abs(best - bhat)))
     return DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d)

@@ -6,10 +6,12 @@ discretized at orders 3-9 with the potential cos 2πt; 807 systems. Then
 three more, whose records follow the first 4,035: a toy with two
 critical classes, a two-cycle of weights ±1e10 beside self-loops, and
 a system whose labels hold a newline, quotes, a backslash, U+2028, a
-non-ASCII letter and the text of phi's key; 810 systems in all.
-Commands: analyze, sweep, sweep --force, ldp and oracle on each, 4,050
-records. For every record one line goes to stdout: the sha256 of its
-argv, exit code, stdout and stderr, then the exit code and the argv.
+non-ASCII letter and the text of phi's key. Last, after the first
+4,050 records, a 3-cycle of weights ±2.5e307 beside a self-loop, whose
+closure candidates pass float range; 811 systems in all. Commands:
+analyze, sweep, sweep --force, ldp and oracle on each, 4,055 records.
+For every record one line goes to stdout: the sha256 of its argv, exit
+code, stdout and stderr, then the exit code and the argv.
 
 The records then run again in reverse order. If any record's bytes
 differ, the script names it and exits 1: no state may carry over from
@@ -50,6 +52,10 @@ EXTRA_SYSTEMS = {
         "n": 2,
         "arcs": [[0, 1, -1.0], [1, 0, 0.5], [1, 1, 0.0]],
         "labels": ["a\nb\"c\\", '\u2028é "phi": ['],
+    },
+    "three-cycle-2.5e307.json": {
+        "n": 3,
+        "arcs": [[0, 0, 2.5e307], [0, 1, -2.5e307], [1, 2, -2.5e307], [2, 0, -2.5e307]],
     },
 }
 

@@ -590,16 +590,26 @@ def test_karp_overflow_exits_2(tmp_path, capsys):
             ergodic_report(system)
 
 
+# near the float-range edge: a closure candidate joins two best paths of
+# up to n arcs each and may pass float range, as may the sums of the
+# limit distance d_D at small beta; both printed numpy warnings
+EDGE_CYCLE = TransitionSystem(3, [(0, 0, 2.5e307), (0, 1, -2.5e307), (1, 2, -2.5e307), (2, 0, -2.5e307)])
+EDGE_TWO = TransitionSystem(2, [(0, 0, 4e307), (0, 1, -4e307), (1, 0, -4e307)])
+EDGE_LOOPS = TransitionSystem(2, [(0, 0, 4e307), (0, 1, -4e307), (1, 0, -4e307), (1, 1, -4e307)])
+
+
 def test_ruelle_weight_overflow_exits_2(tmp_path):
     # Karp's path sums of a 1e307 two-cycle stay in range, but beta * w
     # leaves it at beta 100: sweep printed an inf pressure with nan
     # diagnostics and ldp exited 0, both after numpy RuntimeWarnings. With
     # weights 1e306 beta * max|w| is in range at beta 100, but the loop's
     # beta * (w - Q) = -2e308 is not: sweep printed d_g = inf, and ldp
-    # exited 0, after the same warnings
+    # exited 0, after the same warnings. On EDGE_LOOPS the refusal named
+    # "beta 10 * inf": the factor it printed overflowed itself
     two = TransitionSystem(2, [(0, 1, 1e307), (1, 0, 1e307)])
     loop = TransitionSystem(2, [(0, 1, 1e306), (1, 0, 1e306), (0, 0, -1e306)])
-    for name, system, grid in (("two.json", two, []), ("loop.json", loop, ["--grid", "100"])):
+    cases = (("two.json", two, []), ("loop.json", loop, ["--grid", "100"]), ("edge.json", EDGE_LOOPS, []))
+    for name, system, grid in cases:
         path = _dump(tmp_path, name, system)
         for command in ("sweep", "ldp"):
             proc = subprocess.run(
@@ -613,8 +623,34 @@ def test_ruelle_weight_overflow_exits_2(tmp_path):
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: the Ruelle solve overflows float64") and proc.stderr.count("\n") == 1
             assert "Warning" not in proc.stderr
+            assert "inf" not in proc.stderr.removesuffix(" is inf\n")
     with pytest.raises(ValueError, match="the Ruelle solve overflows float64"):
         spectral_data(two, 100.0, ergodic_report(two))
+
+
+def test_overflowing_closure_candidates_stay_quiet(tmp_path, capsys):
+    for name, system in (("cycle.json", EDGE_CYCLE), ("two.json", EDGE_TWO)):
+        path = _dump(tmp_path, name, system)
+        assert cli.main(["analyze", "--input", path]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        phi = json.loads(out)["mane"]["phi"]
+        if system is EDGE_TWO:
+            assert phi == [[0.0, -8e307], [-8e307, -1.6e308]]
+        assert cli.main(["oracle", "--input", path]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["ok"] is True
+
+
+def test_small_beta_limit_distances_stay_quiet(tmp_path, capsys):
+    path = _dump(tmp_path, "loops.json", EDGE_LOOPS)
+    assert cli.main(["sweep", "--grid", "0.001", "--input", path]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "beta,pressure_over_beta,d_u,d_b,d_g,d_D," + ",".join(f"ldp_residual_{i}" for i in range(10)),
+        "0.001,3.9999999999999999e+307,0,0,9.9792015476735991e+291,0," + ",".join(["0"] * 10),
+    ]
 
 
 def test_bad_system_json_exits_2(tmp_path):

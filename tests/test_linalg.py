@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from troptherm.bruteforce import enum_max_cycle_mean
+from troptherm.bruteforce import enum_aubry, enum_mane, enum_max_cycle_mean
 from troptherm.cli import _gen_system
 from troptherm.dynamics import TransitionSystem, bousch_apply, discretize_doubling
 from troptherm.ergodic_opt import ergodic_report, mane_potential, max_potential_energy
@@ -156,6 +156,28 @@ def test_enum_max_cycle_mean_closed_forms():
     # root to state n - 1, so this is n^2 / 2 steps)
     n = 1200
     assert enum_max_cycle_mean(TransitionSystem(n, [(i, (i + 1) % n, 3.0) for i in range(n)])) == 3.0
+
+
+def test_enum_mane_at_float_range_edge():
+    # longer walks than any best path pass float range; the powers take
+    # them to -inf quietly (the suite turns a numpy warning into an error)
+    # and return the closure's cells
+    cycle = TransitionSystem(3, [(0, 0, 2.5e307), (0, 1, -2.5e307), (1, 2, -2.5e307), (2, 0, -2.5e307)])
+    two = TransitionSystem(2, [(0, 0, 4e307), (0, 1, -4e307), (1, 0, -4e307)])
+    for sys_ in (cycle, two):
+        phi = enum_mane(sys_, enum_max_cycle_mean(sys_))
+        assert isinstance(phi, np.ndarray) and phi.dtype == np.float64
+        assert phi.tolist() == ergodic_report(sys_).phi.tolist()
+        assert enum_aubry(phi) == (0,)
+    assert enum_mane(two, 4e307).tolist() == [[0.0, -8e307], [-8e307, -1.6e308]]
+    # an arc shifted past float range weighs +inf, and the NaN of inf plus
+    # a missing arc after it never hides the finite path beside it
+    past = TransitionSystem(4, [(0, 1, 1e308), (0, 2, -1e308), (2, 3, -1e308)])
+    assert enum_mane(past, -1e308)[0].tolist() == [NI, math.inf, 0.0, 0.0]
+    # a state with no return path is never in the Aubry set, whatever tol
+    phi = enum_mane(TransitionSystem(2, [(0, 0, 0.0), (0, 1, -1.0)]), 0.0)
+    assert phi.tolist() == [[0.0, -1.0], [NI, NI]]
+    assert enum_aubry(phi, tol=math.inf) == (0,)
 
 
 def test_kleene_plus_examples():
