@@ -28,17 +28,17 @@ _NINF = -math.inf
 def enum_max_cycle_mean(sys: TransitionSystem) -> float:
     """Maximum over all simple cycles of (total weight / length); -inf when acyclic.
 
-    Each simple cycle is found once, from its least state: the search
-    rooted at a state walks only through greater states and closes a
-    cycle on an arc back to the root. Weights are summed in path order
-    from the root.
+    Each simple cycle is found once, from its least state (entered from
+    a state no less, so only such states are roots): the search walks
+    only through greater states and closes a cycle on an arc back to the
+    root. Weights are summed in path order from the root.
     """
     succ = [[] for _ in range(sys.n)]
     for s, t, w in sys.arcs:
         succ[s].append((t, w))
     best = _NINF
     on_path = [False] * sys.n
-    for root in range(sys.n):
+    for root in sorted({t for s, t, _ in sys.arcs if s >= t}):
         # one (state, weight so far, arcs still to try) per path state; an
         # explicit stack, so no recursion limit
         stack = [(root, 0.0, iter(succ[root]))]

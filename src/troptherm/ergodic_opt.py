@@ -3,12 +3,12 @@ sub-actions on finite transition systems.
 
 ergodic_report runs the one tropical pass per system on the max-plus
 primitives of maxplus_linalg: Karp's maximum cycle mean Q over the arcs,
-then one Kleene closure of the weights shifted by it (the normalized
-potential), from which the critical classes are read. Its record,
-ErgodicReport, is the Mañé data: phi the all-pairs maximum path weight,
-the Aubry set the union of the critical classes, and the rows and
-columns at critical states eigenfunctions of the Bousch operator and
-fixed densities of its tropical adjoint.
+then one Kleene closure in place of the weights shifted by it (the
+normalized potential), whose critical classes are read on the arcs. Its
+record, ErgodicReport, is the Mañé data: phi the all-pairs maximum path
+weight, the Aubry set the union of the critical classes, and the rows
+and columns at critical states eigenfunctions of the Bousch operator
+and fixed densities of its tropical adjoint.
 """
 
 from __future__ import annotations
@@ -105,13 +105,13 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
     """Karp once, then one Kleene closure of the weights shifted by the
     mean, from which everything else is read.
 
-    ValueError before any closure when no cycle exists. Critical arcs
-    lie on some cycle of total weight 0: |w(i, j) + star(j, i)| <= tol,
-    the way back read from the Kleene star, whose diagonal
-    max(phi(i, i), 0) is the empty path. Their strongly connected
-    classes that carry a cycle are the one criticality reading, the
-    Aubry set their union; ValueError when rounding at the weights'
-    scale leaves none.
+    ValueError before any closure when no cycle exists. The shifted
+    weights are closed in place in phi, the one n x n float array built.
+    Criticality is read on the m arcs: i -> j is on a cycle of weight 0
+    when |w(i, j) + star(j, i)| <= tol, and a loop's way back may be the
+    empty path, max(phi(i, i), 0). The strongly connected classes of the
+    critical arcs that carry a cycle are the one criticality reading,
+    the Aubry set their union; ValueError when rounding leaves none.
 
     Each critical class representative x gives one Bousch fixed point
     phi(x, ·) and one adjoint fixed point phi(·, x). The column has a 0
@@ -127,14 +127,14 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
     mean = maxplus_linalg._karp_mean(n, src, tgt, w)
     if mean == -math.inf:
         raise ValueError("acyclic system carries no invariant measure")
-    grid = np.full((n, n), -math.inf)
-    grid[src, tgt] = w - mean
-    phi = maxplus_linalg._closure(grid.copy())
+    shifted = w - mean
+    phi = np.full((n, n), -math.inf)
+    phi[src, tgt] = shifted
+    phi = maxplus_linalg._closure(phi)
     phi.flags.writeable = False
-    cycle = grid + phi.T
-    np.fill_diagonal(cycle, np.diagonal(grid) + np.maximum(np.diagonal(phi), 0.0))
-    i, j = np.nonzero(np.abs(cycle) <= tol)
-    arcs = list(zip(i.tolist(), j.tolist()))  # row-major
+    back = np.where(src == tgt, np.maximum(phi[src, src], 0.0), phi[tgt, src])
+    crit = np.flatnonzero(np.abs(shifted + back) <= tol)
+    arcs = sorted(zip(src[crit].tolist(), tgt[crit].tolist()))  # row-major
     loops = {s for s, t in arcs if s == t}
     classes = [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
     if not classes:

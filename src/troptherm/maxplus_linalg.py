@@ -6,10 +6,10 @@ arc. Weights come from real potentials, so +inf never appears here and
 the arithmetic runs on float64 arrays (the only infinity in play is
 -inf, which is safe under + and max). ergodic_opt.ergodic_report runs
 the pass with these: Karp's maximum cycle mean over the arcs
-(_karp_mean), one Kleene closure of the weights shifted by it
-(_closure), Tarjan's strongly connected components of the critical arcs
-(strongly_connected), and a maximizing cycle by a BFS over them
-(_witness).
+(_karp_mean), one Kleene closure in place of the weights shifted by it
+(_closure), Tarjan's strongly connected components of the critical arcs,
+read on the arcs (strongly_connected), and a maximizing cycle by a BFS
+over them (_witness); it holds one n x n float array at a time.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float
     start; each k is one pass over the arcs, O(n·m) in all. Returns -inf
     when the graph is acyclic. ValueError when 2·n·max|w|, which bounds
     |D[n] - D[k]| and the weight of every simple path, overflows float64.
+    The gaps overwrite D's first n rows: no n x n array beyond D.
     """
     top = float(np.max(np.abs(w), initial=0.0))
     if not math.isfinite(2.0 * n * top):  # a Python float product: no numpy warning
@@ -108,10 +109,10 @@ def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float
     D[0] = 0.0
     for k in range(1, n + 1):
         np.maximum.at(D[k], tgt, D[k - 1][src] + w)
-    with np.errstate(invalid="ignore"):  # -inf - -inf, masked below
-        gaps = (D[n] - D[:n]) / (n - np.arange(n))[:, None]
-    worst = np.where(D[:n] > _NINF, gaps, math.inf).min(axis=0)
-    ends = worst[D[n] > _NINF]
+    with np.errstate(invalid="ignore"):  # unmasked: -inf D[k] gives +inf, NaN only where D[n] is -inf
+        np.subtract(D[n], D[:n], out=D[:n])
+        np.divide(D[:n], (n - np.arange(n))[:, None], out=D[:n])
+        ends = D[:n].min(axis=0)[D[n] > _NINF]
     return float(ends.max()) if ends.size else _NINF
 
 
@@ -134,7 +135,7 @@ def _relax(a: np.ndarray, rows: np.ndarray, k: int) -> None:
 
 def _closure(a: np.ndarray) -> np.ndarray:
     """Floyd-Warshall all-pairs maximum path weight, paths of length >= 1,
-    computed in place.
+    computed in place: a is the one n x n float array the pass holds.
 
     Only valid when every cycle mean is <= 0 (up to rounding). For each
     k only the rows i with a[i, k] > -inf are relaxed against row k: the
@@ -143,9 +144,10 @@ def _closure(a: np.ndarray) -> np.ndarray:
     models at most a quarter of a column is finite on average over k,
     so most of the O(n³) work is skipped; a dense matrix still costs
     O(n³). Row k changes only when a[k, k] > 0, which Karp's rounding
-    allows; then the rows before k see row k as it was and the rows
-    after k see it after its own update. That ordering keeps the result
-    bit for bit the scalar recurrence.
+    allows; then the rows before k are relaxed against row k as it was,
+    row k is updated, and the one relaxation of each step takes the rows
+    after k. That ordering keeps the result bit for bit the scalar
+    recurrence.
 
     Karp's guard bounds every best path, but not a candidate a[i, k] +
     a[k, j] of up to 2n arcs: one that passes float range goes quietly
@@ -158,10 +160,8 @@ def _closure(a: np.ndarray) -> np.ndarray:
                 cut = np.searchsorted(live, k)  # live[cut] == k
                 _relax(a, live[:cut], k)
                 _raise_to(a[k], a[k, k] + a[k])
-                _relax(a, live[cut + 1 :], k)
-            else:
-                # row k does not move, so every live row sees the same row k
-                _relax(a, live, k)
+                live = live[cut + 1 :]
+            _relax(a, live, k)
     return a
 
 

@@ -6,10 +6,12 @@ discretized at orders 3-9 with the potential cos 2πt; 807 systems. Then
 three more, whose records follow the first 4,035: a toy with two
 critical classes, a two-cycle of weights ±1e10 beside self-loops, and
 a system whose labels hold a newline, quotes, a backslash, U+2028, a
-non-ASCII letter and the text of phi's key. Last, after the first
+non-ASCII letter and the text of phi's key. Then, after the first
 4,050 records, a 3-cycle of weights ±2.5e307 beside a self-loop, whose
-closure candidates pass float range; 811 systems in all. Commands:
-analyze, sweep, sweep --force, ldp and oracle on each, 4,055 records.
+closure candidates pass float range. Last, after the first 4,055
+records, the doubling map at order 7 with its arcs listed in reverse
+order; 812 systems in all. Commands: analyze, sweep, sweep --force, ldp
+and oracle on each, 4,060 records.
 For every record one line goes to stdout: the sha256 of its argv, exit
 code, stdout and stderr, then the exit code and the argv.
 
@@ -93,7 +95,9 @@ def build_inputs() -> List[str]:
         f"doubling-{order}.json": system_to_json(discretize_doubling(order, lambda t: math.cos(2 * math.pi * t)))
         for order in DOUBLING_ORDERS
     }
-    for name, data in {**doubling, **EXTRA_SYSTEMS}.items():
+    reversed_arcs = {**doubling["doubling-7.json"]}
+    reversed_arcs["arcs"] = reversed_arcs["arcs"][::-1]
+    for name, data in {**doubling, **EXTRA_SYSTEMS, "doubling-7-reversed.json": reversed_arcs}.items():
         with open(name, "w") as fh:
             json.dump(data, fh)
         names.append(name)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,3 +385,33 @@ def test_report_holds_read_only_arrays(fixa, two_loops):
         # two reports of one system compare by identity, not by their arrays
         again = ergodic_report(report.system)
         assert report == report and report != again
+
+
+def test_report_ignores_arc_order(two_loops):
+    # criticality is read on the arcs and sorted row-major, so the same
+    # arcs listed in another order give the same report
+    rng = random.Random(11)
+    doubling = discretize_doubling(6, lambda t: math.cos(2 * math.pi * t))
+    for sys in (doubling, _gen_system(0, 12, False), two_loops):
+        arcs = list(sys.arcs)
+        report = ergodic_report(sys)
+        for listing in (arcs[::-1], rng.sample(arcs, len(arcs))):
+            other = ergodic_report(TransitionSystem(sys.n, listing))
+            assert other.Q == report.Q
+            assert other.phi.tobytes() == report.phi.tobytes()
+            assert other.aubry == report.aubry
+            assert other.critical_classes == report.critical_classes
+            assert other.maximizing_cycle == report.maximizing_cycle
+
+
+def test_report_holds_one_square_array():
+    # Karp's gaps and the closure run in place and criticality is read on
+    # the arcs, so the pass never holds two n x n float arrays at once
+    sys = discretize_doubling(9, lambda t: math.cos(2 * math.pi * t))
+    tracemalloc.start()
+    try:
+        report = ergodic_report(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * report.phi.nbytes

@@ -152,9 +152,9 @@ def test_enum_max_cycle_mean_closed_forms():
     # no cycle at all: a chain, and one state without arcs
     assert enum_max_cycle_mean(TransitionSystem(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])) == NI
     assert enum_max_cycle_mean(TransitionSystem(1, [])) == NI
-    # a cycle longer than the recursion limit (the search walks from each
-    # root to state n - 1, so this is n^2 / 2 steps)
-    n = 1200
+    # a cycle longer than the recursion limit; only state 0 is entered
+    # from a greater state, so one search of n steps finds it
+    n = 5000
     assert enum_max_cycle_mean(TransitionSystem(n, [(i, (i + 1) % n, 3.0) for i in range(n)])) == 3.0
 
 
