@@ -15,9 +15,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tropical_core import array_mul, trop_vector
+from .tropical_core import trop_vector
 from .tropical_measures import Density
-from .maxplus_linalg import TropMatrix
+from .maxplus_linalg import TropMatrix, _arc_reduce
 
 
 N_MAX = 2**20  # the most states of a system: discretize_doubling at order 20
@@ -204,14 +204,12 @@ def bousch_apply(sys: TransitionSystem, u: np.ndarray) -> np.ndarray:
     u = trop_vector(u)
     if len(u) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, vector {len(u)}")
-    src, tgt, w = sys.arc_arrays
-    out = np.full(sys.n, -math.inf)
-    np.maximum.at(out, tgt, array_mul(u[src], w))
-    return trop_vector(out)
+    return trop_vector(_arc_reduce(np.maximum, u, *sys.arc_arrays))
 
 
 def adjoint_apply(sys: TransitionSystem, b: Density) -> Density:
-    """out(y) = ⊕ over arcs y -> x of weight ⊗ b(x).
+    """out(y) = ⊕ over arcs y -> x of weight ⊗ b(x): the Bousch operator
+    of the system with every arc reversed.
 
     For a deterministic system this is b(T(y)) + A(y). The top density is
     a fixed point of the dual of any tropical linear map and is returned
@@ -222,9 +220,7 @@ def adjoint_apply(sys: TransitionSystem, b: Density) -> Density:
     if b.is_top:
         return b
     src, tgt, w = sys.arc_arrays
-    out = np.full(sys.n, -math.inf)
-    np.maximum.at(out, src, array_mul(w, b.values[tgt]))
-    return Density(out)
+    return Density(_arc_reduce(np.maximum, b.values, tgt, src, w))
 
 
 def birkhoff_sum(sys: TransitionSystem, states: Sequence[int]) -> float:

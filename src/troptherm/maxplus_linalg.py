@@ -10,6 +10,8 @@ the pass with these: Karp's maximum cycle mean over the arcs
 (_closure), Tarjan's strongly connected components of the critical arcs,
 read on the arcs (strongly_connected), and a maximizing cycle by a BFS
 over them (_witness); it holds one n x n float array at a time.
+_arc_reduce is the one arc product of Karp's recurrence and of both
+transfer operators: ⊕ = max for Bousch, logaddexp for Ruelle in logs.
 """
 
 from __future__ import annotations
@@ -93,6 +95,16 @@ class TropMatrix:
         return self._a
 
 
+def _arc_reduce(op: np.ufunc, x: np.ndarray, frm: np.ndarray, to: np.ndarray, w) -> np.ndarray:
+    """out[t] = op over arcs f -> t, in arc order, of x[f] + w; -inf where
+    no arc enters. w is finite, so no sum is NaN; one past float range
+    goes to +-inf quietly."""
+    out = np.full(len(x), _NINF)
+    with np.errstate(over="ignore"):
+        op.at(out, to, x[frm] + w)
+    return out
+
+
 def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float:
     """Maximum cycle mean by Karp's recurrence with a free multi-source start.
 
@@ -108,7 +120,7 @@ def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float
     D = np.full((n + 1, n), _NINF)
     D[0] = 0.0
     for k in range(1, n + 1):
-        np.maximum.at(D[k], tgt, D[k - 1][src] + w)
+        D[k] = _arc_reduce(np.maximum, D[k - 1], src, tgt, w)
     with np.errstate(invalid="ignore"):  # unmasked: -inf D[k] gives +inf, NaN only where D[n] is -inf
         np.subtract(D[n], D[:n], out=D[:n])
         np.divide(D[:n], (n - np.arange(n))[:, None], out=D[:n])

@@ -1,17 +1,18 @@
 """Positive-temperature transfer operators: pressure, eigendata, equilibria.
 
 All spectral work runs in log space, from the system's ergodic report
-alone. Weights are shifted by its Q before exponentiation (the pressure
-is shifted back by beta * Q exactly). The eigenvectors come from one
-loop that starts at beta times its limit pair and works in coordinates
-scaled by that pair and by the current iterate (the diagonal scaling of
-Gaubert and Sharify, 2009): it takes Noda's shifted inverse step (Numer.
-Math. 17, 1971), which converges in a few steps whatever the spectral
-gap, whenever float64 resolves it, and a +1-damped power step
-otherwise; the damping keeps the iteration convergent on periodic
-transition structures without moving the eigenvectors. Eigenvectors
-and measures are reported as logs only: at large beta their linear
-entries underflow or overflow.
+alone, by the Bousch operator's arc product with ⊕ = logaddexp (on the
+reversed arcs for the left vector). Weights are shifted by Q before
+exponentiation (the pressure is shifted back by beta * Q exactly). The
+eigenvectors come from one loop that starts at beta times its limit
+pair and works in coordinates scaled by that pair and by the current
+iterate (the diagonal scaling of Gaubert and Sharify, 2009): it takes
+Noda's shifted inverse step (Numer. Math. 17, 1971), which converges in
+a few steps whatever the spectral gap, whenever float64 resolves it,
+and a +1-damped power step otherwise; the damping keeps the iteration
+convergent on periodic transition structures without moving the
+eigenvectors. Eigenvectors and measures are reported as logs only: at
+large beta their linear entries underflow or overflow.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport, check_report
-from .maxplus_linalg import ConvergenceError, strongly_connected
+from .maxplus_linalg import ConvergenceError, _arc_reduce, strongly_connected
 
 BETA_MAX_DEFAULT = 2000.0
 POWER_CAP_DEFAULT = 100000
@@ -100,13 +101,6 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(m + math.log(np.sum(np.exp(a - m))))
 
 
-def _log_image(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """log(B e^x) for the matrix B[rows, cols] = e^lw, computed stably."""
-    out = np.full(len(x), -math.inf)
-    np.logaddexp.at(out, rows, lw + x[cols])
-    return out
-
-
 def _noda_solve(
     x: np.ndarray, gap: np.ndarray, rows: np.ndarray, cols: np.ndarray, lw: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -141,7 +135,7 @@ def _solver_step(
     the old one, which is 0 exactly at an eigenvector. A Noda step is
     taken while float64 resolves it, the damped power step otherwise.
     """
-    image = _log_image(x, rows, cols, lw)
+    image = _arc_reduce(np.logaddexp, x, cols, rows, lw)  # log(B e^x), computed stably
     gap = image - x
     bracket = float(np.ptp(gap))
     # below the float spacing at |x| the bracket is rounding noise, which a

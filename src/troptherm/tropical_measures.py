@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .maxplus_linalg import _arc_reduce
 from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,8 +110,7 @@ def is_invariant(sys: "TransitionSystem", b: Density) -> bool:
     if len(b) != sys.n:
         raise ValueError(f"length mismatch: system {sys.n}, density {len(b)}")
     src, tgt, _ = sys.arc_arrays
-    image = np.full(sys.n, -math.inf)
-    np.maximum.at(image, tgt, b.values[src])
+    image = _arc_reduce(np.maximum, b.values, src, tgt, 0.0)
     return bool(np.array_equal(image, b.values))
 
 

@@ -10,7 +10,6 @@ and limit_diagnostics measures one solve at a time, rescaling it by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import thermo
 from .dynamics import TransitionSystem
 from .ergodic_opt import ErgodicReport, check_report
-from .maxplus_linalg import MultiClassError
+from .maxplus_linalg import MultiClassError, _arc_reduce
 from .thermo import SpectralData, check_beta, log_moment, normalized_potential
 from .tropical_core import array_mul, array_sup, floats_to_json, trop_vector
 from .tropical_measures import Density
@@ -173,8 +172,6 @@ def limit_diagnostics(data: SpectralData) -> DiagnosticsRow:
     d_u = float(np.max(np.abs(slu - v_f)))
     d_b = float(np.max(np.abs(slm - b_f)))
     d_g = float(np.max(np.abs(g - a_hat)))
-    best = np.full_like(bhat, -math.inf)
-    with np.errstate(over="ignore"):  # a sum past float range goes to +-inf quietly
-        np.maximum.at(best, arc_src, bhat[arc_tgt] + g)
+    best = _arc_reduce(np.maximum, bhat, arc_tgt, arc_src, g)
     d_d = float(np.max(np.abs(best - bhat)))
     return DiagnosticsRow(d_u=d_u, d_b=d_b, d_g=d_g, d_D=d_d)

@@ -10,8 +10,11 @@ non-ASCII letter and the text of phi's key. Then, after the first
 4,050 records, a 3-cycle of weights ±2.5e307 beside a self-loop, whose
 closure candidates pass float range. Last, after the first 4,055
 records, the doubling map at order 7 with its arcs listed in reverse
-order; 812 systems in all. Commands: analyze, sweep, sweep --force, ldp
-and oracle on each, 4,060 records.
+order. Last of all, after the first 4,060 records, the transposed
+systems A^T (every arc s -> t becomes t -> s, weight kept) of gen seed
+1 at --n 12 and of the doubling map at order 5; 814 systems in all.
+Commands: analyze, sweep, sweep --force, ldp and oracle on each, 4,070
+records.
 For every record one line goes to stdout: the sha256 of its argv, exit
 code, stdout and stderr, then the exit code and the argv.
 
@@ -97,7 +100,12 @@ def build_inputs() -> List[str]:
     }
     reversed_arcs = {**doubling["doubling-7.json"]}
     reversed_arcs["arcs"] = reversed_arcs["arcs"][::-1]
-    for name, data in {**doubling, **EXTRA_SYSTEMS, "doubling-7-reversed.json": reversed_arcs}.items():
+    with open("gen-1-n12.json") as fh:
+        transposed = {"gen-1-n12-transposed.json": json.load(fh)}
+    transposed["doubling-5-transposed.json"] = {**doubling["doubling-5.json"]}
+    for data in transposed.values():  # A^T: every arc turned round
+        data["arcs"] = [[t, s, w] for s, t, w in data["arcs"]]
+    for name, data in {**doubling, **EXTRA_SYSTEMS, "doubling-7-reversed.json": reversed_arcs, **transposed}.items():
         with open(name, "w") as fh:
             json.dump(data, fh)
         names.append(name)

@@ -426,9 +426,10 @@ print(json.dumps({
 def test_cli_start_loads_only_its_command(tmp_path):
     # the package loads no numpy; cli loads numpy with a short BLAS spin
     # unless the user chose one, and leaves os.environ as it found it; the
-    # Ruelle side and the oracle load only with the commands that run them
+    # Ruelle side and the oracle load only with the commands that run them,
+    # and numpy.random only with the seeded draws of gen, sweep and ldp
     path = _dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t)))
-    lazy = {"troptherm.thermo", "troptherm.zerotemp", "troptherm.bruteforce"}
+    lazy = {"troptherm.thermo", "troptherm.zerotemp", "troptherm.bruteforce", "numpy.random"}
     for blas_spin, expected in ((None, "4"), ("28", "28")):
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_PROBE, path, str(tmp_path / "report.json")],

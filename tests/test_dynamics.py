@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_adjoint_examples(fixa):
     assert np.array_equal(adjoint_apply(fixa, bottom).values, bottom.values)
     with pytest.raises(ValueError):
         adjoint_apply(fixa, Density([0.0, -1.0, 0.0]))
+
+
+def test_operators_keep_the_arc_sum_conventions():
+    # an empty sup is -inf, +inf passes through the Bousch operator, and a
+    # sum past float range is +inf with no numpy warning
+    sys = TransitionSystem(3, [(0, 1, 1.0), (1, 1, -2.0)])  # no arc enters 0 or 2, none leaves 2
+    assert bousch_apply(sys, tv(0.0, 0.0, 0.0)).tolist() == [-INF, 1.0, -INF]
+    assert adjoint_apply(sys, Density([0.0, 0.0, 0.0])).values.tolist() == [1.0, -2.0, -INF]
+    assert bousch_apply(sys, tv(INF, -INF, INF)).tolist() == [-INF, INF, -INF]
+    big = TransitionSystem(2, [(0, 1, 1e308), (1, 0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bousch_apply(big, tv(1e308, 0.0)).tolist() == [0.0, INF]
 
 
 def test_adjoint_fixes_top(fixa):

@@ -12,12 +12,11 @@ from troptherm.bruteforce import log_ruelle_apply, ruelle_apply
 from troptherm.cli import _gen_system, _probes
 from troptherm.dynamics import TransitionSystem, discretize_doubling, from_sft
 from troptherm.ergodic_opt import ergodic_report
-from troptherm.maxplus_linalg import ConvergenceError, strongly_connected
+from troptherm.maxplus_linalg import ConvergenceError, _arc_reduce, strongly_connected
 from troptherm.thermo import (
     BETA_MAX_DEFAULT,
     BetaRangeError,
     ReducibleSystemError,
-    _log_image,
     log_moment,
     normalized_potential,
     spectral_data,
@@ -64,8 +63,9 @@ def test_log_ruelle_matches_linear(fixa):
 
 
 def test_log_ruelle_apply_matches_the_solver_bit_for_bit():
-    # the oracle's arc-by-arc logaddexp and the solver's np.logaddexp.at
-    # visit the arcs in the same order, so they agree to the last bit
+    # the oracle's arc-by-arc logaddexp and the solver's arc product
+    # (np.logaddexp.at) visit the arcs in the same order, so they agree to
+    # the last bit
     rng = np.random.default_rng(41)
     systems = [_gen_system(seed, None, False) for seed in range(20)]
     systems.append(discretize_doubling(4, lambda t: math.cos(2 * math.pi * t)))
@@ -74,7 +74,7 @@ def test_log_ruelle_apply_matches_the_solver_bit_for_bit():
         for beta in (0.5, 10.0, 1000.0):
             log_u = rng.uniform(-50, 50, sys.n)
             got = log_ruelle_apply(sys, log_u, beta)
-            assert got.tobytes() == _log_image(log_u, tgt, src, beta * w).tobytes()
+            assert got.tobytes() == _arc_reduce(np.logaddexp, log_u, src, tgt, beta * w).tobytes()
 
 
 def test_spectral_full_shift():
