@@ -19,7 +19,9 @@ accepted only as a dict value.
 
 Start-up loads only the tropical side (dynamics, ergodic_opt and what
 they import); sweep and ldp load the Ruelle side (thermo, zerotemp) and
-oracle loads bruteforce when they run. numpy loads with OpenBLAS's idle
+oracle loads bruteforce when they run. Only gen loads numpy.random: the
+probes of sweep and ldp come from troptherm's own PCG64 stream (pcg64),
+equal to default_rng(seed).uniform. numpy loads with OpenBLAS's idle
 spin shortened (OPENBLAS_THREAD_TIMEOUT=4) unless the variable is set;
 os.environ is restored right after.
 
@@ -164,9 +166,11 @@ def _seed_arg(text: str) -> int:
 
 
 def _probes(n: int, seed: int) -> List[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    lo, hi = WEIGHT_RANGE
-    return [rng.uniform(lo, hi, n) for _ in range(PROBE_COUNT)]
+    """PROBE_COUNT draws of default_rng(seed).uniform(*WEIGHT_RANGE, n),
+    bit for bit, without loading numpy.random."""
+    from .pcg64 import uniform_rows
+
+    return list(np.array(uniform_rows(seed, *WEIGHT_RANGE, n, PROBE_COUNT)))
 
 
 def _echo(raw: str) -> str:

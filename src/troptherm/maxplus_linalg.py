@@ -10,8 +10,9 @@ the pass with these: Karp's maximum cycle mean over the arcs
 (_closure), Tarjan's strongly connected components of the critical arcs,
 read on the arcs (strongly_connected), and a maximizing cycle by a BFS
 over them (_witness); it holds one n x n float array at a time.
-_arc_reduce is the one arc product of Karp's recurrence and of both
-transfer operators: ⊕ = max for Bousch, logaddexp for Ruelle in logs.
+_arc_reduce is the one arc product of both transfer operators: ⊕ = max
+for Bousch, logaddexp for Ruelle in logs. Karp's recurrence writes the
+max product into its own rows in place.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def _karp_mean(n: int, src: np.ndarray, tgt: np.ndarray, w: np.ndarray) -> float
         raise ValueError(f"path sums overflow float64: 2 * n * max |w| = 2 * {n} * {top:.6g} is inf")
     D = np.full((n + 1, n), _NINF)
     D[0] = 0.0
-    for k in range(1, n + 1):
-        D[k] = _arc_reduce(np.maximum, D[k - 1], src, tgt, w)
+    for k in range(1, n + 1):  # D is -inf-filled, and the guard rules out overflow
+        np.maximum.at(D[k], tgt, D[k - 1][src] + w)
     with np.errstate(invalid="ignore"):  # unmasked: -inf D[k] gives +inf, NaN only where D[n] is -inf
         np.subtract(D[n], D[:n], out=D[:n])
         np.divide(D[:n], (n - np.arange(n))[:, None], out=D[:n])

@@ -427,9 +427,10 @@ def test_cli_start_loads_only_its_command(tmp_path):
     # the package loads no numpy; cli loads numpy with a short BLAS spin
     # unless the user chose one, and leaves os.environ as it found it; the
     # Ruelle side and the oracle load only with the commands that run them,
-    # and numpy.random only with the seeded draws of gen, sweep and ldp
+    # troptherm's PCG64 stream only with the probes of sweep and ldp, and
+    # numpy.random only with gen's draws
     path = _dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t)))
-    lazy = {"troptherm.thermo", "troptherm.zerotemp", "troptherm.bruteforce", "numpy.random"}
+    lazy = {"troptherm.thermo", "troptherm.zerotemp", "troptherm.bruteforce", "troptherm.pcg64", "numpy.random"}
     for blas_spin, expected in ((None, "4"), ("28", "28")):
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_PROBE, path, str(tmp_path / "report.json")],
@@ -447,6 +448,53 @@ def test_cli_start_loads_only_its_command(tmp_path):
         assert "numpy" in probe["after_import"]
         assert not lazy & set(probe["after_import"])
         assert not lazy & set(probe["after_analyze"])
+
+
+# runs cli.main on the arguments, then reports the modules loaded
+_COMMAND_PROBE = """
+import json, sys
+import troptherm.cli as cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_only_gen_loads_numpy_random(tmp_path):
+    # the seeded probes of sweep and ldp come from troptherm.pcg64, so in
+    # a fresh process only gen's draws load numpy.random
+    path = _dump(tmp_path, "doubling5.json", discretize_doubling(5, lambda t: math.cos(2 * math.pi * t)))
+    out = str(tmp_path / "out")
+    for argv, loads_random in (
+        (["sweep", "--input", path, "--seed", "1", "--output", out], False),
+        (["ldp", "--input", path, "--seed", "1", "--output", out], False),
+        (["gen", "--seed", "1", "--output", out], True),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMMAND_PROBE, *argv],
+            env=_child_env(None),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["code"] == cli.EXIT_OK, argv[0]
+        assert ("numpy.random" in probe["modules"]) is loads_random, argv[0]
+        assert ("troptherm.pcg64" in probe["modules"]) is not loads_random, argv[0]
+
+
+def test_probes_equal_default_rng_uniform():
+    # the probes are numpy's default_rng(seed).uniform stream, bit for bit.
+    # NEP 19 freezes PCG64 and SeedSequence but not Generator.uniform: if
+    # numpy ever changes uniform, this fails while the CLI's bytes stay,
+    # and which of the two the probes should follow needs a decision
+    for seed in (0, 1, 17, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 10**30):
+        for n in (1, 12, 128):
+            rng = np.random.default_rng(seed)
+            expected = np.array([rng.uniform(-5, 5, n) for _ in range(10)])
+            got = cli._probes(n, seed)
+            assert len(got) == 10 and all(f.shape == (n,) for f in got)
+            assert np.array_equal(np.array(got).view(np.int64), expected.view(np.int64)), (seed, n)
 
 
 def test_blas_spin_leaves_output_bytes(tmp_path, capsys):
