@@ -295,13 +295,14 @@ def _gen_system(seed: int, n: Optional[int], deterministic: bool) -> TransitionS
                 break
         weights = [float(rng.integers(lo, hi + 1)) for _ in range(n)]
         return from_map([int(x) for x in table], weights)
-    arcs = {}
-    while not (arcs and len(strongly_connected(range(n), arcs)) == 1):
+    arcs, succ = {}, [[] for _ in range(n)]
+    while not (arcs and len(strongly_connected(succ)) == 1):
         s = int(rng.integers(0, n))
         t = int(rng.integers(0, n))
         if (s, t) in arcs:
             continue
         arcs[(s, t)] = float(rng.integers(lo, hi + 1))
+        succ[s].append(t)
     arc_list = sorted((s, t, w) for (s, t), w in arcs.items())
     return TransitionSystem(n, arc_list)
 

@@ -134,15 +134,16 @@ def ergodic_report(sys: TransitionSystem, tol: float = DEFAULT_TOL) -> ErgodicRe
     phi.flags.writeable = False
     back = np.where(src == tgt, np.maximum(phi[src, src], 0.0), phi[tgt, src])
     crit = np.flatnonzero(np.abs(shifted + back) <= tol)
-    arcs = sorted(zip(src[crit].tolist(), tgt[crit].tolist()))  # row-major
-    loops = {s for s, t in arcs if s == t}
-    classes = [c for c in strongly_connected((), arcs) if len(c) > 1 or c[0] in loops]
+    succ = [[] for _ in range(n)]
+    for s, t in sorted(zip(src[crit].tolist(), tgt[crit].tolist())):  # row-major: each list ascends
+        succ[s].append(t)
+    classes = [c for c in strongly_connected(succ) if len(c) > 1 or c[0] in succ[c[0]]]
     if not classes:
         raise ValueError(
             f"no cycle is critical within tol {tol:g} at Q = {mean!r}: "
             "rounding at this weight scale exceeds the tolerance"
         )
-    witness = maxplus_linalg._witness(n, arcs, classes[0][0])
+    witness = maxplus_linalg._witness(succ, classes[0][0])
     return ErgodicReport(
         system=sys,
         Q=mean,

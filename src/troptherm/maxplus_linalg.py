@@ -7,9 +7,10 @@ the arithmetic runs on float64 arrays (the only infinity in play is
 -inf, which is safe under + and max). ergodic_opt.ergodic_report runs
 the pass with these: Karp's maximum cycle mean over the arcs
 (_karp_mean), one Kleene closure in place of the weights shifted by it
-(_closure), Tarjan's strongly connected components of the critical arcs,
-read on the arcs (strongly_connected), and a maximizing cycle by a BFS
-over them (_witness); it holds one n x n float array at a time.
+(_closure), Tarjan's strongly connected components of the critical arcs
+(strongly_connected) and a maximizing cycle by a BFS over them
+(_witness); both walk one table of successor lists, one per state, and
+the pass holds one n x n float array at a time.
 _arc_reduce is the one arc product of both transfer operators: ⊕ = max
 for Bousch, logaddexp for Ruelle in logs. Karp's recurrence writes the
 max product into its own rows in place.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -178,41 +179,34 @@ def _closure(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def strongly_connected(
-    nodes: Iterable[int], arcs: Iterable[Tuple[int, int]]
-) -> List[Tuple[int, ...]]:
-    """Strongly connected components, each sorted, ordered by least member.
+def strongly_connected(succ: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Strongly connected components of the graph with successor lists
+    succ[s] over states 0..n-1, each sorted, ordered by least member.
 
-    Iterative Tarjan, so deep graphs cannot hit the recursion limit.
-    Nodes named only by arcs are included.
+    Iterative Tarjan, so deep graphs cannot hit the recursion limit. A
+    state's index is -1 until it is reached, then its place on Tarjan's
+    stack (places keep the order of discovery), and n once its component
+    closes, so a closed successor never lowers low: no on-stack set.
     """
-    succ: Dict[int, List[int]] = {v: [] for v in nodes}
-    for s, t in arcs:
-        succ.setdefault(s, []).append(t)
-        succ.setdefault(t, [])
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
+    n = len(succ)
+    index, low = [-1] * n, [-1] * n
     stack: List[int] = []
-    on_stack = set()
     comps = []
-    for root in succ:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = 0  # every earlier component is closed
         stack.append(root)
-        on_stack.add(root)
         work = [(root, iter(succ[root]))]
         while work:
             v, targets = work[-1]
             for w in targets:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = len(stack)
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                low[v] = min(low[v], index[w])
             else:
                 # every successor of v is done: close v
                 work.pop()
@@ -220,36 +214,31 @@ def strongly_connected(
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
                 if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
+                    comp = stack[index[v] :]
+                    del stack[index[v] :]
+                    for w in comp:
+                        index[w] = n
                     comps.append(tuple(sorted(comp)))
     # components are disjoint, so tuple order is order by least member
     comps.sort()
     return comps
 
 
-def _witness(n: int, arcs: List[Tuple[int, int]], start: int) -> Tuple[int, ...]:
+def _witness(succ: Sequence[Sequence[int]], start: int) -> Tuple[int, ...]:
     """The shortest critical cycle through start, found by a deterministic
-    BFS: a maximizing cycle, as every cycle of critical arcs has mean
-    exactly the maximum. start lies in a critical class, so it closes."""
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for i, j in arcs:  # row-major, so each list comes out sorted
-        adj[i].append(j)
-    parent: Dict[int, int] = {}
+    BFS over the critical successor lists, each ascending: a maximizing
+    cycle, as every cycle of critical arcs has mean exactly the maximum.
+    start lies in a critical class, so it closes."""
+    parent = [-1] * len(succ)
     queue = deque([start])
     while True:
         u = queue.popleft()
-        for w in adj[u]:
+        for w in succ[u]:
             if w == start:
                 cycle = [u]
                 while cycle[-1] != start:
                     cycle.append(parent[cycle[-1]])
                 return tuple(cycle[::-1])
-            if w not in parent:
+            if parent[w] < 0:
                 parent[w] = u
                 queue.append(w)

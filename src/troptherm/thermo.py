@@ -194,7 +194,10 @@ def spectral_data(sys: TransitionSystem, beta: float, report: ErgodicReport) -> 
     check_report(sys, report)
     src, tgt, w = sys.arc_arrays
     if not np.isfinite(report.phi).all():  # some state does not reach another
-        raise ReducibleSystemError(strongly_connected(range(sys.n), zip(src.tolist(), tgt.tolist())))
+        succ = [[] for _ in range(sys.n)]
+        for s, t in zip(src.tolist(), tgt.tolist()):
+            succ[s].append(t)
+        raise ReducibleSystemError(strongly_connected(succ))
     q, v, b = report.Q, report.eigenfunction_basis[0], report.eigen_density_basis[0].values
 
     # Up to the offsets from the start, every float that the solve and

@@ -9,7 +9,7 @@ as its reference.
 
 import dataclasses
 import math
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,36 @@ from troptherm.tropical_measures import Density
 def shift(sys: TransitionSystem, delta: float) -> TransitionSystem:
     """sys with every weight moved by delta, built through the constructor."""
     return TransitionSystem(sys.n, [(s, t, w + delta) for s, t, w in sys.arcs], sys.labels)
+
+
+def successors(n: int, arcs) -> List[List[int]]:
+    """The successor lists over states 0..n-1 of (source, target) pairs, in arc order."""
+    succ = [[] for _ in range(n)]
+    for s, t in arcs:
+        succ[s].append(t)
+    return succ
+
+
+def mutual_reachability_components(n: int, arcs) -> List[Tuple[int, ...]]:
+    """Components as classes of mutual reachability, from a closure of the
+    reflexive reachability relation over plain sets."""
+    reach = [{x} for x in range(n)]
+    for s, t in arcs:
+        reach[s].add(t)
+    for k in range(n):
+        for x in range(n):
+            if k in reach[x]:
+                reach[x] |= reach[k]
+    return sorted({tuple(sorted(y for y in reach[x] if x in reach[y])) for x in range(n)})
+
+
+def assert_close(a, b, tol: float) -> None:
+    """The same -inf pattern, and the finite entries within tol; -inf - -inf
+    is masked out, since it would be NaN under a warning."""
+    a, b = np.asarray(a), np.asarray(b)
+    missing = np.isneginf(a)
+    assert np.array_equal(missing, np.isneginf(b))
+    assert np.all(np.abs(a[~missing] - b[~missing]) <= tol)
 
 
 def normalize(sys: TransitionSystem) -> TransitionSystem:

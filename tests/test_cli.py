@@ -487,8 +487,10 @@ def test_probes_equal_default_rng_uniform():
     # the probes are numpy's default_rng(seed).uniform stream, bit for bit.
     # NEP 19 freezes PCG64 and SeedSequence but not Generator.uniform: if
     # numpy ever changes uniform, this fails while the CLI's bytes stay,
-    # and which of the two the probes should follow needs a decision
-    for seed in (0, 1, 17, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 10**30):
+    # and which of the two the probes should follow needs a decision. The
+    # last three seeds have more than four 32-bit words: the words past
+    # SeedSequence's pool of four are mixed in one by one
+    for seed in (0, 1, 17, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 10**30, 2**128, 2**200 + 7, 10**60):
         for n in (1, 12, 128):
             rng = np.random.default_rng(seed)
             expected = np.array([rng.uniform(-5, 5, n) for _ in range(10)])
@@ -1175,3 +1177,24 @@ def test_analyze_doubling8_equals_json_dumps(tmp_path):
         assert out.read_bytes() == (
             json.dumps(report_to_json(ergodic_report(sys_)), indent=2, default=floats_to_json) + "\n"
         ).encode()
+
+
+def test_corpus_harness_on_a_slice(monkeypatch, capsys):
+    # tests/corpus.py on gen seeds 0-1 and doubling orders 5 and 7, the
+    # ones its derived systems (transposed, reversed arcs) are built from:
+    # 17 systems, five commands each, the same bytes in reverse order
+    import corpus
+
+    monkeypatch.setattr(corpus, "GEN_SEEDS", range(2))
+    monkeypatch.setattr(corpus, "DOUBLING_ORDERS", (5, 7))
+    cwd = os.getcwd()
+    assert corpus.main() == 0
+    assert os.getcwd() == cwd
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 85
+    for line in lines:
+        digest, code, argv = line.split(" ", 2)
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef") and code in ("0", "2", "4")
+        assert argv.split()[0] in ("analyze", "sweep", "ldp", "oracle")
+    assert err == "85 records, the same in reverse order; exit 0: 53, exit 2: 26, exit 4: 6\n"

@@ -23,7 +23,7 @@ from troptherm.maxplus_linalg import (
 )
 from troptherm.tropical_core import TropValue, sup_distance, t_add, t_mul, trop_vector
 
-from helpers import normalize
+from helpers import mutual_reachability_components, normalize, successors
 
 NI = -math.inf
 
@@ -286,19 +286,6 @@ def test_critical_classes_two_loops():
     assert ergodic_report(_matrix_system(FIXA)).critical_classes == [(0,)]
 
 
-def _mutual_reachability_components(n, arcs):
-    """Components as classes of mutual reachability, from a closure of the
-    reflexive reachability relation over plain sets."""
-    reach = [{x} for x in range(n)]
-    for s, t in arcs:
-        reach[s].add(t)
-    for k in range(n):
-        for x in range(n):
-            if k in reach[x]:
-                reach[x] |= reach[k]
-    return sorted({tuple(sorted(y for y in reach[x] if x in reach[y])) for x in range(n)})
-
-
 def test_strongly_connected_matches_reachability_seeded():
     rng = random.Random(89)
     for _ in range(200):
@@ -306,11 +293,11 @@ def test_strongly_connected_matches_reachability_seeded():
         density = rng.choice((0.02, 0.08, 0.2, 0.5))
         # self-loops included; low densities leave isolated nodes
         arcs = [(s, t) for s in range(n) for t in range(n) if rng.random() < density]
-        assert strongly_connected(range(n), arcs) == _mutual_reachability_components(n, arcs)
+        assert strongly_connected(successors(n, arcs)) == mutual_reachability_components(n, arcs)
     # a 5000-node path and cycle stay clear of the recursion limit
     path = [(i, i + 1) for i in range(4999)]
-    assert strongly_connected(range(5000), path) == [(i,) for i in range(5000)]
-    assert strongly_connected((), path + [(4999, 0)]) == [tuple(range(5000))]
+    assert strongly_connected(successors(5000, path)) == [(i,) for i in range(5000)]
+    assert strongly_connected(successors(5000, path + [(4999, 0)])) == [tuple(range(5000))]
 
 
 def _karp_loops(grid):

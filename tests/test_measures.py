@@ -126,6 +126,8 @@ def test_is_invariant_examples():
     sft = from_sft([[1, 1], [1, 1]], [[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         is_invariant(sft, dens(0, 0))
+    with pytest.raises(ValueError, match="length mismatch: system 3, density 2"):
+        is_invariant(cyc, dens(0, 0))
 
 
 def test_is_ergodic_examples():
@@ -136,6 +138,9 @@ def test_is_ergodic_examples():
     assert is_ergodic(two_cycles, Density([-INF] * 4))
     with pytest.raises(ValueError):
         is_ergodic(cyc, dens(0, -1, 0))  # not invariant
+    sft = from_sft([[1, 1], [1, 1]], [[0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="ergodicity is defined for deterministic systems"):
+        is_ergodic(sft, dens(0, 0))
 
 
 def test_is_ergodic_long_tail():

@@ -19,6 +19,8 @@ from troptherm.ergodic_opt import ergodic_report
 from troptherm.thermo import spectral_data
 from troptherm.tropical_measures import Density
 
+from helpers import assert_close
+
 TOL = 1e-12
 
 
@@ -35,15 +37,6 @@ def _transpose(sys: TransitionSystem) -> TransitionSystem:
     return TransitionSystem(sys.n, [(t, s, w) for s, t, w in sys.arcs], sys.labels)
 
 
-def _assert_close(a, b, tol):
-    # the same -inf pattern, and the finite entries within tol; -inf - -inf
-    # is masked out, since it would be NaN under a warning
-    a, b = np.asarray(a), np.asarray(b)
-    missing = np.isneginf(a)
-    assert np.array_equal(missing, np.isneginf(b))
-    assert np.all(np.abs(a[~missing] - b[~missing]) <= tol)
-
-
 def test_reversal_keeps_the_tropical_data():
     count = 0
     for sys in _systems():
@@ -51,12 +44,12 @@ def test_reversal_keeps_the_tropical_data():
         assert rev.Q == rep.Q  # bit for bit
         assert rev.aubry == rep.aubry
         assert rev.critical_classes == rep.critical_classes
-        _assert_close(rev.phi, rep.phi.T, TOL)
+        assert_close(rev.phi, rep.phi.T, TOL)
         # eigenfunctions of A^T are eigen-densities of A, and the reverse
         for v, b in zip(rev.eigenfunction_basis, rep.eigen_density_basis):
-            _assert_close(v, b.values, TOL)
+            assert_close(v, b.values, TOL)
         for b, v in zip(rev.eigen_density_basis, rep.eigenfunction_basis):
-            _assert_close(b.values, v, TOL)
+            assert_close(b.values, v, TOL)
         count += 1
     assert count == 104
 

@@ -23,7 +23,7 @@ from troptherm.thermo import (
 )
 from troptherm.zerotemp import beta_sweep, ldp_residual, limit_diagnostics, rate_function
 
-from helpers import cold_report
+from helpers import cold_report, mutual_reachability_components, successors
 
 
 def full_shift():
@@ -52,6 +52,10 @@ def test_ruelle_apply_examples(fixa, one_state):
         ruelle_apply(fixa, np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         ruelle_apply(fixa, np.array([1.0, -1.0]), 1.0)
+    with pytest.raises(ValueError, match="length mismatch: system 2, vector 3"):
+        ruelle_apply(fixa, np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="length mismatch: system 2, vector 1"):
+        log_ruelle_apply(fixa, np.zeros(1), 1.0)
 
 
 def test_log_ruelle_matches_linear(fixa):
@@ -200,7 +204,7 @@ def test_periodic_system_converges(fixc):
 
 def test_reducible_and_beta_guards(one_state):
     chain = TransitionSystem(2, [(0, 0, 0.0), (0, 1, 0.0), (1, 1, 0.0)])
-    assert strongly_connected(range(chain.n), [(s, t) for s, t, _ in chain.arcs]) == [(0,), (1,)]
+    assert strongly_connected(successors(chain.n, [(s, t) for s, t, _ in chain.arcs])) == [(0,), (1,)]
     with pytest.raises(ReducibleSystemError) as err:
         spectral_data(chain, 1.0, ergodic_report(chain))
     assert err.value.components == [(0,), (1,)]
@@ -231,6 +235,30 @@ def test_reducible_and_beta_guards(one_state):
     with pytest.raises(BetaRangeError, match="1 / beta overflows"):
         spectral_data(one_state, 1e-310, cold)
     assert abs(spectral_data(one_state, 1e-300, cold).pressure - 1.5e-300) <= 1e-12 * 1.5e-300
+
+
+def test_reducible_components_match_reachability_seeded():
+    # the refusal names the components that mutual reachability gives
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        density = rng.choice((0.1, 0.2, 0.35))
+        arcs = [(s, t) for s in range(n) for t in range(n) if rng.random() < density]
+        rng.shuffle(arcs)
+        sys_ = TransitionSystem(n, [(s, t, float(rng.randint(-5, 5))) for s, t in arcs])
+        try:
+            report = ergodic_report(sys_)
+        except ValueError:  # acyclic: no report to refuse
+            continue
+        components = mutual_reachability_components(n, arcs)
+        if len(components) == 1:
+            continue
+        with pytest.raises(ReducibleSystemError) as err:
+            spectral_data(sys_, 1.0, report)
+        assert err.value.components == components
+        checked += 1
+    assert checked > 50
 
 
 def test_ruelle_overflow_is_refused_before_any_step():
@@ -314,6 +342,10 @@ def test_log_moment():
     # a zero mass is a -inf log, which the linear form could not carry past exp
     viaLog = log_moment(np.array([math.log(0.5), math.log(0.5), -math.inf]), np.array([0.0, 1.0, 9.0]), 1.0)
     assert abs(viaLog - got) <= 1e-12
+    # no mass at all: the log-sum-exp of all -inf is -inf, not NaN
+    assert log_moment(np.full(3, -math.inf), np.zeros(3), 2.0) == -math.inf
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        log_moment(np.zeros(3), np.zeros(2), 1.0)
 
 
 def test_bracketing_log_vs_tropical():
